@@ -49,6 +49,8 @@ EXIT_ABORT = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
+MAX_GRID_POINTS = 100_000
+
 DEFAULTS = {
     "alpha": 0.167,        # fiber attenuation, dB/km
     "eta_d": 0.4,          # detector efficiency
@@ -153,7 +155,10 @@ class Settings:
         value = getattr(self._ns, name, None)
         if value is None and name in self._config:
             raw = self._config[name]
-            value = conv(raw) if conv is not None else raw
+            try:
+                value = conv(raw) if conv is not None else raw
+            except ValueError:
+                raise ParameterError(f"config value {name} = {raw!r} is not valid") from None
         return value
 
     def get(self, name: str, conv=float, default=None):
@@ -217,6 +222,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     nyac = settings.get("nyac", int, None)
     max_rounds = settings.get("max_rounds", float, None)
     trace = settings.get("trace", str, None)
+    if not all(math.isfinite(v) for v in (rounds, max_rounds) if v is not None):
+        raise ParameterError("round counts must be finite")
 
     thresholds = None
     if nx is not None or nybc is not None or nyac is not None:
@@ -263,6 +270,19 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def distance_grid(lmin: float, lmax: float, step: float) -> list[float]:
+    """Distances ``lmin, lmin + step, ...`` up to ``lmax``, at most ``MAX_GRID_POINTS``."""
+    if not all(math.isfinite(v) for v in (lmin, lmax, step)):
+        raise ParameterError("Lmin, Lmax and step must be finite")
+    if step <= 0 or lmax < lmin:
+        raise ParameterError("need step > 0 and Lmax >= Lmin")
+    span = (lmax - lmin) / step
+    # compare before converting: the span can overflow to inf
+    if not span < MAX_GRID_POINTS:
+        raise ParameterError(f"grid exceeds {MAX_GRID_POINTS} distances; raise step")
+    return [lmin + i * step for i in range(int(span) + 1)]
+
+
 def cmd_sweep(ns: argparse.Namespace) -> int:
     settings = Settings(ns)
     channel = settings.channel()
@@ -272,10 +292,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     lmin = settings.get("lmin", float, 0.0)
     lmax = settings.get("lmax", float, 260.0)
     step = settings.get("step", float, 5.0)
-    if step <= 0 or lmax < lmin:
-        raise ParameterError("need step > 0 and Lmax >= Lmin")
-
-    lengths = [lmin + i * step for i in range(int((lmax - lmin) / step) + 1)]
+    if not n_pulses > 0:
+        raise ParameterError("--N must be positive")
+    lengths = distance_grid(lmin, lmax, step)
     if math.isinf(n_pulses):
         points = rates.asymptotic_sweep(lengths, channel, fe)
     else:
@@ -314,6 +333,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     fe = settings.get("fe")
     n_pulses = settings.get("n_pulses", float, 5e10)
     rep_rate = settings.get("rep_rate", float, 1e8)
+    if not n_pulses > 0:
+        raise ParameterError("--N must be positive")
     analytic = bool(getattr(ns, "analytic_gain", False))
     settings.effective["gain_mode"] = "analytic" if analytic else "observed"
     channel = settings.channel() if analytic else None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import CountTableError, ParameterError
 from .finitekey import EpsilonBudget, KeyRateReport, key_length, phase_error_upper_bound
 from .optics import ChannelModel, binary_entropy, gain, transmittance
-from .protocol import SetTag
+from .protocol import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetTag, set_shares
 
 __all__ = [
     "CountRow",
@@ -39,9 +39,6 @@ __all__ = [
 ]
 
 COUNT_HEADER = ["phase_a", "phase_b", "phase_c", "spd1", "spd2"]
-
-_PLAYER_BASIS = {0: "X", 2: "X", 1: "Y", 3: "Y"}
-
 
 @dataclass(frozen=True)
 class CountRow:
@@ -132,25 +129,26 @@ def render_counts(rows) -> str:
 def classify_row(row: CountRow) -> RowClass:
     """Assign a row to its sifted set and find the expected detector.
 
-    The set follows from the announced bases alone; the expected port from
-    the net phase difference.  Patterns matching no set are ``DISCARD``.
+    The triple is a round table cell plus the dealer's extra pi: the cell
+    gives the set, and its correct raw bit, flipped by the extra pi, gives
+    the lit port.  Patterns matching no set are ``DISCARD``.
     """
-    ba = _PLAYER_BASIS[row.phase_a]
-    bb = _PLAYER_BASIS[row.phase_b]
-    bc = _PLAYER_BASIS[row.phase_c]
-    if (ba, bb, bc) == ("X", "X", "X"):
-        tag = SetTag.X_SET
-    elif (ba, bb, bc) == ("X", "Y", "Y"):
-        tag = SetTag.YBC_SET
-    elif (ba, bb, bc) == ("Y", "X", "Y"):
-        tag = SetTag.YAC_SET
-    else:
-        return RowClass(set_tag=SetTag.DISCARD, expected_spd=None)
+    return _CLASS_OF_TRIPLE[row.triple]
 
-    dphi = (row.phase_b + row.phase_c - row.phase_a) % 4
-    # dphi is even for every set pattern; odd values only occur in DISCARD rows
-    expected = 1 if dphi == 0 else 2
-    return RowClass(set_tag=tag, expected_spd=expected)
+
+def _row_class(cell: int, extra: int) -> RowClass:
+    tag = SetTag(CELL_TAG[cell])
+    if tag == SetTag.DISCARD:
+        return RowClass(set_tag=tag, expected_spd=None)
+    return RowClass(set_tag=tag, expected_spd=1 + (int(CELL_BIT[cell]) ^ extra))
+
+
+# every phase triple, encoded from the round table's quarter-turn codes
+_CLASS_OF_TRIPLE = {
+    (int(q_a), int(q_b), int(q_c) + 2 * extra): _row_class(cell, extra)
+    for cell, (q_a, q_b, q_c) in enumerate(zip(*CELL_QUARTERS))
+    for extra in (0, 1)
+}
 
 
 @dataclass(frozen=True)
@@ -232,12 +230,18 @@ def observed_sifted_gain(summary: ExperimentSummary, n_pulses: float, px: float)
 
     The sifted sets witness a fraction ``px^3 + 2 px (1-px)^2`` of all
     rounds, so the gain estimate is the sifted total over that share of the
-    emitted pulses.
+    emitted pulses.  A gain above one means the counts cannot come from
+    ``n_pulses`` pulses and is rejected.
     """
-    if n_pulses <= 0:
+    if not n_pulses > 0:
         raise ParameterError("n_pulses must be positive")
-    share = px ** 3 + 2.0 * px * (1.0 - px) ** 2
-    return (summary.n_x + summary.n_y) / (n_pulses * share)
+    share_x, share_y = set_shares(px)
+    q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
+    if q > 1.0:
+        raise ParameterError(
+            f"sifted counts imply a gain of {q:.6g} per pulse; n_pulses={n_pulses:g} is too small"
+        )
+    return q
 
 
 def experiment_skr(

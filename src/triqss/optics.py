@@ -60,10 +60,11 @@ class ChannelModel:
     misalignment: float = 0.015
 
     def __post_init__(self):
-        if self.alpha_db_per_km < 0:
-            raise ParameterError("attenuation must be nonnegative")
-        if self.length_km < 0:
-            raise ParameterError("fiber length must be nonnegative")
+        # each check is written so that NaN fails it
+        if not 0 <= self.alpha_db_per_km < math.inf:
+            raise ParameterError("attenuation must be finite and nonnegative")
+        if not 0 <= self.length_km < math.inf:
+            raise ParameterError("fiber length must be finite and nonnegative")
         if not 0 < self.det_efficiency <= 1:
             raise ParameterError("detector efficiency must be in (0, 1]")
         if not 0 <= self.dark_count < 1:
@@ -80,8 +81,9 @@ class SourceParams:
     px: float
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ParameterError("pulse intensity must be nonnegative")
+        # each check is written so that NaN fails it
+        if not 0 <= self.intensity < math.inf:
+            raise ParameterError("pulse intensity must be finite and nonnegative")
         if not 0 < self.px < 1:
             raise ParameterError("X-basis probability must be in (0, 1)")
 

@@ -14,22 +14,31 @@ Detected rounds are sifted by the announced bases into three sets:
 - ``YBC_SET``: player b and the dealer chose Y, player a chose X.
 - ``YAC_SET``: player a and the dealer chose Y, player b chose X.  The
   interference condition is inverted in this set, so the dealer flips his
-  bit there (:func:`apply_yac_flip`).
+  bit there.
 
-In every sifted set the dealer's (possibly flipped) bit should equal the
+In every sifted set the dealer's bit, after the YAC flip, should equal the
 XOR of the players' bits; disagreements are tallied as errors.
 
-``run_protocol`` simulates in fixed-size blocks, each driven by its own
-child of the master seed, so results are reproducible and blocks can be
-merged by addition in block order regardless of how they were produced.
+Everything a round does follows from the round table: one row per setting
+cell ``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``.  Its
+static columns hold the quarter-turn phase codes, the set tag and the
+dealer's correct raw bit (``s_a ^ s_b``, flipped on YAC cells, so the YAC
+flip is a column); :func:`outcome_thresholds` adds the cumulative outcome
+probabilities for one source and channel.  The simulator, the trace writer
+and the count-table reader all read this table.
+
+``run_protocol`` simulates in fixed blocks of ``BLOCK_ROUNDS`` (1e6) rounds,
+each driven by the next spawned child of the master seed.  The round stream
+is defined by the seed alone: a run stopped early is a prefix of a longer
+run with the same seed.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -43,17 +52,23 @@ __all__ = [
     "SetTag",
     "SetThresholds",
     "ClickProbabilities",
-    "RoundRecord",
     "SiftedTallies",
     "ProtocolRun",
+    "BLOCK_ROUNDS",
+    "CELL_QUARTERS",
+    "CELL_TAG",
+    "CELL_BIT",
     "encode_player_phase",
     "dealer_phase",
     "click_probabilities",
-    "simulate_round",
-    "apply_yac_flip",
+    "outcome_thresholds",
+    "set_shares",
     "run_protocol",
     "verify_correlation",
 ]
+
+# rounds per block; each block draws from its own child of the master seed
+BLOCK_ROUNDS = 1_000_000
 
 
 class Basis(IntEnum):
@@ -98,26 +113,6 @@ class SetThresholds:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """Full description of one simulated round.
-
-    ``s_c`` is the dealer's registered bit and is present exactly when the
-    outcome is not ``NONE``; for ``DOUBLE`` it carries the random resolution.
-    The record holds the raw bit, before any YAC flip.
-    """
-
-    index: int
-    s_a: int
-    s_b: int
-    basis_a: Basis
-    basis_b: Basis
-    basis_c: Basis
-    outcome: Outcome
-    s_c: int | None
-    set_tag: SetTag
-
-
-@dataclass(frozen=True)
 class SiftedTallies:
     """Detection and error counts per sifted set, plus rounds consumed."""
 
@@ -154,46 +149,83 @@ class ProtocolRun:
     seed: int
 
 
-_PHASE_X = (0.0, math.pi)
-_PHASE_Y = (1.5 * math.pi, 0.5 * math.pi)
+# quarter-turn phase codes (units of pi/2): players send X bits as 0, 2 and
+# Y bits as 3, 1; the dealer adds 0 (X) or 1 (Y) on player b's arm
+_QUARTER_TURN = 0.5 * math.pi
+_PLAYER_QUARTER = np.array([[0, 2], [3, 1]])   # [basis, bit]
+
+# the bases that sift a detected round into each set
+_SET_OF_BASES = {
+    (Basis.X, Basis.X, Basis.X): SetTag.X_SET,
+    (Basis.X, Basis.Y, Basis.Y): SetTag.YBC_SET,
+    (Basis.Y, Basis.X, Basis.Y): SetTag.YAC_SET,
+}
+
+
+# round table rows: cell = s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4
+_CELLS = np.arange(32, dtype=np.uint8)
+_S_A, _S_B = _CELLS & 1, _CELLS >> 1 & 1
+_BASES = (_CELLS >> 2 & 1, _CELLS >> 3 & 1, _CELLS >> 4 & 1)
+
+# static columns of the round table
+CELL_QUARTERS = (
+    _PLAYER_QUARTER[_BASES[0], _S_A],
+    _PLAYER_QUARTER[_BASES[1], _S_B],
+    _BASES[2].astype(int),
+)
+CELL_TAG = np.array(
+    [_SET_OF_BASES.get(bases, SetTag.DISCARD) for bases in zip(*_BASES)], dtype=np.uint8,
+)
+# the bit a sifted round registers on clean hardware: its net quarter turns
+# are even, 0 -> bit 0 and 2 -> bit 1; this is s_a ^ s_b, flipped on YAC cells
+CELL_BIT = ((CELL_QUARTERS[1] + CELL_QUARTERS[2] - CELL_QUARTERS[0]) % 4 >> 1).astype(np.uint8)
+
+_CELL_PHASE_A = CELL_QUARTERS[0] * _QUARTER_TURN
+_CELL_PHASE_B = CELL_QUARTERS[1] * _QUARTER_TURN + CELL_QUARTERS[2] * _QUARTER_TURN
 
 
 def encode_player_phase(basis: Basis, bit: int) -> float:
     """Pulse phase a player applies for a given basis and bit."""
     if bit not in (0, 1):
         raise ParameterError("bit must be 0 or 1")
-    return _PHASE_X[bit] if basis == Basis.X else _PHASE_Y[bit]
+    return int(_PLAYER_QUARTER[basis, bit]) * _QUARTER_TURN
 
 
 def dealer_phase(basis: Basis) -> float:
     """Phase offset the dealer adds on player b's arm for his basis choice."""
-    return 0.0 if basis == Basis.X else 0.5 * math.pi
+    return int(basis) * _QUARTER_TURN
+
+
+def set_shares(px: float) -> tuple[float, float]:
+    """Shares of all rounds announced in the X set and in each checked Y set."""
+    return px ** 3, px * (1.0 - px) ** 2
 
 
 def click_probabilities(
-    phase_a: float,
-    phase_b: float,
+    phase_a,
+    phase_b,
     mu: float,
     eta: float,
     dark: float,
     misalignment: float,
 ) -> ClickProbabilities:
-    """Outcome distribution for one round at given total arm phases.
+    """Outcome distribution for rounds at given total arm phases.
 
     ``phase_b`` is the total phase on player b's arm (encoding plus dealer
-    offset).  The two output ports receive mean photon numbers
-    ``2 mu eta cos^2(dphi/2)`` and ``2 mu eta sin^2(dphi/2)``; each detector
-    additionally fires independently with the dark count probability, and a
-    lone signal click is swapped to the other detector with probability
-    ``misalignment``.
+    offset); the phases may be floats or arrays.  The two output ports
+    receive mean photon numbers ``2 mu eta cos^2(dphi/2)`` and the rest of
+    ``2 mu eta``; each detector additionally fires independently with the
+    dark count probability, and a lone signal click is swapped to the other
+    detector with probability ``misalignment``.
     """
     if mu < 0 or eta < 0 or not 0 <= dark < 1 or not 0 <= misalignment <= 0.5:
         raise ParameterError("click model arguments out of range")
-    dphi = phase_b - phase_a
-    i1 = 2.0 * mu * eta * math.cos(0.5 * dphi) ** 2
-    i2 = 2.0 * mu * eta * math.sin(0.5 * dphi) ** 2
-    quiet1 = (1.0 - dark) * math.exp(-i1)
-    quiet2 = (1.0 - dark) * math.exp(-i2)
+    dphi = np.subtract(phase_b, phase_a)
+    mu_eta = 2.0 * mu * eta
+    i1 = mu_eta * np.cos(0.5 * dphi) ** 2
+    i2 = mu_eta - i1
+    quiet1 = (1.0 - dark) * np.exp(-i1)
+    quiet2 = (1.0 - dark) * np.exp(-i2)
     raw0 = (1.0 - quiet1) * quiet2
     raw1 = (1.0 - quiet2) * quiet1
     return ClickProbabilities(
@@ -204,88 +236,29 @@ def click_probabilities(
     )
 
 
-def _sift(basis_a: Basis, basis_b: Basis, basis_c: Basis, detected: bool) -> SetTag:
-    if not detected:
-        return SetTag.DISCARD
-    if basis_a == Basis.X and basis_b == Basis.X and basis_c == Basis.X:
-        return SetTag.X_SET
-    if basis_a == Basis.X and basis_b == Basis.Y and basis_c == Basis.Y:
-        return SetTag.YBC_SET
-    if basis_a == Basis.Y and basis_b == Basis.X and basis_c == Basis.Y:
-        return SetTag.YAC_SET
-    return SetTag.DISCARD
+def outcome_thresholds(source: SourceParams, channel: ChannelModel) -> tuple:
+    """Per-cell cumulative outcome probabilities ``p0``, ``p0+p1``, ``p0+p1+pn``.
 
-
-def simulate_round(
-    source: SourceParams,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-    index: int = 0,
-) -> RoundRecord:
-    """Simulate a single round with explicit draw order.
-
-    Draws, in order: player a's bit, player b's bit, then the three basis
-    choices (uniform variate compared against ``px``, players first, dealer
-    last), the outcome variate, and finally, only on a double click, the
-    resolution bit.
+    A round in cell ``c`` with outcome variate ``u`` registers outcome
+    ``(u >= t0[c]) + (u >= t1[c]) + (u >= t2[c])`` in :class:`Outcome` order.
     """
-    s_a = int(rng.integers(0, 2))
-    s_b = int(rng.integers(0, 2))
-    basis_a = Basis.X if rng.random() < source.px else Basis.Y
-    basis_b = Basis.X if rng.random() < source.px else Basis.Y
-    basis_c = Basis.X if rng.random() < source.px else Basis.Y
-
-    phase_a = encode_player_phase(basis_a, s_a)
-    phase_b = encode_player_phase(basis_b, s_b) + dealer_phase(basis_c)
-    probs = click_probabilities(
-        phase_a, phase_b, source.intensity, transmittance(channel),
+    p = click_probabilities(
+        _CELL_PHASE_A, _CELL_PHASE_B, source.intensity, transmittance(channel),
         channel.dark_count, channel.misalignment,
     )
-    u = rng.random()
-    if u < probs.only0:
-        outcome, s_c = Outcome.ZERO, 0
-    elif u < probs.only0 + probs.only1:
-        outcome, s_c = Outcome.ONE, 1
-    elif u < probs.only0 + probs.only1 + probs.none:
-        outcome, s_c = Outcome.NONE, None
-    else:
-        outcome, s_c = Outcome.DOUBLE, int(rng.integers(0, 2))
-
-    tag = _sift(basis_a, basis_b, basis_c, outcome != Outcome.NONE)
-    return RoundRecord(
-        index=index, s_a=s_a, s_b=s_b,
-        basis_a=basis_a, basis_b=basis_b, basis_c=basis_c,
-        outcome=outcome, s_c=s_c, set_tag=tag,
-    )
-
-
-def apply_yac_flip(record: RoundRecord) -> RoundRecord:
-    """Flip the dealer's bit on YAC rounds, where interference is inverted.
-
-    Applying the flip twice returns the original record.  Records from other
-    sets pass through unchanged; a record without a dealer bit is rejected.
-    """
-    if record.set_tag != SetTag.YAC_SET:
-        return record
-    if record.s_c is None:
-        raise ParameterError("cannot flip a round with no detection")
-    return replace(record, s_c=record.s_c ^ 1)
+    t0 = p.only0
+    t1 = t0 + p.only1
+    return t0, t1, t1 + p.none
 
 
 class _Block(NamedTuple):
     """Per-round arrays for one simulated block."""
 
-    s_a: np.ndarray
-    s_b: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    basis_c: np.ndarray
+    cell: np.ndarray
     outcome: np.ndarray
-    s_c_eff: np.ndarray
-    in_x: np.ndarray
-    in_ybc: np.ndarray
-    in_yac: np.ndarray
-    err: np.ndarray
+    s_c: np.ndarray      # registered dealer bit, before any YAC flip
+    tag: np.ndarray      # set tag; DISCARD when nothing clicked
+    err: np.ndarray      # detected and s_c differs from the cell's correct bit
 
 
 def _simulate_block(
@@ -299,84 +272,58 @@ def _simulate_block(
     Stream layout per block: player bits, then the three basis variates,
     then the outcome variate, then resolution bits for every round.
     """
-    px = source.px
     s_a = rng.integers(0, 2, n, dtype=np.uint8)
     s_b = rng.integers(0, 2, n, dtype=np.uint8)
-    basis_a = (rng.random(n) >= px).astype(np.uint8)
-    basis_b = (rng.random(n) >= px).astype(np.uint8)
-    basis_c = (rng.random(n) >= px).astype(np.uint8)
+    b_a, b_b, b_c = ((rng.random(n) >= source.px).view(np.uint8) for _ in range(3))
+    cell = s_a | s_b << 1 | b_a << 2 | b_b << 3 | b_c << 4
     u = rng.random(n)
     resolve = rng.integers(0, 2, n, dtype=np.uint8)
 
-    phase_a = np.where(basis_a == 0, s_a * math.pi, (1.5 - s_a) * math.pi)
-    phase_b = np.where(basis_b == 0, s_b * math.pi, (1.5 - s_b) * math.pi)
-    phase_b = phase_b + np.where(basis_c == 0, 0.0, 0.5 * math.pi)
-    dphi = phase_b - phase_a
-
-    mu_eta = 2.0 * source.intensity * transmittance(channel)
-    i1 = mu_eta * np.cos(0.5 * dphi) ** 2
-    i2 = mu_eta - i1
-    dark = channel.dark_count
-    ed = channel.misalignment
-    quiet1 = (1.0 - dark) * np.exp(-i1)
-    quiet2 = (1.0 - dark) * np.exp(-i2)
-    raw0 = (1.0 - quiet1) * quiet2
-    raw1 = (1.0 - quiet2) * quiet1
-    p0 = (1.0 - ed) * raw0 + ed * raw1
-    p1 = (1.0 - ed) * raw1 + ed * raw0
-    pn = quiet1 * quiet2
-
-    outcome = np.where(
-        u < p0, 0, np.where(u < p0 + p1, 1, np.where(u < p0 + p1 + pn, 2, 3))
-    ).astype(np.uint8)
-    detected = outcome != 2
-    s_c = np.where(outcome == 0, 0, np.where(outcome == 1, 1, resolve)).astype(np.uint8)
-
-    in_x = detected & (basis_a == 0) & (basis_b == 0) & (basis_c == 0)
-    in_ybc = detected & (basis_a == 0) & (basis_b == 1) & (basis_c == 1)
-    in_yac = detected & (basis_a == 1) & (basis_b == 0) & (basis_c == 1)
-
-    s_c_eff = s_c ^ in_yac.astype(np.uint8)
-    err = (s_c_eff != (s_a ^ s_b)) & detected
-
-    return _Block(s_a, s_b, basis_a, basis_b, basis_c, outcome, s_c_eff,
-                  in_x, in_ybc, in_yac, err)
+    t0, t1, t2 = outcome_thresholds(source, channel)
+    outcome = (u >= t0[cell]).view(np.uint8) + (u >= t1[cell]) + (u >= t2[cell])
+    detected = outcome != Outcome.NONE
+    s_c = np.where(outcome < Outcome.NONE, outcome, resolve)
+    tag = np.where(detected, CELL_TAG[cell], np.uint8(SetTag.DISCARD))
+    err = detected & (s_c != CELL_BIT[cell])
+    return _Block(cell, outcome, s_c, tag, err)
 
 
 def _tally_prefix(block: _Block, keep: int) -> SiftedTallies:
-    sl = slice(0, keep)
+    tag = block.tag[:keep]
+    n = np.bincount(tag, minlength=4)
+    m = np.bincount(tag[block.err[:keep]], minlength=4)
     return SiftedTallies(
-        n_x=int(block.in_x[sl].sum()),
-        m_x=int((block.err & block.in_x)[sl].sum()),
-        n_ybc=int(block.in_ybc[sl].sum()),
-        m_ybc=int((block.err & block.in_ybc)[sl].sum()),
-        n_yac=int(block.in_yac[sl].sum()),
-        m_yac=int((block.err & block.in_yac)[sl].sum()),
+        n_x=int(n[SetTag.X_SET]), m_x=int(m[SetTag.X_SET]),
+        n_ybc=int(n[SetTag.YBC_SET]), m_ybc=int(m[SetTag.YBC_SET]),
+        n_yac=int(n[SetTag.YAC_SET]), m_yac=int(m[SetTag.YAC_SET]),
         rounds=keep,
     )
 
 
-_TRACE_HEADER = ["i", "s_a", "s_b", "basis_a", "basis_b", "basis_c", "outcome", "s_c", "set_tag"]
+# rows end in \r\n, the line end of the default csv dialect
+_TRACE_HEADER = "i,s_a,s_b,basis_a,basis_b,basis_c,outcome,s_c,set_tag\r\n"
 _OUTCOME_NAMES = ("zero", "one", "none", "double")
 _TAG_NAMES = ("X", "YBC", "YAC", "DISCARD")
 
 
-def _write_trace_rows(writer, start: int, block: _Block, keep: int) -> None:
-    tag = np.full(len(block.s_a), int(SetTag.DISCARD), dtype=np.uint8)
-    tag[block.in_x] = SetTag.X_SET
-    tag[block.in_ybc] = SetTag.YBC_SET
-    tag[block.in_yac] = SetTag.YAC_SET
-    for j in range(keep):
-        out = block.outcome[j]
-        # the trace shows the raw dealer bit, before the YAC flip
-        raw_bit = block.s_c_eff[j] ^ (tag[j] == SetTag.YAC_SET)
-        writer.writerow([
-            start + j, int(block.s_a[j]), int(block.s_b[j]),
-            "XY"[block.basis_a[j]], "XY"[block.basis_b[j]], "XY"[block.basis_c[j]],
-            _OUTCOME_NAMES[out],
-            int(raw_bit) if out != Outcome.NONE else "",
-            _TAG_NAMES[tag[j]],
-        ])
+def _row_text(key: int) -> str:
+    """Trace row after the index for ``key = cell | outcome << 5 | s_c << 7``."""
+    cell, outcome, s_c = key & 31, key >> 5 & 3, key >> 7
+    if outcome == Outcome.NONE:
+        bit, tag = "", SetTag.DISCARD
+    else:
+        bit, tag = s_c, CELL_TAG[cell]
+    bases = ",".join("XY"[b[cell]] for b in _BASES)
+    return (f"{_S_A[cell]},{_S_B[cell]},{bases},{_OUTCOME_NAMES[outcome]},"
+            f"{bit},{_TAG_NAMES[tag]}\r\n")
+
+
+_ROW_TEXT = np.array([_row_text(key) for key in range(256)], dtype=object)
+
+
+def _write_trace_rows(fh, start: int, block: _Block, keep: int) -> None:
+    keys = block.cell[:keep] | block.outcome[:keep] << 5 | block.s_c[:keep] << 7
+    fh.writelines(f"{i},{text}" for i, text in zip(count(start), _ROW_TEXT[keys].tolist()))
 
 
 def run_protocol(
@@ -386,7 +333,6 @@ def run_protocol(
     seed: int,
     thresholds: SetThresholds | tuple | None = None,
     max_rounds: int | None = None,
-    block_size: int = 1_000_000,
     trace_path=None,
 ) -> ProtocolRun:
     """Run the protocol until the set thresholds are met.
@@ -400,23 +346,26 @@ def run_protocol(
         the run aborts with the partial result attached.  When ``None``,
         exactly ``max_rounds`` rounds are simulated.
     seed:
-        Master seed.  Blocks draw from sequentially spawned child generators,
-        so results reproduce exactly for a given (seed, block_size) pair; the
-        block layout is part of the stream definition.
+        Master seed.  Rounds are drawn in blocks of ``BLOCK_ROUNDS`` from
+        sequentially spawned child generators, so the round stream depends
+        on the seed alone: any run is a prefix of a longer run with the
+        same seed.
     trace_path:
-        Optional CSV path recording every simulated round.
+        Optional CSV path recording every simulated round, with the
+        dealer's raw bit before the YAC flip.
     """
     if thresholds is not None and not isinstance(thresholds, SetThresholds):
         thresholds = SetThresholds(*thresholds)
     if thresholds is None and max_rounds is None:
         raise ParameterError("need thresholds or an explicit number of rounds")
-    if block_size < 1:
-        raise ParameterError("block size must be positive")
+    if max_rounds is not None and not max_rounds >= 1:
+        raise ParameterError("max_rounds must be at least 1")
 
     if thresholds is not None and max_rounds is None:
         q = gain(source.intensity, transmittance(channel), channel.dark_count)
-        p_x = source.px ** 3 * q
-        p_y = source.px * (1.0 - source.px) ** 2 * q
+        share_x, share_y = set_shares(source.px)
+        p_x = share_x * q
+        p_y = share_y * q
         if p_x <= 0.0 or p_y <= 0.0:
             raise ProtocolAbortError("thresholds unreachable: zero detection probability")
         expected = max(thresholds.n_x / p_x, thresholds.n_ybc / p_y, thresholds.n_yac / p_y)
@@ -425,35 +374,34 @@ def run_protocol(
     ss = np.random.SeedSequence(seed)
     total = SiftedTallies()
     keys_a, keys_b, keys_c = [], [], []
-    trace_file = writer = None
+    trace_file = None
     if trace_path is not None:
         trace_file = open(trace_path, "w", newline="")
-        writer = csv.writer(trace_file)
-        writer.writerow(_TRACE_HEADER)
+        trace_file.write(_TRACE_HEADER)
 
     try:
         done = False
         while not done and total.rounds < max_rounds:
-            n = min(block_size, max_rounds - total.rounds)
+            n = min(BLOCK_ROUNDS, max_rounds - total.rounds)
             rng = np.random.default_rng(ss.spawn(1)[0])
             block = _simulate_block(source, channel, rng, n)
             keep = n
             if thresholds is not None:
                 met = (
-                    (total.n_x + np.cumsum(block.in_x) >= thresholds.n_x)
-                    & (total.n_ybc + np.cumsum(block.in_ybc) >= thresholds.n_ybc)
-                    & (total.n_yac + np.cumsum(block.in_yac) >= thresholds.n_yac)
+                    (total.n_x + np.cumsum(block.tag == SetTag.X_SET) >= thresholds.n_x)
+                    & (total.n_ybc + np.cumsum(block.tag == SetTag.YBC_SET) >= thresholds.n_ybc)
+                    & (total.n_yac + np.cumsum(block.tag == SetTag.YAC_SET) >= thresholds.n_yac)
                 )
                 if met.any():
                     keep = int(np.argmax(met)) + 1
                     done = True
-            if writer is not None:
-                _write_trace_rows(writer, total.rounds, block, keep)
-            in_x = block.in_x.copy()
-            in_x[keep:] = False
-            keys_a.append(block.s_a[in_x])
-            keys_b.append(block.s_b[in_x])
-            keys_c.append(block.s_c_eff[in_x])
+            if trace_file is not None:
+                _write_trace_rows(trace_file, total.rounds, block, keep)
+            in_x = block.tag[:keep] == SetTag.X_SET
+            x_cells = block.cell[:keep][in_x]
+            keys_a.append(_S_A[x_cells])
+            keys_b.append(_S_B[x_cells])
+            keys_c.append(block.s_c[:keep][in_x])
             total = total.merged(_tally_prefix(block, keep))
     finally:
         if trace_file is not None:

@@ -37,6 +37,7 @@ from .optics import (
     phase_error_from_y,
     transmittance,
 )
+from .protocol import set_shares
 from .report import fmt_value
 
 __all__ = [
@@ -154,8 +155,9 @@ def finite_rate(
     q = gain(mu, eta, channel.dark_count)
     ebx = bit_error_x(mu, eta, channel.dark_count, channel.misalignment)
 
-    n_x = n_pulses * px ** 3 * q
-    n_y = n_pulses * px * (1.0 - px) ** 2 * q
+    share_x, share_y = set_shares(px)
+    n_x = n_pulses * share_x * q
+    n_y = n_pulses * share_y * q
     if n_y < 1.0:
         raise ZeroCountError(
             f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"

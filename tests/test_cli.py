@@ -2,7 +2,16 @@
 
 import pytest
 
-from triqss.cli import EXIT_ABORT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from triqss import ParameterError
+from triqss.cli import (
+    EXIT_ABORT,
+    EXIT_INPUT,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    MAX_GRID_POINTS,
+    distance_grid,
+    main,
+)
 from triqss.report import parse_kv
 
 from conftest import FIXTURES
@@ -85,6 +94,14 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "input error" in err
 
+    @pytest.mark.parametrize("n_pulses", ["10", "0", "nan"])
+    def test_impossible_pulse_count_exits_3(self, capsys, n_pulses):
+        # at N = 10 the sifted counts imply a gain above one per pulse
+        code, out, err = run(capsys, ["analyze", TABLE_A9, "--N", n_pulses])
+        assert code == EXIT_INPUT
+        assert "input error" in err
+        assert out == ""
+
     def test_degenerate_analytic_gain_exits_4(self, capsys):
         code, _, err = run(capsys, ["analyze", TABLE_A9, "--analytic-gain",
                                     "--mu", "0", "--dark", "0"])
@@ -125,6 +142,28 @@ class TestSimulate:
         assert run(capsys, self.BASE + ["--out", str(out1)])[0] == EXIT_OK
         assert run(capsys, self.BASE + ["--out", str(out2)])[0] == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_nan_intensity_exits_3(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", "100",
+                                      "--mu", "nan"])
+        assert code == EXIT_INPUT
+        assert "intensity" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("rounds", ["-5", "0", "nan", "inf"])
+    def test_bad_round_count_exits_3(self, capsys, rounds):
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", rounds])
+        assert code == EXIT_INPUT
+        assert "input error" in err
+        assert out == ""
+
+    def test_unconvertible_config_value_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = abc\n")
+        code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--seed", "2",
+                                    "--rounds", "1000"])
+        assert code == EXIT_INPUT
+        assert "mu" in err and "abc" in err
 
     def test_threshold_abort_exits_2_with_partial(self, capsys, tmp_path):
         out = tmp_path / "aborted.txt"
@@ -193,6 +232,30 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--Lmin", "10", "--Lmax", "0"])
         assert code == EXIT_INPUT
         assert "input error" in err
+
+    def test_nan_pulse_count_exits_3(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--N", "nan"])
+        assert code == EXIT_INPUT
+        assert "--N" in err
+        assert out == ""
+
+
+class TestDistanceGrid:
+    @pytest.mark.parametrize("lmin,lmax,step", [
+        (0.0, 260.0, 1e-12),                       # 2.6e14 points
+        (0.0, 1e300, 1e-300),                      # span overflows to inf
+        (0.0, float(MAX_GRID_POINTS), 1.0),        # one point over the cap
+        (0.0, float("nan"), 5.0),
+        (0.0, 260.0, float("inf")),
+        (10.0, 0.0, 5.0),
+        (0.0, 10.0, 0.0),
+    ])
+    def test_rejected_before_allocating(self, lmin, lmax, step):
+        with pytest.raises(ParameterError):
+            distance_grid(lmin, lmax, step)
+
+    def test_largest_grid_allowed(self):
+        assert len(distance_grid(0.0, float(MAX_GRID_POINTS - 1), 1.0)) == MAX_GRID_POINTS
 
 
 class TestParserBehavior:

@@ -18,6 +18,7 @@ from triqss import (
     render_counts,
     tally_sets,
 )
+from triqss.protocol import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
 # frozen per-set tallies of the bundled tables:
 # (n_x, m_x, n_ybc, m_ybc, n_yac, m_yac), keyed by (table, intensity)
@@ -103,6 +104,20 @@ class TestClassification:
         assert tags[SetTag.YAC_SET] == 8
         assert tags[SetTag.DISCARD] == 40
 
+    def test_round_table_agrees_on_all_triples(self):
+        # each triple is one round table cell plus the dealer's extra pi
+        triples = set()
+        for cell in range(32):
+            q_a, q_b, q_c = (int(q[cell]) for q in CELL_QUARTERS)
+            for extra in (0, 1):
+                triple = (q_a, q_b, q_c + 2 * extra)
+                triples.add(triple)
+                cls = classify_row(CountRow(*triple, 0, 0))
+                assert cls.set_tag == CELL_TAG[cell]
+                if cls.set_tag != SetTag.DISCARD:
+                    assert cls.expected_spd == 1 + (CELL_BIT[cell] ^ extra)
+        assert len(triples) == 64
+
     def test_specific_patterns(self):
         assert classify_row(CountRow(0, 0, 0, 0, 0)).set_tag == SetTag.X_SET
         assert classify_row(CountRow(0, 1, 1, 0, 0)).set_tag == SetTag.YBC_SET
@@ -159,8 +174,12 @@ class TestObservedGain:
 
     def test_rejects_nonpositive_pulses(self, fixtures_dir):
         s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ParameterError):
+                observed_sifted_gain(s, bad, 0.9)
+        # more sifted clicks than pulses
         with pytest.raises(ParameterError):
-            observed_sifted_gain(s, 0.0, 0.9)
+            observed_sifted_gain(s, 10.0, 0.9)
 
 
 class TestExperimentSkr:

@@ -2,7 +2,6 @@
 
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,22 +9,20 @@ import pytest
 from triqss import (
     Basis,
     ChannelModel,
-    Outcome,
     ParameterError,
     ProtocolAbortError,
     SetTag,
     SetThresholds,
     SourceParams,
-    apply_yac_flip,
     bit_error_x,
     click_probabilities,
     dealer_phase,
     encode_player_phase,
     gain,
     run_protocol,
-    simulate_round,
     verify_correlation,
 )
+from triqss import protocol
 from triqss.protocol import _simulate_block
 
 LOCAL = ChannelModel(length_km=0.0)  # eta = 0.4, errors at defaults
@@ -79,59 +76,23 @@ class TestEncodings:
                 assert min(p) >= 0.0
 
 
-class TestSingleRound:
-    def test_record_consistency(self):
-        rng = np.random.default_rng(99)
-        src = SourceParams(intensity=0.5, px=0.7)
-        seen_double = seen_none = False
-        for i in range(3000):
-            rec = simulate_round(src, LOCAL, rng, index=i)
-            assert rec.index == i
-            assert (rec.s_c is None) == (rec.outcome == Outcome.NONE)
-            if rec.outcome == Outcome.NONE:
-                assert rec.set_tag == SetTag.DISCARD
-                seen_none = True
-            if rec.outcome == Outcome.DOUBLE:
-                assert rec.s_c in (0, 1)
-                seen_double = True
-            bases = (rec.basis_a, rec.basis_b, rec.basis_c)
-            if rec.outcome != Outcome.NONE:
-                expected_tag = {
-                    (Basis.X, Basis.X, Basis.X): SetTag.X_SET,
-                    (Basis.X, Basis.Y, Basis.Y): SetTag.YBC_SET,
-                    (Basis.Y, Basis.X, Basis.Y): SetTag.YAC_SET,
-                }.get(bases, SetTag.DISCARD)
-                assert rec.set_tag == expected_tag
-        assert seen_double and seen_none
-
-    def test_same_generator_state_same_record(self):
-        a = simulate_round(BRIGHT, LOCAL, np.random.default_rng(5))
-        b = simulate_round(BRIGHT, LOCAL, np.random.default_rng(5))
-        assert a == b
-
-    def test_yac_flip_is_an_involution(self):
-        rng = np.random.default_rng(17)
-        src = SourceParams(intensity=0.5, px=0.6)
-        flipped = 0
-        for _ in range(2000):
-            rec = simulate_round(src, LOCAL, rng)
-            if rec.s_c is None:
+class TestRoundTable:
+    def test_correct_bit_is_the_lit_port(self):
+        # on clean hardware a sifted cell lights exactly the port of its
+        # correct bit: s_a ^ s_b, flipped on YAC cells
+        clean = ChannelModel(length_km=0.0, dark_count=0.0, misalignment=0.0)
+        t0, t1, _ = protocol.outcome_thresholds(BRIGHT, clean)
+        sifted = 0
+        for cell in range(32):
+            tag = protocol.CELL_TAG[cell]
+            if tag == SetTag.DISCARD:
                 continue
-            once = apply_yac_flip(rec)
-            assert apply_yac_flip(once) == rec
-            if rec.set_tag == SetTag.YAC_SET:
-                assert once.s_c == rec.s_c ^ 1
-                flipped += 1
-            else:
-                assert once == rec
-        assert flipped > 0
-
-    def test_flip_requires_a_detection(self):
-        rec = simulate_round(BRIGHT, LOCAL, np.random.default_rng(0))
-        # force a YAC tag with no dealer bit
-        broken = replace(rec, set_tag=SetTag.YAC_SET, s_c=None, outcome=Outcome.NONE)
-        with pytest.raises(ParameterError):
-            apply_yac_flip(broken)
+            sifted += 1
+            bit = protocol.CELL_BIT[cell]
+            assert bit == (cell & 1) ^ (cell >> 1 & 1) ^ (tag == SetTag.YAC_SET)
+            p0, p1 = t0[cell], t1[cell] - t0[cell]
+            assert (p0 > 0.0, p1 > 0.0) == ((True, False) if bit == 0 else (False, True))
+        assert sifted == 12
 
 
 class TestRunProtocol:
@@ -143,14 +104,27 @@ class TestRunProtocol:
         assert np.array_equal(a.key_b, b.key_b)
         assert np.array_equal(a.key_c, b.key_c)
 
-    def test_block_boundaries_do_not_leak(self):
-        # one block vs many blocks of the same stream definition differ,
-        # but within a fixed block size the result is indifferent to the cap
-        # arriving mid-block
-        full = run_protocol(BRIGHT, LOCAL, seed=8, max_rounds=250_000, block_size=100_000)
-        again = run_protocol(BRIGHT, LOCAL, seed=8, max_rounds=250_000, block_size=100_000)
-        assert full.tallies == again.tallies
-        assert full.tallies.rounds == 250_000
+    def test_block_boundaries_do_not_leak(self, tmp_path, monkeypatch):
+        # a threshold run that stops inside the third block replays the
+        # start of a longer fixed run: same keys, same trace rows, and the
+        # round index runs on across the block boundaries
+        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
+        src = SourceParams(intensity=0.5, px=0.7)
+        fixed_trace, stop_trace = tmp_path / "fixed.csv", tmp_path / "stop.csv"
+        fixed = run_protocol(src, LOCAL, seed=8, max_rounds=30_000, trace_path=fixed_trace)
+        stop = run_protocol(src, LOCAL, seed=8, thresholds=(2800, 1, 1),
+                            trace_path=stop_trace)
+        assert 20_000 < stop.rounds_used < 30_000
+        k = stop.key_a.size
+        assert 0 < k < fixed.key_a.size
+        for short, full in ((stop.key_a, fixed.key_a), (stop.key_b, fixed.key_b),
+                            (stop.key_c, fixed.key_c)):
+            assert np.array_equal(short, full[:k])
+        stop_lines = stop_trace.read_bytes().splitlines(keepends=True)
+        fixed_lines = fixed_trace.read_bytes().splitlines(keepends=True)
+        assert stop_lines == fixed_lines[:stop.rounds_used + 1]
+        assert [int(line.split(b",")[0]) for line in stop_lines[1:]] == \
+            list(range(stop.rounds_used))
 
     def test_same_child_seed_same_block(self):
         ss = np.random.SeedSequence(123)
@@ -274,6 +248,7 @@ class TestValidation:
         with pytest.raises(ParameterError):
             verify_correlation([0, 1], [0], [1])
 
-    def test_block_size_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            run_protocol(BRIGHT, LOCAL, seed=1, max_rounds=10, block_size=0)
+    def test_max_rounds_must_be_positive(self):
+        for bad in (0, -5):
+            with pytest.raises(ParameterError):
+                run_protocol(BRIGHT, LOCAL, seed=1, max_rounds=bad)
