@@ -172,6 +172,8 @@ class Settings:
         alpha = self.get("alpha")
         loss_db = self.get("loss_db", float, None)
         if loss_db is not None:
+            if not alpha > 0:
+                raise ParameterError("--loss-db needs a positive --alpha")
             length = loss_db / alpha
             self.effective["length_km"] = length
         else:

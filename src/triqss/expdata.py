@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -266,6 +267,8 @@ def experiment_skr(
     ``n_pulses`` is interpreted as the total number of emitted pulses;
     ``rep_rate_hz`` only converts the per-pulse rate to bits per second.
     """
+    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0):
+        raise ParameterError("rep_rate_hz must be finite and positive")
     if budget is None:
         budget = EpsilonBudget()
     mu = mu if mu is not None else summary.mu

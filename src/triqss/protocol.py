@@ -27,16 +27,23 @@ flip is a column); :func:`outcome_thresholds` adds the cumulative outcome
 probabilities for one source and channel.  The simulator, the trace writer
 and the count-table reader all read this table.
 
-``run_protocol`` simulates in fixed blocks of ``BLOCK_ROUNDS`` (1e6) rounds,
-each driven by the next spawned child of the master seed.  The round stream
-is defined by the seed alone: a run stopped early is a prefix of a longer
-run with the same seed.
+``run_protocol`` draws only the rounds that click.  Rounds are i.i.d., so
+the gaps between detections are Geometric(p_det) and each detection is a
+categorical draw over the table's cells and outcomes; this is exact in
+distribution and costs work per detection, not per round.  The seed spawns
+a detection branch, drawn in chunks of ``CHUNK_DETECTIONS`` detections from
+its sequentially spawned children, and a trace branch that only fills in
+the trace rows of rounds with no click.  The result is defined by the seed
+alone: a trace never changes it, and a run stopped early is a prefix of a
+longer run with the same seed.  ``_simulate_block`` is the per-round
+reference engine the sampler is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from itertools import count
 from typing import NamedTuple
@@ -55,6 +62,8 @@ __all__ = [
     "SiftedTallies",
     "ProtocolRun",
     "BLOCK_ROUNDS",
+    "CHUNK_DETECTIONS",
+    "MAX_ROUNDS",
     "CELL_QUARTERS",
     "CELL_TAG",
     "CELL_BIT",
@@ -67,8 +76,13 @@ __all__ = [
     "verify_correlation",
 ]
 
-# rounds per block; each block draws from its own child of the master seed
+# detections per chunk; chunk k draws from the k-th child of the detection branch
+CHUNK_DETECTIONS = 4096
+# trace rows per block; block k draws its no-click rows from the k-th child
+# of the trace branch
 BLOCK_ROUNDS = 1_000_000
+# most rounds one run may cover; keeps round positions far inside int64
+MAX_ROUNDS = 2 ** 50
 
 
 class Basis(IntEnum):
@@ -288,16 +302,86 @@ def _simulate_block(
     return _Block(cell, outcome, s_c, tag, err)
 
 
-def _tally_prefix(block: _Block, keep: int) -> SiftedTallies:
-    tag = block.tag[:keep]
+def _tallies(tag: np.ndarray, err: np.ndarray, rounds: int = 0) -> SiftedTallies:
+    """Set and error counts of rounds with set tags ``tag`` and error flags ``err``."""
     n = np.bincount(tag, minlength=4)
-    m = np.bincount(tag[block.err[:keep]], minlength=4)
+    m = np.bincount(tag[err], minlength=4)
     return SiftedTallies(
         n_x=int(n[SetTag.X_SET]), m_x=int(m[SetTag.X_SET]),
         n_ybc=int(n[SetTag.YBC_SET]), m_ybc=int(m[SetTag.YBC_SET]),
         n_yac=int(n[SetTag.YAC_SET]), m_yac=int(m[SetTag.YAC_SET]),
-        rounds=keep,
+        rounds=rounds,
     )
+
+
+# detected categories: cat = cell * 4 + k, where k = 0 is a lone click on
+# detector 1 (s_c = 0), k = 1 a lone click on detector 2 (s_c = 1), and
+# k = 2, 3 a double click resolved to s_c = k - 2
+_CATS = np.arange(128)
+_CAT_CELL = _CATS >> 2
+_CAT_SC = (_CATS & 1).astype(np.uint8)
+_CAT_TAG = CELL_TAG[_CAT_CELL]
+_CAT_ERR = _CAT_SC != CELL_BIT[_CAT_CELL]
+_CAT_OUTCOME = np.array([Outcome.ZERO, Outcome.ONE, Outcome.DOUBLE, Outcome.DOUBLE])[_CATS & 3]
+_CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_TEXT
+
+
+class _DetectionTables(NamedTuple):
+    """What one round does, as the distributions the sampler draws from."""
+
+    p_det: float           # probability that a round clicks at all
+    cdf: np.ndarray        # over the 128 detected categories
+    none_cdf: np.ndarray   # over the 32 cells, for rounds with no click
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    # dividing by the last entry makes it exactly 1, so a variate below one
+    # always lands on a category of positive weight
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1] if cdf[-1] > 0.0 else np.ones_like(cdf)
+
+
+def _detection_tables(source: SourceParams, channel: ChannelModel) -> _DetectionTables:
+    """Round table weights for one source and channel.
+
+    ``p_det`` sums every detected category, double clicks included, so it
+    sits slightly above :func:`~triqss.optics.gain`, which counts single
+    clicks only.
+    """
+    p = click_probabilities(
+        _CELL_PHASE_A, _CELL_PHASE_B, source.intensity, transmittance(channel),
+        channel.dark_count, channel.misalignment,
+    )
+    basis_p = np.array([source.px, 1.0 - source.px])
+    p_cell = 0.25 * basis_p[_BASES[0]] * basis_p[_BASES[1]] * basis_p[_BASES[2]]
+    half_double = 0.5 * p.double
+    weights = (p_cell[:, None] * np.stack([p.only0, p.only1, half_double, half_double], 1)).ravel()
+    p_det = min(1.0, float(weights.sum()))
+    return _DetectionTables(p_det, _cdf(weights), _cdf(p_cell * p.none))
+
+
+def _detections(branch: np.random.SeedSequence, tables: _DetectionTables, horizon: int):
+    """Positions and categories of the detected rounds below ``horizon``.
+
+    Yields one chunk of ``CHUNK_DETECTIONS`` detections at a time, each drawn
+    from the next child of ``branch``: the gaps between detections are
+    Geometric(p_det), and each detection is a categorical draw.
+    """
+    if tables.p_det == 0.0:   # nothing clicks; geometric(0) would raise
+        return
+    last = -1
+    while True:
+        rng = np.random.default_rng(branch.spawn(1)[0])
+        # a gap beyond MAX_ROUNDS passes any horizon, so clipping it changes
+        # nothing kept and keeps the positions inside int64
+        gaps = np.minimum(rng.geometric(tables.p_det, CHUNK_DETECTIONS), MAX_ROUNDS + 1)
+        cat = np.searchsorted(tables.cdf, rng.random(CHUNK_DETECTIONS), side="right")
+        pos = last + np.cumsum(gaps)
+        keep = int(np.searchsorted(pos, horizon))
+        yield pos[:keep], cat[:keep]
+        if keep < CHUNK_DETECTIONS:
+            return
+        last = int(pos[-1])
 
 
 # rows end in \r\n, the line end of the default csv dialect
@@ -319,11 +403,40 @@ def _row_text(key: int) -> str:
 
 
 _ROW_TEXT = np.array([_row_text(key) for key in range(256)], dtype=object)
+_NO_DETECTIONS = np.empty(0, np.intp)
 
 
-def _write_trace_rows(fh, start: int, block: _Block, keep: int) -> None:
-    keys = block.cell[:keep] | block.outcome[:keep] << 5 | block.s_c[:keep] << 7
-    fh.writelines(f"{i},{text}" for i, text in zip(count(start), _ROW_TEXT[keys].tolist()))
+class _TraceWriter:
+    """Writes one row per round, in order, with rows that did not click filled in.
+
+    The cells of rounds with no click are drawn from the no-click
+    distribution, block ``k`` of ``BLOCK_ROUNDS`` rounds from the ``k``-th
+    child of the trace branch, and only for the rows written.
+    """
+
+    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray):
+        self._fh, self._branch, self._none_cdf = fh, branch, none_cdf
+        self._rng = None
+        self.written = 0
+        fh.write(_TRACE_HEADER)
+
+    def write(self, end: int, pos: np.ndarray = _NO_DETECTIONS,
+              cat: np.ndarray = _NO_DETECTIONS) -> None:
+        """Rows up to round ``end``; ``pos`` and ``cat`` are the detections among them."""
+        while self.written < end:
+            start = self.written
+            offset = start % BLOCK_ROUNDS
+            if offset == 0:
+                self._rng = np.random.default_rng(self._branch.spawn(1)[0])
+            stop = min(end, start - offset + BLOCK_ROUNDS)
+            keys = np.searchsorted(self._none_cdf, self._rng.random(stop - start), side="right")
+            keys |= Outcome.NONE << 5
+            lo, hi = np.searchsorted(pos, (start, stop))
+            keys[pos[lo:hi] - start] = _CAT_ROW[cat[lo:hi]]
+            self._fh.writelines(
+                f"{i},{text}" for i, text in zip(count(start), _ROW_TEXT[keys].tolist())
+            )
+            self.written = stop
 
 
 def run_protocol(
@@ -337,29 +450,39 @@ def run_protocol(
 ) -> ProtocolRun:
     """Run the protocol until the set thresholds are met.
 
+    Only the rounds that click are drawn: the gaps between them are
+    Geometric(p_det) and each one is a categorical draw over the round
+    table's cells and outcomes, which is exact in distribution because
+    rounds are i.i.d.  The cost scales with detections, not rounds.
+
     Parameters
     ----------
     thresholds:
         Target detection counts per set.  When given, the run stops at the
         exact round where the last threshold is reached; if it would take
-        more than ``max_rounds`` (default: 100x the expected requirement)
-        the run aborts with the partial result attached.  When ``None``,
-        exactly ``max_rounds`` rounds are simulated.
+        more than ``max_rounds`` (default: 100x the expected requirement,
+        at most ``MAX_ROUNDS``) the run aborts with the partial result
+        attached.  When ``None``, exactly ``max_rounds`` rounds are
+        simulated.
     seed:
-        Master seed.  Rounds are drawn in blocks of ``BLOCK_ROUNDS`` from
-        sequentially spawned child generators, so the round stream depends
-        on the seed alone: any run is a prefix of a longer run with the
-        same seed.
+        Master seed.  It spawns a detection branch, drawn in chunks of
+        ``CHUNK_DETECTIONS`` detections from sequentially spawned children,
+        and a trace branch that only fills in trace rows.  The result
+        depends on the seed alone, with or without a trace, and any run is
+        a prefix of a longer run with the same seed.
     trace_path:
-        Optional CSV path recording every simulated round, with the
-        dealer's raw bit before the YAC flip.
+        Optional CSV path with one row per simulated round and the dealer's
+        raw bit before the YAC flip.  Rows of rounds with no click are drawn
+        from the no-click distribution.
     """
     if thresholds is not None and not isinstance(thresholds, SetThresholds):
         thresholds = SetThresholds(*thresholds)
     if thresholds is None and max_rounds is None:
         raise ParameterError("need thresholds or an explicit number of rounds")
-    if max_rounds is not None and not max_rounds >= 1:
-        raise ParameterError("max_rounds must be at least 1")
+    if max_rounds is not None:
+        if not 1 <= max_rounds <= MAX_ROUNDS or max_rounds != int(max_rounds):
+            raise ParameterError(f"max_rounds must be a whole number from 1 to {MAX_ROUNDS}")
+        max_rounds = int(max_rounds)
 
     if thresholds is not None and max_rounds is None:
         q = gain(source.intensity, transmittance(channel), channel.dark_count)
@@ -369,50 +492,49 @@ def run_protocol(
         if p_x <= 0.0 or p_y <= 0.0:
             raise ProtocolAbortError("thresholds unreachable: zero detection probability")
         expected = max(thresholds.n_x / p_x, thresholds.n_ybc / p_y, thresholds.n_yac / p_y)
-        max_rounds = math.ceil(100.0 * expected)
+        # compare before converting: the cap can overflow to inf
+        cap = 100.0 * expected
+        max_rounds = math.ceil(cap) if cap < MAX_ROUNDS else MAX_ROUNDS
 
-    ss = np.random.SeedSequence(seed)
+    tables = _detection_tables(source, channel)
+    detection_branch, trace_branch = np.random.SeedSequence(seed).spawn(2)
     total = SiftedTallies()
-    keys_a, keys_b, keys_c = [], [], []
-    trace_file = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        trace_file.write(_TRACE_HEADER)
-
-    try:
-        done = False
-        while not done and total.rounds < max_rounds:
-            n = min(BLOCK_ROUNDS, max_rounds - total.rounds)
-            rng = np.random.default_rng(ss.spawn(1)[0])
-            block = _simulate_block(source, channel, rng, n)
-            keep = n
+    x_cats = []
+    rounds = max_rounds
+    done = False
+    opened = open(trace_path, "w", newline="") if trace_path is not None else nullcontext()
+    with opened as fh:
+        trace = _TraceWriter(fh, trace_branch, tables.none_cdf) if fh is not None else None
+        for pos, cat in _detections(detection_branch, tables, max_rounds):
+            tag = _CAT_TAG[cat]
             if thresholds is not None:
                 met = (
-                    (total.n_x + np.cumsum(block.tag == SetTag.X_SET) >= thresholds.n_x)
-                    & (total.n_ybc + np.cumsum(block.tag == SetTag.YBC_SET) >= thresholds.n_ybc)
-                    & (total.n_yac + np.cumsum(block.tag == SetTag.YAC_SET) >= thresholds.n_yac)
+                    (total.n_x + np.cumsum(tag == SetTag.X_SET) >= thresholds.n_x)
+                    & (total.n_ybc + np.cumsum(tag == SetTag.YBC_SET) >= thresholds.n_ybc)
+                    & (total.n_yac + np.cumsum(tag == SetTag.YAC_SET) >= thresholds.n_yac)
                 )
                 if met.any():
                     keep = int(np.argmax(met)) + 1
+                    pos, cat, tag = pos[:keep], cat[:keep], tag[:keep]
+                    rounds = int(pos[-1]) + 1
                     done = True
-            if trace_file is not None:
-                _write_trace_rows(trace_file, total.rounds, block, keep)
-            in_x = block.tag[:keep] == SetTag.X_SET
-            x_cells = block.cell[:keep][in_x]
-            keys_a.append(_S_A[x_cells])
-            keys_b.append(_S_B[x_cells])
-            keys_c.append(block.s_c[:keep][in_x])
-            total = total.merged(_tally_prefix(block, keep))
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+            total = total.merged(_tallies(tag, _CAT_ERR[cat]))
+            x_cats.append(cat[tag == SetTag.X_SET].astype(np.uint8))
+            if trace is not None and pos.size:
+                trace.write(int(pos[-1]) + 1, pos, cat)
+            if done:
+                break
+        if trace is not None:
+            trace.write(rounds)
 
+    x_cat = np.concatenate(x_cats) if x_cats else np.empty(0, np.uint8)
+    x_cell = _CAT_CELL[x_cat]
     run = ProtocolRun(
-        tallies=total,
-        key_a=np.concatenate(keys_a) if keys_a else np.empty(0, np.uint8),
-        key_b=np.concatenate(keys_b) if keys_b else np.empty(0, np.uint8),
-        key_c=np.concatenate(keys_c) if keys_c else np.empty(0, np.uint8),
-        rounds_used=total.rounds,
+        tallies=replace(total, rounds=rounds),
+        key_a=_S_A[x_cell],
+        key_b=_S_B[x_cell],
+        key_c=_CAT_SC[x_cat],
+        rounds_used=rounds,
         seed=seed,
     )
     if thresholds is not None and not done:

@@ -1,8 +1,11 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
+import time
+
 import pytest
 
 from triqss import ParameterError
+from triqss.protocol import MAX_ROUNDS
 from triqss.cli import (
     EXIT_ABORT,
     EXIT_INPUT,
@@ -102,6 +105,13 @@ class TestAnalyze:
         assert "input error" in err
         assert out == ""
 
+    @pytest.mark.parametrize("rep_rate", ["nan", "0", "-1"])
+    def test_bad_rep_rate_exits_3(self, capsys, rep_rate):
+        code, out, err = run(capsys, ["analyze", TABLE_A9, "--rep-rate", rep_rate])
+        assert code == EXIT_INPUT
+        assert "rep_rate" in err
+        assert out == ""
+
     def test_degenerate_analytic_gain_exits_4(self, capsys):
         code, _, err = run(capsys, ["analyze", TABLE_A9, "--analytic-gain",
                                     "--mu", "0", "--dark", "0"])
@@ -155,6 +165,38 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", rounds])
         assert code == EXIT_INPUT
         assert "input error" in err
+        assert out == ""
+
+    def test_round_count_above_the_ceiling_exits_3(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", "1e30"])
+        assert code == EXIT_INPUT
+        assert "max_rounds" in err
+        assert out == ""
+
+    def test_hopeless_threshold_run_aborts_at_the_ceiling(self, capsys):
+        # 400 dB without dark counts: the default cap is clipped to
+        # MAX_ROUNDS and the sampler reaches it at once
+        start = time.monotonic()
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--dark", "0",
+                                      "--loss-db", "400", "--nx", "1", "--nybc", "1",
+                                      "--nyac", "1"])
+        assert code == EXIT_ABORT
+        assert parse_kv(out)["rounds_used"] == str(MAX_ROUNDS)
+        assert time.monotonic() - start < 10.0
+
+    def test_no_light_gives_zero_tallies(self, capsys):
+        code, out, _ = run(capsys, ["simulate", "--seed", "1", "--mu", "0", "--dark", "0",
+                                    "--rounds", "1e6"])
+        assert code == EXIT_OK
+        body = parse_kv(out)
+        assert body["rounds_used"] == "1000000"
+        assert body["n_x"] == body["n_ybc"] == body["n_yac"] == body["key_bits"] == "0"
+
+    def test_zero_attenuation_with_loss_exits_3(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", "10",
+                                      "--loss-db", "10", "--alpha", "0"])
+        assert code == EXIT_INPUT
+        assert "--alpha" in err
         assert out == ""
 
     def test_unconvertible_config_value_exits_3(self, capsys, tmp_path):

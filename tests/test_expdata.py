@@ -235,3 +235,8 @@ class TestExperimentSkr:
     def test_per_second_conversion(self, fixtures_dir):
         r = experiment_skr(self.load(fixtures_dir), 5e10, rep_rate_hz=2e8)
         assert r.rate_per_second == pytest.approx(2 * 398.856, rel=1e-9)
+
+    @pytest.mark.parametrize("rep_rate", [float("nan"), 0.0, -1.0])
+    def test_bad_rep_rate_rejected(self, fixtures_dir, rep_rate):
+        with pytest.raises(ParameterError):
+            experiment_skr(self.load(fixtures_dir), 5e10, rep_rate_hz=rep_rate)

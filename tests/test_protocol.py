@@ -13,6 +13,7 @@ from triqss import (
     ProtocolAbortError,
     SetTag,
     SetThresholds,
+    SiftedTallies,
     SourceParams,
     bit_error_x,
     click_probabilities,
@@ -20,6 +21,7 @@ from triqss import (
     encode_player_phase,
     gain,
     run_protocol,
+    transmittance,
     verify_correlation,
 )
 from triqss import protocol
@@ -105,9 +107,10 @@ class TestRunProtocol:
         assert np.array_equal(a.key_c, b.key_c)
 
     def test_block_boundaries_do_not_leak(self, tmp_path, monkeypatch):
-        # a threshold run that stops inside the third block replays the
-        # start of a longer fixed run: same keys, same trace rows, and the
-        # round index runs on across the block boundaries
+        # a threshold run that stops inside the third trace block replays the
+        # start of a longer fixed run across several detection chunks: same
+        # keys, same trace rows, and the round index runs on across blocks
+        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 500)
         monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
         src = SourceParams(intensity=0.5, px=0.7)
         fixed_trace, stop_trace = tmp_path / "fixed.csv", tmp_path / "stop.csv"
@@ -116,7 +119,7 @@ class TestRunProtocol:
                             trace_path=stop_trace)
         assert 20_000 < stop.rounds_used < 30_000
         k = stop.key_a.size
-        assert 0 < k < fixed.key_a.size
+        assert 5 * 500 < k < fixed.key_a.size
         for short, full in ((stop.key_a, fixed.key_a), (stop.key_b, fixed.key_b),
                             (stop.key_c, fixed.key_c)):
             assert np.array_equal(short, full[:k])
@@ -125,6 +128,20 @@ class TestRunProtocol:
         assert stop_lines == fixed_lines[:stop.rounds_used + 1]
         assert [int(line.split(b",")[0]) for line in stop_lines[1:]] == \
             list(range(stop.rounds_used))
+
+    def test_trace_does_not_change_the_result(self, tmp_path, monkeypatch):
+        # small chunks and blocks interleave the two streams' draws
+        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 64)
+        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 1000)
+        src = SourceParams(intensity=0.05, px=0.7)
+        plain = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20))
+        traced = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20),
+                              trace_path=tmp_path / "trace.csv")
+        assert plain.tallies == traced.tallies
+        assert plain.rounds_used == traced.rounds_used
+        for a, b in ((plain.key_a, traced.key_a), (plain.key_b, traced.key_b),
+                     (plain.key_c, traced.key_c)):
+            assert np.array_equal(a, b)
 
     def test_same_child_seed_same_block(self):
         ss = np.random.SeedSequence(123)
@@ -144,22 +161,25 @@ class TestRunProtocol:
         assert run.key_a.size == t.n_x
 
     def test_set_fractions_and_qber_track_the_model(self):
+        # the sampler and the per-round reference engine both track the model
         n = 1_000_000
-        run = run_protocol(BRIGHT, LOCAL, seed=2024, max_rounds=n)
-        t = run.tallies
-        q = gain(BRIGHT.intensity, 0.4, LOCAL.dark_count)
-        px = BRIGHT.px
-        for observed, frac in (
-            (t.n_x, px ** 3 * q),
-            (t.n_ybc, px * (1 - px) ** 2 * q),
-            (t.n_yac, px * (1 - px) ** 2 * q),
-        ):
-            sigma = math.sqrt(n * frac * (1 - frac))
-            assert abs(observed - n * frac) <= 3 * sigma
+        block = _simulate_block(BRIGHT, LOCAL, np.random.default_rng(2025), n)
+        for t in (run_protocol(BRIGHT, LOCAL, seed=2024, max_rounds=n).tallies,
+                  protocol._tallies(block.tag, block.err, n)):
+            assert t.rounds == n
+            q = gain(BRIGHT.intensity, 0.4, LOCAL.dark_count)
+            px = BRIGHT.px
+            for observed, frac in (
+                (t.n_x, px ** 3 * q),
+                (t.n_ybc, px * (1 - px) ** 2 * q),
+                (t.n_yac, px * (1 - px) ** 2 * q),
+            ):
+                sigma = math.sqrt(n * frac * (1 - frac))
+                assert abs(observed - n * frac) <= 3 * sigma
 
-        e = bit_error_x(BRIGHT.intensity, 0.4, LOCAL.dark_count, LOCAL.misalignment)
-        sigma_err = math.sqrt(t.n_x * e * (1 - e))
-        assert abs(t.m_x - t.n_x * e) <= 3 * sigma_err
+            e = bit_error_x(BRIGHT.intensity, 0.4, LOCAL.dark_count, LOCAL.misalignment)
+            sigma_err = math.sqrt(t.n_x * e * (1 - e))
+            assert abs(t.m_x - t.n_x * e) <= 3 * sigma_err
 
     def test_threshold_mode_stops_at_the_binding_set(self):
         th = SetThresholds(n_x=2000, n_ybc=10, n_yac=10)
@@ -239,6 +259,76 @@ class TestRunProtocol:
             assert int(r[7]) == int(r[1]) ^ int(r[2])
 
 
+class TestDetectionSampler:
+    """The sampler draws only the rounds that click; it must agree with the
+    per-round reference engine ``_simulate_block``."""
+
+    def test_agrees_with_the_per_round_engine(self):
+        # bright pulses at 0 km, where double clicks are common; every count
+        # of the two engines, pooled over five seeds, agrees within 3 sigma
+        # of the two-sample difference
+        src = SourceParams(intensity=0.5, px=0.7)
+        n = 200_000
+        fields = ("n_x", "n_ybc", "n_yac", "m_x", "m_ybc", "m_yac")
+        sampled = dict.fromkeys(fields, 0)
+        reference = dict.fromkeys(fields, 0)
+        for seed in (101, 102, 103, 104, 105):
+            run = run_protocol(src, LOCAL, seed=seed, max_rounds=n).tallies
+            block = _simulate_block(src, LOCAL, np.random.default_rng(seed), n)
+            ref = protocol._tallies(block.tag, block.err, n)
+            for f in fields:
+                sampled[f] += getattr(run, f)
+                reference[f] += getattr(ref, f)
+        rounds = 5 * n
+        for f in fields:
+            a, b = sampled[f], reference[f]
+            p = (a + b) / (2 * rounds)
+            assert a > 0 and b > 0, f
+            assert abs(a - b) <= 3 * math.sqrt(2 * rounds * p * (1 - p)), (f, a, b)
+
+    def test_gaps_between_clicks_are_geometric(self, tmp_path, monkeypatch):
+        # Kolmogorov-Smirnov test of the gaps between detected trace rows,
+        # over several detection chunks, against the Geometric(p_det) CDF
+        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 256)
+        src = SourceParams(intensity=0.01, px=0.8)
+        path = tmp_path / "trace.csv"
+        run_protocol(src, LOCAL, seed=404, max_rounds=300_000, trace_path=path)
+        rows = path.read_bytes().splitlines()[1:]
+        clicks = np.array([int(r.split(b",")[0]) for r in rows if b",none," not in r])
+        gaps = np.diff(clicks, prepend=-1)
+        n = gaps.size
+        assert n > 4 * 256
+        p_det = protocol._detection_tables(src, LOCAL).p_det
+        values = np.unique(gaps)
+        # both step functions are flat between the observed values, so the
+        # largest distance sits at an observed value or just below one
+        at = np.concatenate([values, values - 1])
+        empirical = np.searchsorted(np.sort(gaps), at, side="right") / n
+        model = -np.expm1(at * np.log1p(-p_det))
+        assert np.abs(empirical - model).max() < 1.63 / math.sqrt(n)
+
+    def test_detection_probability_matches_the_gain(self, bench_channel):
+        # p_det counts every click, double clicks included; gain() drops the
+        # dark count's share of double clicks, so p_det sits above it by
+        # dark * (1 - (1 - dark) exp(-2 mu eta)), a relative 2e-8 here
+        for src, channel in ((SourceParams(9e-4, 0.9), bench_channel),
+                             (SourceParams(0.5, 0.7), LOCAL), (BRIGHT, LOCAL)):
+            p_det = protocol._detection_tables(src, channel).p_det
+            q = gain(src.intensity, transmittance(channel), channel.dark_count)
+            assert p_det >= q
+            assert p_det == pytest.approx(q, rel=1e-6)
+
+    def test_no_clicks_gives_empty_tallies(self, tmp_path):
+        dark = ChannelModel(length_km=0.0, dark_count=0.0)
+        path = tmp_path / "trace.csv"
+        run = run_protocol(SourceParams(intensity=0.0, px=0.8), dark, seed=1,
+                           max_rounds=1000, trace_path=path)
+        assert run.tallies == SiftedTallies(rounds=1000)
+        assert run.key_a.size == 0
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 1000 and all(",none,," in r for r in rows)
+
+
 class TestValidation:
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -252,3 +342,22 @@ class TestValidation:
         for bad in (0, -5):
             with pytest.raises(ParameterError):
                 run_protocol(BRIGHT, LOCAL, seed=1, max_rounds=bad)
+
+    def test_max_rounds_has_a_ceiling(self):
+        with pytest.raises(ParameterError):
+            run_protocol(BRIGHT, LOCAL, seed=1, max_rounds=protocol.MAX_ROUNDS + 1)
+
+    def test_max_rounds_must_be_whole(self, tmp_path):
+        with pytest.raises(ParameterError):
+            run_protocol(BRIGHT, LOCAL, seed=1, max_rounds=2.5)
+        run = run_protocol(BRIGHT, LOCAL, seed=1, max_rounds=1e4,
+                           trace_path=tmp_path / "trace.csv")
+        assert run.rounds_used == 10_000 and isinstance(run.rounds_used, int)
+
+    def test_default_round_cap_is_clipped_to_the_ceiling(self):
+        # 400 dB: the expected requirement is ~1e46 rounds; the run gives up
+        # at MAX_ROUNDS instead of overflowing or running on
+        hopeless = ChannelModel(length_km=400.0 / 0.167, dark_count=0.0)
+        with pytest.raises(ProtocolAbortError) as info:
+            run_protocol(SourceParams(9e-4, 0.9), hopeless, seed=1, thresholds=(1, 1, 1))
+        assert info.value.partial.rounds_used == protocol.MAX_ROUNDS
