@@ -80,28 +80,44 @@ def _float_or_inf(text: str) -> float:
     return float(text)
 
 
+# float flag groups, as (flag, help); argparse derives each dest from the flag
+_SOURCE_FLAGS = (("--mu", "pulse intensity per player"), ("--px", "X basis probability"))
+_LENGTH_FLAGS = (
+    ("--loss-db", "total player-to-player loss in dB (overrides --length-km)"),
+    ("--length-km", "fiber length in km"),
+)
+_FIBER_FLAGS = (
+    ("--alpha", "attenuation in dB/km"),
+    ("--eta-d", "detector efficiency"),
+    ("--dark", "dark count probability per gate"),
+    ("--ed", "misalignment probability"),
+)
+_SECURITY_FLAGS = (
+    ("--fe", "error correction efficiency, at least 1"),
+    ("--eps-c", "correctness failure probability"),
+    ("--eps-pa", "privacy amplification failure probability"),
+    ("--eps-a", "observed-to-expected bound failure probability"),
+    ("--eps-b", "expected-to-observed bound failure probability"),
+)
+
+
+def _subcommand(sub, name: str, help_text: str, *groups) -> argparse.ArgumentParser:
+    """A subcommand parser with ``--config``, ``--out`` and the given flag groups."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--out", help="output path (default: stdout)")
+    for group in groups:
+        for flag, flag_help in group:
+            p.add_argument(flag, type=float, help=flag_help)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="triqss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--mu", type=float, help="pulse intensity per player")
-        p.add_argument("--px", type=float, help="X basis probability")
-        p.add_argument("--loss-db", type=float, dest="loss_db",
-                       help="total player-to-player loss in dB (overrides --length-km)")
-        p.add_argument("--length-km", type=float, dest="length_km", help="fiber length in km")
-        p.add_argument("--alpha", type=float, help="attenuation in dB/km")
-        p.add_argument("--eta-d", type=float, dest="eta_d", help="detector efficiency")
-        p.add_argument("--dark", type=float, help="dark count probability per gate")
-        p.add_argument("--ed", type=float, help="misalignment probability")
-        p.add_argument("--fe", type=float, help="error correction efficiency")
-        for eps in ("eps_c", "eps_pa", "eps_a", "eps_b"):
-            p.add_argument(f"--{eps.replace('_', '-')}", type=float, dest=eps)
-
-    p_sim = sub.add_parser("simulate", help="simulate protocol rounds")
-    add_common(p_sim)
+    p_sim = _subcommand(sub, "simulate", "simulate protocol rounds",
+                        _SOURCE_FLAGS, _LENGTH_FLAGS, _FIBER_FLAGS)
     p_sim.add_argument("--seed", type=int, help="master seed (required)")
     p_sim.add_argument("--rounds", type=float, help="simulate exactly this many rounds")
     p_sim.add_argument("--nx", type=int, help="X-set detection threshold")
@@ -111,16 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="round cap in threshold mode")
     p_sim.add_argument("--trace", help="write a per-round trace CSV to this path")
 
-    p_sweep = sub.add_parser("sweep", help="optimized key rate versus distance")
-    add_common(p_sweep)
+    p_sweep = _subcommand(sub, "sweep", "optimized key rate versus distance",
+                          _FIBER_FLAGS, _SECURITY_FLAGS)
     p_sweep.add_argument("--N", type=_float_or_inf, dest="n_pulses",
                          help="total pulses, or 'inf' for the asymptotic curve")
     p_sweep.add_argument("--Lmin", type=float, dest="lmin", help="start distance, km")
     p_sweep.add_argument("--Lmax", type=float, dest="lmax", help="end distance, km")
     p_sweep.add_argument("--step", type=float, help="distance step, km")
 
-    p_an = sub.add_parser("analyze", help="analyze measured count tables")
-    add_common(p_an)
+    p_an = _subcommand(sub, "analyze", "analyze measured count tables",
+                       _SOURCE_FLAGS, _LENGTH_FLAGS, _FIBER_FLAGS, _SECURITY_FLAGS)
     p_an.add_argument("tables", nargs="+", help="count table CSV paths")
     p_an.add_argument("--N", type=float, dest="n_pulses", help="total emitted pulses")
     p_an.add_argument("--rep-rate", type=float, dest="rep_rate",
@@ -129,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="use the model gain for the coin imbalance "
                            "instead of the observed sifted gain")
 
-    p_kato = sub.add_parser("kato", help="inspect one concentration bound")
-    add_common(p_kato)
+    p_kato = _subcommand(sub, "kato", "inspect one concentration bound")
     p_kato.add_argument("--k", type=float, required=True, help="number of trials")
     p_kato.add_argument("--lam", type=float, required=True, help="observed sum")
     p_kato.add_argument("--eps", type=float, help="failure probability (default 1e-10)")
@@ -145,7 +160,7 @@ class Settings:
     def __init__(self, ns: argparse.Namespace):
         self._ns = ns
         self._config = {}
-        if getattr(ns, "config", None):
+        if ns.config:
             with open(ns.config) as fh:
                 self._config = report.parse_kv(fh.read())
         self.effective: dict = {}
@@ -156,7 +171,7 @@ class Settings:
         if value is None and name in self._config:
             raw = self._config[name]
             try:
-                value = conv(raw) if conv is not None else raw
+                value = conv(raw)
             except ValueError:
                 raise ParameterError(f"config value {name} = {raw!r} is not valid") from None
         return value
@@ -168,16 +183,19 @@ class Settings:
         self.effective[name] = value
         return value
 
-    def channel(self) -> ChannelModel:
+    def channel(self, *, with_length: bool = True) -> ChannelModel:
+        """Channel model; ``with_length=False`` leaves the length at 0 unread."""
         alpha = self.get("alpha")
-        loss_db = self.get("loss_db", float, None)
-        if loss_db is not None:
-            if not alpha > 0:
-                raise ParameterError("--loss-db needs a positive --alpha")
-            length = loss_db / alpha
-            self.effective["length_km"] = length
-        else:
-            length = self.get("length_km", float, 0.0)
+        length = 0.0
+        if with_length:
+            loss_db = self.get("loss_db", float, None)
+            if loss_db is not None:
+                if not alpha > 0:
+                    raise ParameterError("--loss-db needs a positive --alpha")
+                length = loss_db / alpha
+                self.effective["length_km"] = length
+            else:
+                length = self.get("length_km", float, 0.0)
         return ChannelModel(
             alpha_db_per_km=alpha,
             length_km=length,
@@ -185,6 +203,12 @@ class Settings:
             dark_count=self.get("dark"),
             misalignment=self.get("ed"),
         )
+
+    def ec_efficiency(self) -> float:
+        fe = self.get("fe")
+        if not 1.0 <= fe < math.inf:
+            raise ParameterError("--fe must be finite and at least 1")
+        return fe
 
     def budget(self) -> EpsilonBudget:
         return EpsilonBudget(
@@ -196,7 +220,7 @@ class Settings:
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
-    if getattr(ns, "out", None):
+    if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)
     else:
@@ -224,8 +248,6 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     nyac = settings.get("nyac", int, None)
     max_rounds = settings.get("max_rounds", float, None)
     trace = settings.get("trace", str, None)
-    if not all(math.isfinite(v) for v in (rounds, max_rounds) if v is not None):
-        raise ParameterError("round counts must be finite")
 
     thresholds = None
     if nx is not None or nybc is not None or nyac is not None:
@@ -238,10 +260,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     abort_exc = None
     try:
         run = run_protocol(
-            source, channel, seed=int(seed),
+            source, channel, seed=seed,
             thresholds=thresholds,
-            max_rounds=int(rounds) if rounds is not None else (
-                int(max_rounds) if max_rounds is not None else None),
+            max_rounds=rounds if rounds is not None else max_rounds,
             trace_path=trace,
         )
     except ProtocolAbortError as exc:
@@ -276,8 +297,8 @@ def distance_grid(lmin: float, lmax: float, step: float) -> list[float]:
     """Distances ``lmin, lmin + step, ...`` up to ``lmax``, at most ``MAX_GRID_POINTS``."""
     if not all(math.isfinite(v) for v in (lmin, lmax, step)):
         raise ParameterError("Lmin, Lmax and step must be finite")
-    if step <= 0 or lmax < lmin:
-        raise ParameterError("need step > 0 and Lmax >= Lmin")
+    if step <= 0 or not 0 <= lmin <= lmax:
+        raise ParameterError("need step > 0 and 0 <= Lmin <= Lmax")
     span = (lmax - lmin) / step
     # compare before converting: the span can overflow to inf
     if not span < MAX_GRID_POINTS:
@@ -287,9 +308,10 @@ def distance_grid(lmin: float, lmax: float, step: float) -> list[float]:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     settings = Settings(ns)
-    channel = settings.channel()
+    # the grid sets the length of each point
+    channel = settings.channel(with_length=False)
     budget = settings.budget()
-    fe = settings.get("fe")
+    fe = settings.ec_efficiency()
     n_pulses = settings.get("n_pulses", _float_or_inf, 1e10)
     lmin = settings.get("lmin", float, 0.0)
     lmax = settings.get("lmax", float, 260.0)
@@ -332,12 +354,17 @@ def _infer_from_name(path: str) -> tuple:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     settings = Settings(ns)
     budget = settings.budget()
-    fe = settings.get("fe")
+    fe = settings.ec_efficiency()
     n_pulses = settings.get("n_pulses", float, 5e10)
     rep_rate = settings.get("rep_rate", float, 1e8)
     if not n_pulses > 0:
         raise ParameterError("--N must be positive")
-    analytic = bool(getattr(ns, "analytic_gain", False))
+    analytic = ns.analytic_gain
+    # without --analytic-gain the channel model is never built
+    given = [flag for flag, _ in _LENGTH_FLAGS + _FIBER_FLAGS
+             if getattr(ns, flag[2:].replace("-", "_")) is not None]
+    if given and not analytic:
+        raise ParameterError(f"{', '.join(given)} needs --analytic-gain")
     settings.effective["gain_mode"] = "analytic" if analytic else "observed"
     channel = settings.channel() if analytic else None
 
@@ -359,7 +386,6 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         result = expdata.experiment_skr(
             summary, n_pulses, budget,
             ec_efficiency=fe,
-            gain_mode="analytic" if analytic else "observed",
             channel=channel,
             rep_rate_hz=rep_rate,
         )

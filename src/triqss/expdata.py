@@ -250,19 +250,16 @@ def experiment_skr(
     n_pulses: float,
     budget: EpsilonBudget | None = None,
     *,
-    mu: float | None = None,
-    px: float | None = None,
     ec_efficiency: float = 1.16,
-    gain_mode: str = "observed",
     channel: ChannelModel | None = None,
     rep_rate_hz: float = 1e8,
 ) -> KeyRateReport:
     """Secure key rate extracted from measured tallies.
 
     The concentration pipeline runs separately on the two checked Y sets and
-    the larger resulting phase error bound is kept.  The coin imbalance uses
-    the observed sifted gain by default; ``gain_mode='analytic'`` computes
-    the model gain instead and then requires ``channel``.
+    the larger resulting phase error bound is kept.  ``mu`` and ``px`` come
+    from the summary.  The coin imbalance uses the observed sifted gain, or
+    the model gain of ``channel`` when one is given.
 
     ``n_pulses`` is interpreted as the total number of emitted pulses;
     ``rep_rate_hz`` only converts the per-pulse rate to bits per second.
@@ -271,19 +268,14 @@ def experiment_skr(
         raise ParameterError("rep_rate_hz must be finite and positive")
     if budget is None:
         budget = EpsilonBudget()
-    mu = mu if mu is not None else summary.mu
-    px = px if px is not None else summary.px
+    mu, px = summary.mu, summary.px
     if mu is None or px is None:
-        raise ParameterError("mu and px are required (argument or summary metadata)")
+        raise ParameterError("the summary carries no mu and px; pass them to tally_sets")
 
-    if gain_mode == "observed":
+    if channel is None:
         q = observed_sifted_gain(summary, n_pulses, px)
-    elif gain_mode == "analytic":
-        if channel is None:
-            raise ParameterError("analytic gain mode requires a channel model")
-        q = gain(mu, transmittance(channel), channel.dark_count)
     else:
-        raise ParameterError("gain_mode must be 'observed' or 'analytic'")
+        q = gain(mu, transmittance(channel), channel.dark_count)
 
     bound_bc = phase_error_upper_bound(summary.n_x, summary.n_ybc, summary.m_ybc, mu, q, budget)
     bound_ac = phase_error_upper_bound(summary.n_x, summary.n_yac, summary.m_yac, mu, q, budget)

@@ -109,9 +109,13 @@ class KatoCoefficients:
     epsilon: float
 
 
+def _check_trials(k: float) -> None:
+    if not 0 < k < math.inf:
+        raise ParameterError("number of trials k must be positive and finite")
+
+
 def _validate_kato_args(lam: float, k: float, eps: float) -> None:
-    if k <= 0:
-        raise ParameterError("number of trials k must be positive")
+    _check_trials(k)
     if not 0 <= lam <= k:
         raise ParameterError("observed sum must lie in [0, k]")
     if not 0.0 < eps < 1.0:
@@ -247,8 +251,7 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
     unavailable; the zero-``a`` bound gives a deviation of
     ``sqrt(k ln(1/eps) / 2)`` independent of the observation.
     """
-    if k <= 0:
-        raise ParameterError("number of trials k must be positive")
+    _check_trials(k)
     if lam_star < 0:
         raise ParameterError("expected sum must be nonnegative")
     if not 0.0 < eps < 1.0:
@@ -267,8 +270,7 @@ def azuma_deviation(k: float, eps: float) -> float:
     Always exactly twice the zero-coefficient deviation used in
     :func:`expected_to_observed`, which is why the optimized bound wins.
     """
-    if k <= 0:
-        raise ParameterError("number of trials k must be positive")
+    _check_trials(k)
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
     return math.sqrt(2.0 * k * math.log(1.0 / eps))
@@ -377,8 +379,8 @@ def key_length_raw(
     """
     if n_x <= 0:
         raise ParameterError("key-set detection count must be positive")
-    if ec_efficiency < 1.0:
-        raise ParameterError("error-correction efficiency must be at least 1")
+    if not 1.0 <= ec_efficiency < math.inf:
+        raise ParameterError("error-correction efficiency must be finite and at least 1")
     lam_ec = n_x * ec_efficiency * binary_entropy(eb_x)
     return (
         n_x * (1.0 - binary_entropy(min(ep_bar, 0.5)))

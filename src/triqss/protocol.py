@@ -23,9 +23,9 @@ Everything a round does follows from the round table: one row per setting
 cell ``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``.  Its
 static columns hold the quarter-turn phase codes, the set tag and the
 dealer's correct raw bit (``s_a ^ s_b``, flipped on YAC cells, so the YAC
-flip is a column); :func:`outcome_thresholds` adds the cumulative outcome
-probabilities for one source and channel.  The simulator, the trace writer
-and the count-table reader all read this table.
+flip is a column); one :func:`click_probabilities` call over the 32 cells
+adds the outcome probabilities for a source and channel.  The simulator,
+the trace writer and the count-table reader all read this table.
 
 ``run_protocol`` draws only the rounds that click.  Rounds are i.i.d., so
 the gaps between detections are Geometric(p_det) and each detection is a
@@ -67,10 +67,7 @@ __all__ = [
     "CELL_QUARTERS",
     "CELL_TAG",
     "CELL_BIT",
-    "encode_player_phase",
-    "dealer_phase",
     "click_probabilities",
-    "outcome_thresholds",
     "set_shares",
     "run_protocol",
     "verify_correlation",
@@ -198,18 +195,6 @@ _CELL_PHASE_A = CELL_QUARTERS[0] * _QUARTER_TURN
 _CELL_PHASE_B = CELL_QUARTERS[1] * _QUARTER_TURN + CELL_QUARTERS[2] * _QUARTER_TURN
 
 
-def encode_player_phase(basis: Basis, bit: int) -> float:
-    """Pulse phase a player applies for a given basis and bit."""
-    if bit not in (0, 1):
-        raise ParameterError("bit must be 0 or 1")
-    return int(_PLAYER_QUARTER[basis, bit]) * _QUARTER_TURN
-
-
-def dealer_phase(basis: Basis) -> float:
-    """Phase offset the dealer adds on player b's arm for his basis choice."""
-    return int(basis) * _QUARTER_TURN
-
-
 def set_shares(px: float) -> tuple[float, float]:
     """Shares of all rounds announced in the X set and in each checked Y set."""
     return px ** 3, px * (1.0 - px) ** 2
@@ -250,21 +235,6 @@ def click_probabilities(
     )
 
 
-def outcome_thresholds(source: SourceParams, channel: ChannelModel) -> tuple:
-    """Per-cell cumulative outcome probabilities ``p0``, ``p0+p1``, ``p0+p1+pn``.
-
-    A round in cell ``c`` with outcome variate ``u`` registers outcome
-    ``(u >= t0[c]) + (u >= t1[c]) + (u >= t2[c])`` in :class:`Outcome` order.
-    """
-    p = click_probabilities(
-        _CELL_PHASE_A, _CELL_PHASE_B, source.intensity, transmittance(channel),
-        channel.dark_count, channel.misalignment,
-    )
-    t0 = p.only0
-    t1 = t0 + p.only1
-    return t0, t1, t1 + p.none
-
-
 class _Block(NamedTuple):
     """Per-round arrays for one simulated block."""
 
@@ -273,6 +243,26 @@ class _Block(NamedTuple):
     s_c: np.ndarray      # registered dealer bit, before any YAC flip
     tag: np.ndarray      # set tag; DISCARD when nothing clicked
     err: np.ndarray      # detected and s_c differs from the cell's correct bit
+
+
+def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> ClickProbabilities:
+    """Outcome distribution of each of the 32 round table cells."""
+    return click_probabilities(
+        _CELL_PHASE_A, _CELL_PHASE_B, source.intensity, transmittance(channel),
+        channel.dark_count, channel.misalignment,
+    )
+
+
+def _outcome_thresholds(source: SourceParams, channel: ChannelModel) -> tuple:
+    """Per-cell cumulative outcome probabilities ``p0``, ``p0+p1``, ``p0+p1+pn``.
+
+    A round in cell ``c`` with outcome variate ``u`` registers outcome
+    ``(u >= t0[c]) + (u >= t1[c]) + (u >= t2[c])`` in :class:`Outcome` order.
+    """
+    p = _cell_probabilities(source, channel)
+    t0 = p.only0
+    t1 = t0 + p.only1
+    return t0, t1, t1 + p.none
 
 
 def _simulate_block(
@@ -293,7 +283,7 @@ def _simulate_block(
     u = rng.random(n)
     resolve = rng.integers(0, 2, n, dtype=np.uint8)
 
-    t0, t1, t2 = outcome_thresholds(source, channel)
+    t0, t1, t2 = _outcome_thresholds(source, channel)
     outcome = (u >= t0[cell]).view(np.uint8) + (u >= t1[cell]) + (u >= t2[cell])
     detected = outcome != Outcome.NONE
     s_c = np.where(outcome < Outcome.NONE, outcome, resolve)
@@ -348,10 +338,7 @@ def _detection_tables(source: SourceParams, channel: ChannelModel) -> _Detection
     sits slightly above :func:`~triqss.optics.gain`, which counts single
     clicks only.
     """
-    p = click_probabilities(
-        _CELL_PHASE_A, _CELL_PHASE_B, source.intensity, transmittance(channel),
-        channel.dark_count, channel.misalignment,
-    )
+    p = _cell_probabilities(source, channel)
     basis_p = np.array([source.px, 1.0 - source.px])
     p_cell = 0.25 * basis_p[_BASES[0]] * basis_p[_BASES[1]] * basis_p[_BASES[2]]
     half_double = 0.5 * p.double
@@ -465,16 +452,18 @@ def run_protocol(
         attached.  When ``None``, exactly ``max_rounds`` rounds are
         simulated.
     seed:
-        Master seed.  It spawns a detection branch, drawn in chunks of
-        ``CHUNK_DETECTIONS`` detections from sequentially spawned children,
-        and a trace branch that only fills in trace rows.  The result
-        depends on the seed alone, with or without a trace, and any run is
-        a prefix of a longer run with the same seed.
+        Master seed, a nonnegative integer.  It spawns a detection branch,
+        drawn in chunks of ``CHUNK_DETECTIONS`` detections from sequentially
+        spawned children, and a trace branch that only fills in trace rows.
+        The result depends on the seed alone, with or without a trace, and
+        any run is a prefix of a longer run with the same seed.
     trace_path:
         Optional CSV path with one row per simulated round and the dealer's
         raw bit before the YAC flip.  Rows of rounds with no click are drawn
         from the no-click distribution.
     """
+    if seed < 0:
+        raise ParameterError("seed must be nonnegative")
     if thresholds is not None and not isinstance(thresholds, SetThresholds):
         thresholds = SetThresholds(*thresholds)
     if thresholds is None and max_rounds is None:

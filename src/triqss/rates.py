@@ -55,6 +55,16 @@ __all__ = [
 RATE_CSV_COLUMNS = ["L_km", "mu", "px", "rate_per_pulse", "ell", "Ep_bar", "EbX", "N"]
 
 
+# search box of the optimizers: intensity, basis probability
+MU_BOUNDS = (1e-6, 1e-1)
+PX_BOUNDS = (0.5, 0.99)
+# coordinate-descent sweeps per restart
+MAX_SWEEPS = 8
+# cap on golden-section steps per line search; the tolerances used here
+# stop a search after about 25
+GOLDEN_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class RatePoint:
     """Key rate at one working point."""
@@ -85,7 +95,7 @@ class OptimizationResult:
     n_evals: int
 
 
-def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5, max_iter: int = 200):
+def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
     """Golden-section maximization of a unimodal function on [lo, hi].
 
     Returns ``(x, f(x))`` at the midpoint of the final bracket.
@@ -96,7 +106,7 @@ def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5, max_iter: int = 20
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if hi - lo <= tol:
             break
         if f1 >= f2:
@@ -174,7 +184,9 @@ def finite_rate(
     )
 
 
+# restart points, all inside the search box
 _RESTARTS = ((1e-3, 0.90), (3e-4, 0.80), (3e-3, 0.95))
+_LOG_MU_BOUNDS = (math.log10(MU_BOUNDS[0]), math.log10(MU_BOUNDS[1]))
 
 
 def optimize_params(
@@ -184,24 +196,17 @@ def optimize_params(
     ec_efficiency: float = 1.16,
     budget: EpsilonBudget | None = None,
     *,
-    mu_bounds: tuple = (1e-6, 1e-1),
-    px_bounds: tuple = (0.5, 0.99),
     extra_starts: tuple = (),
-    max_sweeps: int = 8,
 ) -> OptimizationResult:
     """Maximize the finite rate over (mu, px) at a fixed distance.
 
     Coordinate descent alternating golden-section searches over ``log10(mu)``
-    and ``px``, restarted from three fixed points plus any ``extra_starts``.
-    Working points that abort or leave the model's domain score zero.
-    Raises :class:`AllAbortError` when no evaluated point yields a key.
+    in ``MU_BOUNDS`` and ``px`` in ``PX_BOUNDS``, restarted from three fixed
+    points plus any ``extra_starts``.  Working points that abort or leave the
+    model's domain score zero.  Raises :class:`AllAbortError` when no evaluated point yields a key.
     """
     if budget is None:
         budget = EpsilonBudget()
-    if not 0 < mu_bounds[0] < mu_bounds[1]:
-        raise ParameterError("bad intensity bounds")
-    if not 0 < px_bounds[0] < px_bounds[1] < 1:
-        raise ParameterError("bad basis probability bounds")
 
     trace: list[tuple] = []
 
@@ -215,25 +220,17 @@ def optimize_params(
         trace.append((mu, px, r))
         return r
 
-    log_lo, log_hi = math.log10(mu_bounds[0]), math.log10(mu_bounds[1])
-    starts = [s for s in _RESTARTS
-              if mu_bounds[0] <= s[0] <= mu_bounds[1] and px_bounds[0] <= s[1] <= px_bounds[1]]
-    starts.extend(extra_starts)
-    if not starts:
-        raise ParameterError("no admissible starting points")
-
-    for mu0, px0 in starts:
+    for mu0, px0 in (*_RESTARTS, *extra_starts):
         mu, px = float(mu0), float(px0)
         rate = rate_at(mu, px)
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             sweep_start = rate
             # accept each line-search move only if it improves; the search
             # can land on a dead plateau when most of the slice rates zero
-            lmu, r_mu = golden_max(lambda l: rate_at(10.0 ** l, px), log_lo, log_hi, tol=1e-4)
+            lmu, r_mu = golden_max(lambda l: rate_at(10.0 ** l, px), *_LOG_MU_BOUNDS, tol=1e-4)
             if r_mu > rate:
                 mu, rate = 10.0 ** lmu, r_mu
-            new_px, r_px = golden_max(lambda p: rate_at(mu, p), px_bounds[0], px_bounds[1],
-                                      tol=1e-4)
+            new_px, r_px = golden_max(lambda p: rate_at(mu, p), *PX_BOUNDS, tol=1e-4)
             if r_px > rate:
                 px, rate = new_px, r_px
             if rate <= sweep_start * (1.0 + 1e-9):
@@ -254,7 +251,6 @@ def sweep_distance(
     channel: ChannelModel,
     ec_efficiency: float = 1.16,
     budget: EpsilonBudget | None = None,
-    **opt_kwargs,
 ) -> list[RatePoint]:
     """Optimized finite rate at each distance, returned in ascending order.
 
@@ -269,7 +265,7 @@ def sweep_distance(
         try:
             result = optimize_params(
                 length, n_pulses, channel, ec_efficiency, budget,
-                extra_starts=warm, **opt_kwargs,
+                extra_starts=warm,
             )
             points.append(result.best)
             warm = ((result.best.mu, result.best.px),)
@@ -287,14 +283,12 @@ def asymptotic_sweep(
     lengths,
     channel: ChannelModel,
     ec_efficiency: float = 1.16,
-    mu_bounds: tuple = (1e-6, 1e-1),
 ) -> list[RatePoint]:
     """Infinite-key rate with optimized intensity at each distance.
 
     Sifting is free in this limit, so ``px`` is reported as 1 and the key
     length as infinite.
     """
-    log_lo, log_hi = math.log10(mu_bounds[0]), math.log10(mu_bounds[1])
     points = []
     for length in sorted(set(float(l) for l in lengths)):
         ch = replace(channel, length_km=length)
@@ -305,7 +299,7 @@ def asymptotic_sweep(
             except (ParameterError, DegenerateGainError):
                 return 0.0
 
-        lmu, rate = golden_max(rate_at_log, log_lo, log_hi, tol=1e-5)
+        lmu, rate = golden_max(rate_at_log, *_LOG_MU_BOUNDS, tol=1e-5)
         mu = 10.0 ** lmu
         eta = transmittance(ch)
         q = gain(mu, eta, ch.dark_count)
@@ -319,11 +313,8 @@ def asymptotic_sweep(
     return points
 
 
-def write_rate_csv(points, fh, header: dict | None = None) -> None:
-    """Write rate points as CSV, optionally preceded by ``# key = value`` lines."""
-    if header:
-        for key, value in header.items():
-            fh.write(f"# {key} = {fmt_value(value)}\n")
+def write_rate_csv(points, fh) -> None:
+    """Write rate points as CSV: a column header, then one row per point."""
     fh.write(",".join(RATE_CSV_COLUMNS) + "\n")
     for point in points:
         fh.write(",".join(point.csv_row()) + "\n")

@@ -1,6 +1,10 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
+import argparse
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from triqss.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_GRID_POINTS,
+    build_parser,
     distance_grid,
     main,
 )
@@ -21,6 +26,21 @@ from conftest import FIXTURES
 
 TABLE_A9 = str(FIXTURES / "tableIIIa_mu9e-4.csv")
 ALL_TABLES = sorted(str(p) for p in FIXTURES.glob("tableIII*_mu*.csv"))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+MODEL_FLAGS = ("--mu", "--px", "--loss-db", "--length-km", "--alpha", "--eta-d", "--dark",
+               "--ed", "--fe", "--eps-c", "--eps-pa", "--eps-a", "--eps-b")
+# flags a subcommand never reads, each with the rest of a valid command line
+UNREAD_FLAGS = (
+    [("simulate", flag) for flag in ("--fe", "--eps-c", "--eps-pa", "--eps-a", "--eps-b")]
+    + [("sweep", flag) for flag in ("--mu", "--px", "--length-km", "--loss-db")]
+    + [("kato", flag) for flag in MODEL_FLAGS]
+)
+VALID_ARGS = {
+    "simulate": ["--seed", "1", "--rounds", "10"],
+    "sweep": ["--N", "inf", "--Lmax", "0"],
+    "kato": ["--k", "1e6", "--lam", "5e5"],
+}
 
 
 def run(capsys, argv):
@@ -112,6 +132,19 @@ class TestAnalyze:
         assert "rep_rate" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--length-km", "--loss-db", "--alpha", "--dark"])
+    def test_channel_flag_without_analytic_gain_exits_3(self, capsys, flag):
+        code, out, err = run(capsys, ["analyze", TABLE_A9, flag, "10"])
+        assert code == EXIT_INPUT
+        assert f"{flag} needs --analytic-gain" in err
+        assert out == ""
+
+    def test_nan_ec_efficiency_exits_3(self, capsys):
+        code, out, err = run(capsys, ["analyze", TABLE_A9, "--fe", "nan"])
+        assert code == EXIT_INPUT
+        assert "--fe" in err
+        assert out == ""
+
     def test_degenerate_analytic_gain_exits_4(self, capsys):
         code, _, err = run(capsys, ["analyze", TABLE_A9, "--analytic-gain",
                                     "--mu", "0", "--dark", "0"])
@@ -160,11 +193,24 @@ class TestSimulate:
         assert "intensity" in err
         assert out == ""
 
-    @pytest.mark.parametrize("rounds", ["-5", "0", "nan", "inf"])
+    @pytest.mark.parametrize("rounds", ["-5", "0", "nan", "inf", "2.5"])
     def test_bad_round_count_exits_3(self, capsys, rounds):
         code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", rounds])
         assert code == EXIT_INPUT
         assert "input error" in err
+        assert out == ""
+
+    def test_fractional_round_cap_exits_3(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--nx", "1", "--nybc", "1",
+                                      "--nyac", "1", "--max-rounds", "2.5"])
+        assert code == EXIT_INPUT
+        assert "max_rounds" in err
+        assert out == ""
+
+    def test_negative_seed_exits_3(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--seed", "-1", "--rounds", "10"])
+        assert code == EXIT_INPUT
+        assert "seed" in err
         assert out == ""
 
     def test_round_count_above_the_ceiling_exits_3(self, capsys):
@@ -281,6 +327,20 @@ class TestSweep:
         assert "--N" in err
         assert out == ""
 
+    # rejected before any rate is computed: below 1 the finite curve would
+    # read as all aborts and the asymptotic one as positive
+    @pytest.mark.parametrize("n_pulses,fe", [("1e10", "0.5"), ("inf", "0.5"), ("1e10", "nan")])
+    def test_bad_ec_efficiency_exits_3(self, capsys, n_pulses, fe):
+        code, out, err = run(capsys, ["sweep", "--N", n_pulses, "--fe", fe])
+        assert code == EXIT_INPUT
+        assert "--fe" in err
+        assert out == ""
+
+    def test_length_is_not_echoed(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--N", "inf", "--Lmax", "0"])
+        assert code == EXIT_OK
+        assert "length_km" not in out
+
 
 class TestDistanceGrid:
     @pytest.mark.parametrize("lmin,lmax,step", [
@@ -291,6 +351,7 @@ class TestDistanceGrid:
         (0.0, 260.0, float("inf")),
         (10.0, 0.0, 5.0),
         (0.0, 10.0, 0.0),
+        (-10.0, 0.0, 5.0),
     ])
     def test_rejected_before_allocating(self, lmin, lmax, step):
         with pytest.raises(ParameterError):
@@ -310,3 +371,30 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == EXIT_INPUT
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_exits_3(self, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([command, *VALID_ARGS[command], flag, "1"])
+        assert info.value.code == EXIT_INPUT
+
+
+def _readme_commands():
+    text = README.read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("triqss ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_commands())
+    def test_command_parses(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_lists_the_flags_of_each_subcommand(self):
+        listed = dict(re.findall(r"^- `(\w+)`: (.+)$", README.read_text(), re.MULTILINE))
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert sorted(listed) == sorted(commands)
+        for name, sub in commands.items():
+            flags = {opt for action in sub._actions for opt in action.option_strings}
+            assert set(re.findall(r"--?[\w-]+", listed[name])) == flags - {"-h", "--help"}

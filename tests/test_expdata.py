@@ -202,35 +202,25 @@ class TestExperimentSkr:
         assert r.phase.n_y == s.n_yac
         assert r.phase.m_y == s.m_yac
 
-    def test_explicit_params_override_metadata(self, fixtures_dir):
-        bare = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
-        r = experiment_skr(bare, 5e10, mu=9e-4, px=0.9)
-        assert r.ell == 199428
-
     def test_missing_params_rejected(self, fixtures_dir):
         bare = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
         with pytest.raises(ParameterError):
             experiment_skr(bare, 5e10)
 
     def test_analytic_gain_mode(self, fixtures_dir, bench_channel):
-        r = experiment_skr(self.load(fixtures_dir), 5e10,
-                           gain_mode="analytic", channel=bench_channel)
+        r = experiment_skr(self.load(fixtures_dir), 5e10, channel=bench_channel)
         assert r.ell > 0
         # the analytic gain is a touch higher than observed, so the coin
         # imbalance shrinks and the bound improves slightly
         observed = experiment_skr(self.load(fixtures_dir), 5e10)
         assert r.ep_bar != observed.ep_bar
 
-    def test_analytic_gain_requires_channel(self, fixtures_dir):
-        with pytest.raises(ParameterError):
-            experiment_skr(self.load(fixtures_dir), 5e10, gain_mode="analytic")
-
     def test_degenerate_analytic_gain_surfaces(self, fixtures_dir):
         dead = ChannelModel(length_km=0.0, dark_count=0.0)
         summary = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")),
                              mu=0.0, px=0.9)
         with pytest.raises(DegenerateGainError):
-            experiment_skr(summary, 5e10, gain_mode="analytic", channel=dead)
+            experiment_skr(summary, 5e10, channel=dead)
 
     def test_per_second_conversion(self, fixtures_dir):
         r = experiment_skr(self.load(fixtures_dir), 5e10, rep_rate_hz=2e8)

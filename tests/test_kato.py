@@ -87,6 +87,13 @@ class TestClosedFormCoefficients:
             kato_upper_coeffs(2e6, 1e6, 1e-10)
         with pytest.raises(ParameterError):
             kato_upper_coeffs(100.0, 1e6, 2.0)
+        # an infinite trial count would make every deviation nan
+        with pytest.raises(ParameterError):
+            kato_upper_coeffs(5.0, math.inf, 1e-10)
+        with pytest.raises(ParameterError):
+            expected_to_observed(5.0, math.inf, 1e-10, "upper")
+        with pytest.raises(ParameterError):
+            azuma_deviation(math.inf, 1e-10)
 
 
 class TestConversions:
@@ -205,8 +212,9 @@ class TestKeyLength:
         assert key_length(10 ** 6, 0.1, 0.01, 1.16, budget) == math.floor(raw)
 
     def test_rejects_inefficient_correction(self, budget):
-        with pytest.raises(ParameterError):
-            key_length(10 ** 6, 0.1, 0.01, 0.9, budget)
+        for fe in (0.9, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                key_length(10 ** 6, 0.1, 0.01, fe, budget)
 
 
 class TestEpsilonBudget:

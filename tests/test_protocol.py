@@ -17,8 +17,6 @@ from triqss import (
     SourceParams,
     bit_error_x,
     click_probabilities,
-    dealer_phase,
-    encode_player_phase,
     gain,
     run_protocol,
     transmittance,
@@ -31,24 +29,37 @@ LOCAL = ChannelModel(length_km=0.0)  # eta = 0.4, errors at defaults
 BRIGHT = SourceParams(intensity=0.01, px=0.8)
 
 
+def _cell(s_a, s_b, basis_a, basis_b, basis_c):
+    return s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4
+
+
+def _arm_phases(cell):
+    """Total phases on player a's and player b's arm, from the quarter-turn codes."""
+    q_a, q_b, q_c = (int(q[cell]) for q in protocol.CELL_QUARTERS)
+    return q_a * 0.5 * math.pi, q_b * 0.5 * math.pi + q_c * 0.5 * math.pi
+
+
 class TestEncodings:
     def test_player_phases(self):
-        assert encode_player_phase(Basis.X, 0) == 0.0
-        assert encode_player_phase(Basis.X, 1) == math.pi
-        assert encode_player_phase(Basis.Y, 0) == 1.5 * math.pi
-        assert encode_player_phase(Basis.Y, 1) == 0.5 * math.pi
+        # X bits go out as phases 0 and pi, Y bits as 3pi/2 and pi/2
+        quarters = {(Basis.X, 0): 0, (Basis.X, 1): 2, (Basis.Y, 0): 3, (Basis.Y, 1): 1}
+        for cell in range(32):
+            q_a, q_b, _ = (q[cell] for q in protocol.CELL_QUARTERS)
+            assert q_a == quarters[cell >> 2 & 1, cell & 1]
+            assert q_b == quarters[cell >> 3 & 1, cell >> 1 & 1]
 
     def test_dealer_phases(self):
-        assert dealer_phase(Basis.X) == 0.0
-        assert dealer_phase(Basis.Y) == 0.5 * math.pi
+        # the dealer adds 0 (X) or pi/2 (Y) on player b's arm
+        for cell in range(32):
+            assert protocol.CELL_QUARTERS[2][cell] == cell >> 4 & 1
 
     def test_matched_x_settings_interfere_deterministically(self):
         # same bits -> detector 0 arm gets all the light; opposite bits -> detector 1
         for s_a in (0, 1):
             for s_b in (0, 1):
-                pa = encode_player_phase(Basis.X, s_a)
-                pb = encode_player_phase(Basis.X, s_b) + dealer_phase(Basis.X)
-                probs = click_probabilities(pa, pb, 0.01, 0.4, 0.0, 0.0)
+                cell = _cell(s_a, s_b, Basis.X, Basis.X, Basis.X)
+                probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
+                assert protocol.CELL_BIT[cell] == s_a ^ s_b
                 if s_a == s_b:
                     assert probs.only1 == 0.0 and probs.only0 > 0.0
                 else:
@@ -58,17 +69,17 @@ class TestEncodings:
         # b and c in Y: direct correlation; a and c in Y: inverted
         for s_a in (0, 1):
             for s_b in (0, 1):
-                pa = encode_player_phase(Basis.X, s_a)
-                pb = encode_player_phase(Basis.Y, s_b) + dealer_phase(Basis.Y)
-                probs = click_probabilities(pa, pb, 0.01, 0.4, 0.0, 0.0)
+                cell = _cell(s_a, s_b, Basis.X, Basis.Y, Basis.Y)
+                probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 expected = s_a ^ s_b
                 assert (probs.only1 == 0.0) == (expected == 0)
+                assert protocol.CELL_BIT[cell] == expected
 
-                pa = encode_player_phase(Basis.Y, s_a)
-                pb = encode_player_phase(Basis.X, s_b) + dealer_phase(Basis.Y)
-                probs = click_probabilities(pa, pb, 0.01, 0.4, 0.0, 0.0)
+                cell = _cell(s_a, s_b, Basis.Y, Basis.X, Basis.Y)
+                probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 raw = s_a ^ s_b ^ 1
                 assert (probs.only1 == 0.0) == (raw == 0)
+                assert protocol.CELL_BIT[cell] == raw
 
     def test_click_probabilities_sum_to_one(self):
         for dphi in np.linspace(0.0, 2 * math.pi, 9):
@@ -83,7 +94,7 @@ class TestRoundTable:
         # on clean hardware a sifted cell lights exactly the port of its
         # correct bit: s_a ^ s_b, flipped on YAC cells
         clean = ChannelModel(length_km=0.0, dark_count=0.0, misalignment=0.0)
-        t0, t1, _ = protocol.outcome_thresholds(BRIGHT, clean)
+        t0, t1, _ = protocol._outcome_thresholds(BRIGHT, clean)
         sifted = 0
         for cell in range(32):
             tag = protocol.CELL_TAG[cell]

@@ -115,12 +115,6 @@ class TestOptimizeParams:
         with pytest.raises(AllAbortError):
             optimize_params(400.0, 1e9, ch)
 
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ParameterError):
-            optimize_params(50.0, 1e10, ChannelModel(), mu_bounds=(1e-3, 1e-4))
-        with pytest.raises(ParameterError):
-            optimize_params(50.0, 1e10, ChannelModel(), px_bounds=(0.9, 0.8))
-
 
 class TestSweeps:
     def test_finite_sweep_is_monotone_and_sorted(self):
@@ -152,9 +146,8 @@ class TestSweeps:
         ch = ChannelModel()
         points = sweep_distance([0.0, 50.0], 1e10, ch)
         buf = io.StringIO()
-        write_rate_csv(points, buf, header={"n_pulses": 1e10})
+        write_rate_csv(points, buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "L_km,mu,px,rate_per_pulse,ell,Ep_bar,EbX,N"
-        assert len(lines) == 4
-        assert lines[2].split(",")[0] == "0"
+        assert lines[0] == "L_km,mu,px,rate_per_pulse,ell,Ep_bar,EbX,N"
+        assert len(lines) == 3
+        assert lines[1].split(",")[0] == "0"
