@@ -154,8 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# namespace entries that a config key cannot set
+_NOT_CONFIGURABLE = frozenset({"command", "config", "out", "tables", "analytic_gain"})
+
+
 class Settings:
-    """Effective configuration after flag > config > default resolution."""
+    """Effective configuration after flag > config > default resolution.
+
+    A config key must name a setting of the subcommand (a flag's dest, such
+    as ``eta_d`` for ``--eta-d``); any other key is an input error.
+    """
 
     def __init__(self, ns: argparse.Namespace):
         self._ns = ns
@@ -163,6 +171,10 @@ class Settings:
         if ns.config:
             with open(ns.config) as fh:
                 self._config = report.parse_kv(fh.read())
+            unknown = sorted(set(self._config) - set(vars(ns)).difference(_NOT_CONFIGURABLE))
+            if unknown:
+                raise ParameterError(
+                    f"config key(s) not read by {ns.command}: {', '.join(unknown)}")
         self.effective: dict = {}
 
     def flag_or_config(self, name: str, conv=float):
@@ -360,9 +372,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if not n_pulses > 0:
         raise ParameterError("--N must be positive")
     analytic = ns.analytic_gain
-    # without --analytic-gain the channel model is never built
+    # without --analytic-gain the channel model is never built, so a channel
+    # setting from a flag or the config would go unread
     given = [flag for flag, _ in _LENGTH_FLAGS + _FIBER_FLAGS
-             if getattr(ns, flag[2:].replace("-", "_")) is not None]
+             if settings.flag_or_config(flag[2:].replace("-", "_")) is not None]
     if given and not analytic:
         raise ParameterError(f"{', '.join(given)} needs --analytic-gain")
     settings.effective["gain_mode"] = "analytic" if analytic else "observed"
@@ -467,7 +480,11 @@ def main(argv=None) -> int:
     except (CountTableError, ParameterError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # only a path the user named (config, table, --out, --trace) carries
+        # a file name; other OS errors are not input errors
+        if exc.filename is None:
+            raise
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QssError as exc:

@@ -145,6 +145,18 @@ def _b_from_constraint(a: float, k: float, t: float, sign: float) -> float:
     return math.sqrt(arg) / (3.0 * math.sqrt(2.0 * k))
 
 
+def _deviation(a: float, b: float, lam: float, k: float) -> float:
+    """Additive bound ``(b + a(2 lam / k - 1)) sqrt(k)`` at the observed sum ``lam``."""
+    return (b + a * (2.0 * lam / k - 1.0)) * math.sqrt(k)
+
+
+def _upper_coeffs(lam: float, k: float, t: float) -> tuple[float, float, float]:
+    """``(a, b, deviation)`` of the upper tail, unchecked; t = ln(eps)."""
+    a = _a_opt_upper(lam, k, t)
+    b = _b_from_constraint(a, k, t, +1.0)
+    return a, b, _deviation(a, b, lam, k)
+
+
 def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
     """Optimal coefficients bounding the expectation from above.
 
@@ -159,10 +171,7 @@ def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
         Allowed failure probability of the bound.
     """
     _validate_kato_args(lam, k, eps)
-    t = math.log(eps)
-    a = _a_opt_upper(lam, k, t)
-    b = _b_from_constraint(a, k, t, +1.0)
-    dev = (b + a * (2.0 * lam / k - 1.0)) * math.sqrt(k)
+    a, b, dev = _upper_coeffs(lam, k, math.log(eps))
     return KatoCoefficients(a=a, b=b, deviation=dev, epsilon=eps)
 
 
@@ -177,8 +186,7 @@ def kato_lower_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
     t = math.log(eps)
     a = -_a_opt_upper(k - lam, k, t)
     b = _b_from_constraint(a, k, t, -1.0)
-    dev = (b + a * (2.0 * lam / k - 1.0)) * math.sqrt(k)
-    return KatoCoefficients(a=a, b=b, deviation=dev, epsilon=eps)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k), epsilon=eps)
 
 
 def kato_failure_probability(a: float, b: float, k: float, direction: str) -> float:
@@ -244,6 +252,17 @@ def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> fl
     raise ParameterError("direction must be 'upper' or 'lower'")
 
 
+def _check_expected(lam_star: float, k: float) -> None:
+    _check_trials(k)
+    if lam_star < 0:
+        raise ParameterError("expected sum must be nonnegative")
+
+
+def _zero_coeff_deviation(k: float, log_inv_eps: float) -> float:
+    """Deviation ``sqrt(k ln(1/eps) / 2)`` of the zero-coefficient bound."""
+    return math.sqrt(0.5 * k * log_inv_eps)
+
+
 def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) -> float:
     """Bound the observed sum given its expectation.
 
@@ -251,12 +270,10 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
     unavailable; the zero-``a`` bound gives a deviation of
     ``sqrt(k ln(1/eps) / 2)`` independent of the observation.
     """
-    _check_trials(k)
-    if lam_star < 0:
-        raise ParameterError("expected sum must be nonnegative")
+    _check_expected(lam_star, k)
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
-    delta = math.sqrt(0.5 * k * math.log(1.0 / eps))
+    delta = _zero_coeff_deviation(k, math.log(1.0 / eps))
     if direction == "upper":
         return lam_star + delta
     if direction == "lower":
@@ -331,33 +348,64 @@ def phase_error_upper_bound(
     budget:
         Failure probabilities; consumes ``eps_a`` and ``eps_b``.
     """
-    if n_x <= 0 or n_y <= 0:
-        raise ParameterError("detection counts must be positive")
-    if not 0 <= m_y <= n_y:
-        raise ParameterError("error count must lie in [0, n_y]")
-
-    m_y_expected = observed_to_expected(m_y, n_y, budget.eps_a, "upper")
-    eby_clamped = m_y_expected > n_y
-    eb_y_expected = min(m_y_expected / n_y, 1.0)
-
-    delta = coin_imbalance(mu, gain_value)
-    ep_raw = math.fsum(phase_error_terms(eb_y_expected, delta))
-    ep_clamped = ep_raw > 1.0
-    ep_expected = min(ep_raw, 1.0)
-
-    m_p_expected = ep_expected * n_x
-    m_p_observed = expected_to_observed(m_p_expected, n_x, budget.eps_b, "upper")
-    epbar_clamped = m_p_observed > n_x
-    ep_bar = min(m_p_observed / n_x, 1.0)
-
+    (m_y_expected, eb_y_expected, delta, ep_raw, ep_expected,
+     m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(
+        n_x, n_y, m_y, mu, gain_value, *_phase_error_logs(budget))
     return PhaseErrorBound(
         n_x=n_x, n_y=n_y, m_y=m_y,
         m_y_expected=m_y_expected, eb_y_expected=eb_y_expected, delta=delta,
         ep_expected=ep_expected, m_p_expected=m_p_expected,
         m_p_observed=m_p_observed, ep_bar=ep_bar,
         eps_a=budget.eps_a, eps_b=budget.eps_b,
-        eby_clamped=eby_clamped, ep_clamped=ep_clamped, epbar_clamped=epbar_clamped,
+        eby_clamped=m_y_expected > n_y, ep_clamped=ep_raw > 1.0,
+        epbar_clamped=m_p_observed > n_x,
     )
+
+
+def _phase_error_logs(budget: EpsilonBudget) -> tuple[float, float]:
+    """``ln(eps_a)`` and ``ln(1 / eps_b)``, the budget terms of the chain."""
+    return math.log(budget.eps_a), math.log(1.0 / budget.eps_b)
+
+
+def _phase_error_chain(
+    n_x: float,
+    n_y: float,
+    m_y: float,
+    mu: float,
+    gain_value: float,
+    log_eps_a: float,
+    log_inv_eps_b: float,
+) -> tuple:
+    """Float core of :func:`phase_error_upper_bound`.
+
+    Takes the budget as :func:`_phase_error_logs` and returns the
+    intermediates ``(m_y_expected, eb_y_expected, delta, ep_raw,
+    ep_expected, m_p_expected, m_p_observed, ep_bar)``, ``ep_raw`` being the
+    unclamped phase error rate.  Checks the counts as the public steps do;
+    the budget is checked when it is built.
+    """
+    if n_x <= 0 or n_y <= 0:
+        raise ParameterError("detection counts must be positive")
+    if not 0 <= m_y <= n_y:
+        raise ParameterError("error count must lie in [0, n_y]")
+
+    # step 1: observed Y errors -> expected, as observed_to_expected(upper)
+    _check_trials(n_y)
+    m_y_expected = m_y + _upper_coeffs(m_y, n_y, log_eps_a)[2]
+    eb_y_expected = min(m_y_expected / n_y, 1.0)
+
+    # step 2: expected Y error rate -> expected phase error rate
+    delta = coin_imbalance(mu, gain_value)
+    ep_raw = math.fsum(phase_error_terms(eb_y_expected, delta))
+    ep_expected = min(ep_raw, 1.0)
+
+    # step 3: expected phase errors -> observed, as expected_to_observed(upper)
+    m_p_expected = ep_expected * n_x
+    _check_expected(m_p_expected, n_x)
+    m_p_observed = m_p_expected + _zero_coeff_deviation(n_x, log_inv_eps_b)
+    ep_bar = min(m_p_observed / n_x, 1.0)
+    return (m_y_expected, eb_y_expected, delta, ep_raw, ep_expected,
+            m_p_expected, m_p_observed, ep_bar)
 
 
 def key_length_raw(
@@ -377,17 +425,47 @@ def key_length_raw(
     artifact of the entropy function, not recovered secrecy; without the cap
     the expression would grow again as ep_bar -> 1 and break monotonicity.
     """
+    _check_key_length_args(n_x, ec_efficiency)
+    return _key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, _key_length_costs(budget))
+
+
+def _check_key_length_args(n_x: float, ec_efficiency: float) -> None:
     if n_x <= 0:
         raise ParameterError("key-set detection count must be positive")
+    _check_ec_efficiency(ec_efficiency)
+
+
+def _check_ec_efficiency(ec_efficiency: float) -> None:
     if not 1.0 <= ec_efficiency < math.inf:
         raise ParameterError("error-correction efficiency must be finite and at least 1")
+
+
+def _key_length_costs(budget: EpsilonBudget) -> tuple[float, float]:
+    """The fixed costs ``log2(2 / eps_c)`` and ``log2(1 / (4 eps_pa^2))``."""
+    return math.log2(2.0 / budget.eps_c), math.log2(1.0 / (4.0 * budget.eps_pa ** 2))
+
+
+def _key_length_raw(
+    n_x: float,
+    ep_bar: float,
+    eb_x: float,
+    ec_efficiency: float,
+    costs: tuple[float, float],
+) -> float:
+    """Unchecked :func:`key_length_raw` with the costs of :func:`_key_length_costs`."""
     lam_ec = n_x * ec_efficiency * binary_entropy(eb_x)
-    return (
-        n_x * (1.0 - binary_entropy(min(ep_bar, 0.5)))
-        - lam_ec
-        - math.log2(2.0 / budget.eps_c)
-        - math.log2(1.0 / (4.0 * budget.eps_pa ** 2))
-    )
+    return n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec - costs[0] - costs[1]
+
+
+def _key_length(
+    n_x: float,
+    ep_bar: float,
+    eb_x: float,
+    ec_efficiency: float,
+    costs: tuple[float, float],
+) -> int:
+    """Unchecked :func:`key_length` with the costs of :func:`_key_length_costs`."""
+    return max(0, math.floor(_key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, costs)))
 
 
 def key_length(
@@ -398,7 +476,8 @@ def key_length(
     budget: EpsilonBudget,
 ) -> int:
     """Secure key length in bits: floored and clamped at zero."""
-    return max(0, math.floor(key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, budget)))
+    _check_key_length_args(n_x, ec_efficiency)
+    return _key_length(n_x, ep_bar, eb_x, ec_efficiency, _key_length_costs(budget))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,20 @@ error rate taken equal to the X-basis model value.  Those expected tallies
 are pushed through the concentration pipeline exactly as observed counts
 would be.
 
+One code path computes that rate.  A per-distance evaluator checks the
+pulse count, channel and efficiency, and derives the transmittance and the
+budget terms, once per distance; it then maps ``(mu, px)`` to plain floats
+through the optics helpers and the float cores of the finite-key chain.
+``finite_rate`` is that evaluator plus the ``RatePoint`` wrap.
+
 ``optimize_params`` maximizes the finite rate over the pulse intensity and
 the basis probability by coordinate descent with golden-section line
 searches (the rate is smooth and single-peaked along each coordinate in the
 regimes of interest).  The search is fully deterministic: fixed restart
-points, no randomness.
+points, no randomness.  It builds one evaluator per call and memoises it by
+``(mu, px)`` for that call only.  The last sweep of a restart repeats the
+previous ``px`` line search, so over 0..260 km in 5 km steps at
+``N = 1e10`` the searches request 24,363 points and evaluate 15,782.
 """
 
 from __future__ import annotations
@@ -27,7 +36,14 @@ from .errors import (
     ProtocolAbortError,
     ZeroCountError,
 )
-from .finitekey import EpsilonBudget, key_length, phase_error_upper_bound
+from .finitekey import (
+    EpsilonBudget,
+    _check_ec_efficiency,
+    _key_length,
+    _key_length_costs,
+    _phase_error_chain,
+    _phase_error_logs,
+)
 from .optics import (
     ChannelModel,
     binary_entropy,
@@ -138,6 +154,54 @@ def asymptotic_rate(mu: float, channel: ChannelModel, ec_efficiency: float = 1.1
     return max(rate, 0.0)
 
 
+def _rate_evaluator(
+    length_km: float,
+    n_pulses: float,
+    channel: ChannelModel,
+    ec_efficiency: float,
+    budget: EpsilonBudget | None,
+):
+    """Finite-size rate at one distance, as a function of ``(mu, px)``.
+
+    Checks the pulse count, the channel and the efficiency once and derives
+    the transmittance and the budget terms once.  The returned
+    ``evaluate(mu, px)`` gives ``(rate_per_pulse, ell, ep_bar, eb_x)`` and
+    raises what :func:`finite_rate` raises at that working point.
+    """
+    if budget is None:
+        budget = EpsilonBudget()
+    if n_pulses <= 0:
+        raise ParameterError("n_pulses must be positive")
+    channel = replace(channel, length_km=length_km)
+    _check_ec_efficiency(ec_efficiency)
+    eta = transmittance(channel)
+    dark, misalignment = channel.dark_count, channel.misalignment
+    log_eps_a, log_inv_eps_b = _phase_error_logs(budget)
+    costs = _key_length_costs(budget)
+
+    def evaluate(mu: float, px: float) -> tuple[float, int, float, float]:
+        if not 0 < px < 1:
+            raise ParameterError("px must be in (0, 1)")
+        q = gain(mu, eta, dark)
+        ebx = bit_error_x(mu, eta, dark, misalignment)
+
+        share_x, share_y = set_shares(px)
+        n_x = n_pulses * share_x * q
+        n_y = n_pulses * share_y * q
+        if n_y < 1.0:
+            raise ZeroCountError(
+                f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"
+            )
+        m_y = ebx * n_y
+
+        # the chain rejects n_x <= 0, the last check key_length makes
+        ep_bar = _phase_error_chain(n_x, n_y, m_y, mu, q, log_eps_a, log_inv_eps_b)[-1]
+        ell = _key_length(n_x, ep_bar, ebx, ec_efficiency, costs)
+        return ell / n_pulses, ell, ep_bar, ebx
+
+    return evaluate
+
+
 def finite_rate(
     length_km: float,
     mu: float,
@@ -154,34 +218,44 @@ def finite_rate(
     :class:`ZeroCountError` when a checked set is expected to stay empty
     (``px`` too close to one for the given ``n_pulses``).
     """
-    if budget is None:
-        budget = EpsilonBudget()
-    if n_pulses <= 0:
-        raise ParameterError("n_pulses must be positive")
-    if not 0 < px < 1:
-        raise ParameterError("px must be in (0, 1)")
-    channel = replace(channel, length_km=length_km)
-    eta = transmittance(channel)
-    q = gain(mu, eta, channel.dark_count)
-    ebx = bit_error_x(mu, eta, channel.dark_count, channel.misalignment)
-
-    share_x, share_y = set_shares(px)
-    n_x = n_pulses * share_x * q
-    n_y = n_pulses * share_y * q
-    if n_y < 1.0:
-        raise ZeroCountError(
-            f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"
-        )
-    m_y = ebx * n_y
-
-    bound = phase_error_upper_bound(n_x, n_y, m_y, mu, q, budget)
-    ell = key_length(n_x, bound.ep_bar, ebx, ec_efficiency, budget)
+    evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
+    rate, ell, ep_bar, ebx = evaluate(mu, px)
     return RatePoint(
         length_km=length_km, mu=mu, px=px,
-        rate_per_pulse=ell / n_pulses, ell=ell,
-        ep_bar=bound.ep_bar, eb_x=ebx, n_pulses=n_pulses,
+        rate_per_pulse=rate, ell=ell,
+        ep_bar=ep_bar, eb_x=ebx, n_pulses=n_pulses,
         abort=ell == 0,
     )
+
+
+# errors that score a working point zero in the optimizer
+_SCORED_ZERO = (ProtocolAbortError, ParameterError, DegenerateGainError,
+                NumericalDegeneracyError)
+
+
+def _objective(
+    length_km: float,
+    n_pulses: float,
+    channel: ChannelModel,
+    ec_efficiency: float,
+    budget: EpsilonBudget | None,
+):
+    """The optimizer's score at one distance: ``score(mu, px)`` is the finite
+    rate per pulse, or 0.0 where the working point aborts or leaves the
+    model's domain."""
+    try:
+        evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
+    except _SCORED_ZERO:
+        # the distance itself is out of the domain: every point fails
+        return lambda mu, px: 0.0
+
+    def score(mu: float, px: float) -> float:
+        try:
+            return evaluate(mu, px)[0]
+        except _SCORED_ZERO:
+            return 0.0
+
+    return score
 
 
 # restart points, all inside the search box
@@ -204,19 +278,20 @@ def optimize_params(
     in ``MU_BOUNDS`` and ``px`` in ``PX_BOUNDS``, restarted from three fixed
     points plus any ``extra_starts``.  Working points that abort or leave the
     model's domain score zero.  Raises :class:`AllAbortError` when no evaluated point yields a key.
-    """
-    if budget is None:
-        budget = EpsilonBudget()
 
+    Each distinct ``(mu, px)`` is evaluated once, on one per-distance
+    evaluator, and a repeat request reads a memo that lives for this call
+    only.  ``trace`` and ``n_evals`` record every request, repeats included.
+    """
+    score = _objective(length_km, n_pulses, channel, ec_efficiency, budget)
     trace: list[tuple] = []
+    # local to the call: one that outlived it would answer repeated calls from memory
+    memo: dict[tuple[float, float], float] = {}
 
     def rate_at(mu: float, px: float) -> float:
-        try:
-            point = finite_rate(length_km, mu, px, n_pulses, channel, ec_efficiency, budget)
-            r = point.rate_per_pulse
-        except (ProtocolAbortError, ParameterError, DegenerateGainError,
-                NumericalDegeneracyError):
-            r = 0.0
+        r = memo.get((mu, px))
+        if r is None:
+            r = memo[mu, px] = score(mu, px)
         trace.append((mu, px, r))
         return r
 

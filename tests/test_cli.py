@@ -139,6 +139,14 @@ class TestAnalyze:
         assert f"{flag} needs --analytic-gain" in err
         assert out == ""
 
+    def test_channel_config_key_without_analytic_gain_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dark = 0.1\n")
+        code, out, err = run(capsys, ["analyze", TABLE_A9, "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert "--dark needs --analytic-gain" in err
+        assert out == ""
+
     def test_nan_ec_efficiency_exits_3(self, capsys):
         code, out, err = run(capsys, ["analyze", TABLE_A9, "--fe", "nan"])
         assert code == EXIT_INPUT
@@ -377,6 +385,42 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as info:
             main([command, *VALID_ARGS[command], flag, "1"])
         assert info.value.code == EXIT_INPUT
+
+
+class TestInputFiles:
+    # each opens the directory through a different user-named path
+    @pytest.mark.parametrize("argv", [
+        ["kato", "--k", "1e6", "--lam", "5e5", "--out", "{dir}"],
+        ["simulate", "--seed", "1", "--rounds", "100", "--trace", "{dir}"],
+        ["sweep", "--N", "1e10", "--config", "{dir}"],
+    ], ids=["kato-out", "simulate-trace", "sweep-config"])
+    def test_directory_for_a_file_exits_3(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+        assert code == EXIT_INPUT
+        assert str(tmp_path) in err
+        assert out == ""
+
+    # a misspelt key, a setting of another subcommand, and an output path
+    @pytest.mark.parametrize("command,key", [
+        ("simulate", "dakr"), ("sweep", "mu"), ("sweep", "length_km"),
+        ("kato", "dark"), ("simulate", "out"),
+    ])
+    def test_config_key_that_is_not_a_setting_exits_3(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        code, out, err = run(capsys, [command, "--config", str(cfg), *VALID_ARGS[command]])
+        assert code == EXIT_INPUT
+        assert key in err
+        assert out == ""
+
+    def test_config_keys_are_flag_dests(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_pulses = inf\nlmax = 10\neta_d = 0.5\neps_a = 1e-9\n")
+        code, out, _ = run(capsys, ["sweep", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert "# config.eta_d = 0.5" in out
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows] == ["L_km", "0", "5", "10"]
 
 
 def _readme_commands():

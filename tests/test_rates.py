@@ -2,9 +2,13 @@
 
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triqss import (
     AllAbortError,
@@ -19,7 +23,33 @@ from triqss import (
     optimize_params,
     sweep_distance,
 )
+from triqss import rates
+from triqss.finitekey import key_length, key_length_raw, phase_error_upper_bound
+from triqss.optics import bit_error_x, gain, transmittance
+from triqss.protocol import set_shares
 from triqss.rates import write_rate_csv
+
+SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "refs" / "sweep_finite_1e10.csv"
+
+
+def _spy_on_evaluators(monkeypatch):
+    """Count the calls of every evaluator built from now on, one entry each."""
+    calls = []
+    build = rates._rate_evaluator
+
+    def counting_build(*args, **kwargs):
+        evaluate = build(*args, **kwargs)
+        calls.append(0)
+        slot = len(calls) - 1
+
+        def counted(mu, px):
+            calls[slot] += 1
+            return evaluate(mu, px)
+
+        return counted
+
+    monkeypatch.setattr(rates, "_rate_evaluator", counting_build)
+    return calls
 
 
 class TestGoldenMax:
@@ -87,7 +117,115 @@ class TestFiniteRate:
         assert point.rate_per_pulse > 0
 
 
+class TestRateEvaluator:
+    def test_errors_match_finite_rate_one_bad_input_at_a_time(self):
+        ch = ChannelModel()
+        good = dict(length_km=50.0, mu=5e-4, px=0.9, n_pulses=1e10, channel=ch)
+        cases = [
+            (dict(n_pulses=0.0), ParameterError, "n_pulses must be positive"),
+            (dict(length_km=-1.0), ParameterError, "fiber length"),
+            (dict(length_km=math.nan), ParameterError, "fiber length"),
+            (dict(px=1.0), ParameterError, "px must be in"),
+            (dict(mu=-1e-4), ParameterError, "gain arguments"),
+            (dict(ec_efficiency=0.5), ParameterError, "error-correction efficiency"),
+            (dict(n_pulses=1e3), ZeroCountError, "below one event"),
+            (dict(n_pulses=math.inf), ParameterError, "positive and finite"),
+            (dict(mu=0.5), ParameterError, "coin imbalance"),
+        ]
+        for change, error, message in cases:
+            with pytest.raises(error, match=message):
+                finite_rate(**{**good, **change})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        length_km=st.floats(-20.0, 600.0),
+        mu=st.floats(-1e-4, 0.2),
+        px=st.floats(-0.05, 1.05),
+        n_pulses=st.floats(-1e3, 1e16),
+        dark=st.sampled_from([0.0, 2e-8, 1e-4]),
+    )
+    def test_optimizer_scores_finite_rate_or_zero(self, length_km, mu, px, n_pulses, dark):
+        ch = ChannelModel(dark_count=dark)
+        try:
+            expected = finite_rate(length_km, mu, px, n_pulses, ch).rate_per_pulse
+        except rates._SCORED_ZERO:
+            expected = 0.0
+        score = rates._objective(length_km, n_pulses, ch, 1.16, None)
+        assert score(mu, px) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length_km=st.floats(0.0, 300.0),
+        mu=st.floats(1e-6, 1e-2),
+        px=st.floats(0.5, 0.99),
+        n_pulses=st.floats(1e8, 1e14),
+    )
+    def test_finite_rate_equals_the_public_chain(self, length_km, mu, px, n_pulses):
+        # the steps finite_rate takes, each through its public function
+        ch = ChannelModel()
+        budget = EpsilonBudget()
+        try:
+            point = finite_rate(length_km, mu, px, n_pulses, ch)
+        except rates._SCORED_ZERO:
+            return
+        eta = transmittance(replace(ch, length_km=length_km))
+        q = gain(mu, eta, ch.dark_count)
+        ebx = bit_error_x(mu, eta, ch.dark_count, ch.misalignment)
+        share_x, share_y = set_shares(px)
+        n_x, n_y = n_pulses * share_x * q, n_pulses * share_y * q
+        bound = phase_error_upper_bound(n_x, n_y, ebx * n_y, mu, q, budget)
+        ell = key_length(n_x, bound.ep_bar, ebx, 1.16, budget)
+        assert (point.ep_bar, point.eb_x, point.ell) == (bound.ep_bar, ebx, ell)
+        assert point.rate_per_pulse == ell / n_pulses
+
+
+class TestKeyLengthMonotone:
+    # H is monotone on [0, 1/2] but its float values wobble by a few ulps
+    # between neighbouring arguments, so "no increase" is up to rounding
+    @staticmethod
+    def _slack(n_x):
+        return 1e-12 * (n_x + 100.0)
+
+    @given(
+        n_x=st.floats(1.0, 1e12),
+        ep=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        eb_x=st.floats(0.0, 0.5),
+    )
+    def test_not_increasing_in_ep_bar(self, n_x, ep, eb_x):
+        low, high = (key_length_raw(n_x, e, eb_x, 1.16, EpsilonBudget()) for e in ep)
+        assert high <= low + self._slack(n_x)
+
+    # above 1/2 an X error rate costs what its complement does (flip every
+    # bit), so the error-correction term is monotone on [0, 1/2] only
+    @given(
+        n_x=st.floats(1.0, 1e12),
+        ep_bar=st.floats(0.0, 1.0),
+        eb=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)).map(sorted),
+    )
+    def test_not_increasing_in_eb_x(self, n_x, ep_bar, eb):
+        low, high = (key_length_raw(n_x, ep_bar, e, 1.16, EpsilonBudget()) for e in eb)
+        assert high <= low + self._slack(n_x)
+
+
 class TestOptimizeParams:
+    def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
+        calls = _spy_on_evaluators(monkeypatch)
+        result = optimize_params(100.0, 1e10, ChannelModel())
+        distinct = {(mu, px) for mu, px, _ in result.trace}
+        # one evaluator for the search, one in finite_rate for the best point
+        assert calls == [len(distinct), 1]
+        assert (result.n_evals, len(result.trace), len(distinct)) == (426, 426, 289)
+        # a repeat request reads the same score a fresh evaluation gives
+        fresh = rates._objective(100.0, 1e10, ChannelModel(), 1.16, None)
+        assert all(r == fresh(mu, px) for mu, px, r in result.trace)
+
+    def test_a_memo_does_not_outlive_its_call(self, monkeypatch):
+        calls = _spy_on_evaluators(monkeypatch)
+        first = optimize_params(100.0, 1e10, ChannelModel())
+        second = optimize_params(100.0, 1e10, ChannelModel())
+        assert calls[0] == calls[2] == 289
+        assert first.trace == second.trace
+
     def test_beats_a_coarse_grid(self):
         ch = ChannelModel()
         result = optimize_params(100.0, 1e10, ch)
@@ -141,6 +279,17 @@ class TestSweeps:
         assert all(a > b for a, b in zip(rates, rates[1:]))
         assert all(p.px == 1.0 for p in points)
         assert all(math.isinf(p.n_pulses) for p in points)
+
+    def test_rows_match_the_reference_curve(self, monkeypatch):
+        calls = _spy_on_evaluators(monkeypatch)
+        buf = io.StringIO()
+        write_rate_csv(sweep_distance([5.0 * i for i in range(53)], 1e10, ChannelModel()), buf)
+        reference = [line for line in SWEEP_REFERENCE.read_text().splitlines()
+                     if not line.startswith("#")]
+        assert buf.getvalue().splitlines()[1:] == reference[1:]
+        # one evaluator per search (53) and one in finite_rate at each of the
+        # 47 distances with a key; 15,782 distinct points of 24,363 requested
+        assert (len(calls), sum(calls)) == (100, 15_782 + 47)
 
     def test_csv_rendering(self):
         ch = ChannelModel()
