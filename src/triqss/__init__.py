@@ -6,138 +6,89 @@ settings into correlated bits.  This package simulates that loop at the
 pulse level, evaluates asymptotic and finite-size secure key rates with
 concentration bounds that exploit the basis-choice bias, optimizes the
 source settings, and turns measured detector-count tables into key rates.
+
+Each public name is imported from its module on first use (PEP 562), so
+the scalar analysis runs without loading numpy, which only the simulator in
+:mod:`triqss.protocol` needs.
 """
 
-from .errors import (
-    AllAbortError,
-    CountTableError,
-    DegenerateGainError,
-    NumericalDegeneracyError,
-    ParameterError,
-    ProtocolAbortError,
-    QssError,
-    ZeroCountError,
-)
-from .expdata import (
-    CountRow,
-    ExperimentSummary,
-    classify_row,
-    experiment_skr,
-    observed_sifted_gain,
-    parse_counts,
-    render_counts,
-    tally_sets,
-)
-from .finitekey import (
-    EpsilonBudget,
-    KatoCoefficients,
-    KeyRateReport,
-    PhaseErrorBound,
-    azuma_deviation,
-    expected_to_observed,
-    kato_coeffs_numeric,
-    kato_failure_probability,
-    kato_lower_coeffs,
-    kato_upper_coeffs,
-    key_length,
-    key_length_raw,
-    observed_to_expected,
-    phase_error_upper_bound,
-)
-from .optics import (
-    ChannelModel,
-    SourceParams,
-    basis_overlap,
-    binary_entropy,
-    bit_error_x,
-    coin_imbalance,
-    gain,
-    phase_error_from_y,
-    phase_error_terms,
-    transmittance,
-)
-from .protocol import (
-    Basis,
-    Outcome,
-    ProtocolRun,
-    SetTag,
-    SetThresholds,
-    SiftedTallies,
-    click_probabilities,
-    run_protocol,
-    verify_correlation,
-)
-from .rates import (
-    OptimizationResult,
-    RatePoint,
-    asymptotic_rate,
-    asymptotic_sweep,
-    finite_rate,
-    golden_max,
-    optimize_params,
-    sweep_distance,
-    write_rate_csv,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllAbortError",
-    "Basis",
-    "ChannelModel",
-    "CountRow",
-    "CountTableError",
-    "DegenerateGainError",
-    "EpsilonBudget",
-    "ExperimentSummary",
-    "KatoCoefficients",
-    "KeyRateReport",
-    "NumericalDegeneracyError",
-    "OptimizationResult",
-    "Outcome",
-    "ParameterError",
-    "PhaseErrorBound",
-    "ProtocolAbortError",
-    "ProtocolRun",
-    "QssError",
-    "RatePoint",
-    "SetTag",
-    "SetThresholds",
-    "SiftedTallies",
-    "SourceParams",
-    "ZeroCountError",
-    "asymptotic_rate",
-    "asymptotic_sweep",
-    "azuma_deviation",
-    "basis_overlap",
-    "binary_entropy",
-    "bit_error_x",
-    "classify_row",
-    "click_probabilities",
-    "coin_imbalance",
-    "expected_to_observed",
-    "experiment_skr",
-    "finite_rate",
-    "gain",
-    "golden_max",
-    "kato_coeffs_numeric",
-    "kato_failure_probability",
-    "kato_lower_coeffs",
-    "kato_upper_coeffs",
-    "key_length",
-    "key_length_raw",
-    "observed_sifted_gain",
-    "observed_to_expected",
-    "optimize_params",
-    "parse_counts",
-    "phase_error_from_y",
-    "phase_error_terms",
-    "phase_error_upper_bound",
-    "render_counts",
-    "run_protocol",
-    "sweep_distance",
-    "tally_sets",
-    "transmittance",
-    "verify_correlation",
-    "write_rate_csv",
-]
+# public name -> module that defines it
+_EXPORTS = {
+    "AllAbortError": "errors",
+    "CountTableError": "errors",
+    "DegenerateGainError": "errors",
+    "NumericalDegeneracyError": "errors",
+    "ParameterError": "errors",
+    "ProtocolAbortError": "errors",
+    "QssError": "errors",
+    "ZeroCountError": "errors",
+    "CountRow": "expdata",
+    "ExperimentSummary": "expdata",
+    "classify_row": "expdata",
+    "experiment_skr": "expdata",
+    "observed_sifted_gain": "expdata",
+    "parse_counts": "expdata",
+    "render_counts": "expdata",
+    "tally_sets": "expdata",
+    "EpsilonBudget": "finitekey",
+    "KatoCoefficients": "finitekey",
+    "KeyRateReport": "finitekey",
+    "PhaseErrorBound": "finitekey",
+    "azuma_deviation": "finitekey",
+    "expected_to_observed": "finitekey",
+    "kato_coeffs_numeric": "finitekey",
+    "kato_failure_probability": "finitekey",
+    "kato_lower_coeffs": "finitekey",
+    "kato_upper_coeffs": "finitekey",
+    "key_length": "finitekey",
+    "key_length_raw": "finitekey",
+    "observed_to_expected": "finitekey",
+    "phase_error_upper_bound": "finitekey",
+    "ChannelModel": "optics",
+    "SourceParams": "optics",
+    "basis_overlap": "optics",
+    "binary_entropy": "optics",
+    "bit_error_x": "optics",
+    "coin_imbalance": "optics",
+    "gain": "optics",
+    "phase_error_from_y": "optics",
+    "phase_error_terms": "optics",
+    "transmittance": "optics",
+    "Outcome": "protocol",
+    "ProtocolRun": "protocol",
+    "SetThresholds": "protocol",
+    "SiftedTallies": "protocol",
+    "click_probabilities": "protocol",
+    "run_protocol": "protocol",
+    "verify_correlation": "protocol",
+    "OptimizationResult": "rates",
+    "RatePoint": "rates",
+    "asymptotic_rate": "rates",
+    "asymptotic_sweep": "rates",
+    "finite_rate": "rates",
+    "golden_max": "rates",
+    "optimize_params": "rates",
+    "sweep_distance": "rates",
+    "write_rate_csv": "rates",
+    "Basis": "roundtable",
+    "SetTag": "roundtable",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

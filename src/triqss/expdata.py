@@ -24,18 +24,17 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EpsilonBudget, KeyRateReport, key_length, phase_error_upper_bound
-from .optics import ChannelModel, binary_entropy, gain, transmittance
-from .protocol import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetTag, set_shares
+from .optics import ChannelModel, SourceParams, binary_entropy, gain, transmittance
+from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetTag, set_shares
 
 __all__ = [
     "CountRow",
-    "RowClass",
     "ExperimentSummary",
-    "COUNT_HEADER",
     "parse_counts",
     "render_counts",
     "classify_row",
     "tally_sets",
+    "observed_sifted_gain",
     "experiment_skr",
 ]
 
@@ -138,15 +137,15 @@ def classify_row(row: CountRow) -> RowClass:
 
 
 def _row_class(cell: int, extra: int) -> RowClass:
-    tag = SetTag(CELL_TAG[cell])
+    tag = CELL_TAG[cell]
     if tag == SetTag.DISCARD:
         return RowClass(set_tag=tag, expected_spd=None)
-    return RowClass(set_tag=tag, expected_spd=1 + (int(CELL_BIT[cell]) ^ extra))
+    return RowClass(set_tag=tag, expected_spd=1 + (CELL_BIT[cell] ^ extra))
 
 
 # every phase triple, encoded from the round table's quarter-turn codes
 _CLASS_OF_TRIPLE = {
-    (int(q_a), int(q_b), int(q_c) + 2 * extra): _row_class(cell, extra)
+    (q_a, q_b, q_c + 2 * extra): _row_class(cell, extra)
     for cell, (q_a, q_b, q_c) in enumerate(zip(*CELL_QUARTERS))
     for extra in (0, 1)
 }
@@ -236,6 +235,8 @@ def observed_sifted_gain(summary: ExperimentSummary, n_pulses: float, px: float)
     """
     if not n_pulses > 0:
         raise ParameterError("n_pulses must be positive")
+    if not 0 < px < 1:
+        raise ParameterError("X-basis probability must be in (0, 1)")
     share_x, share_y = set_shares(px)
     q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
     if q > 1.0:
@@ -271,6 +272,7 @@ def experiment_skr(
     mu, px = summary.mu, summary.px
     if mu is None or px is None:
         raise ParameterError("the summary carries no mu and px; pass them to tally_sets")
+    SourceParams(intensity=mu, px=px)   # raises on a value outside its domain
 
     if channel is None:
         q = observed_sifted_gain(summary, n_pulses, px)

@@ -21,11 +21,12 @@ XOR of the players' bits; disagreements are tallied as errors.
 
 Everything a round does follows from the round table: one row per setting
 cell ``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``.  Its
-static columns hold the quarter-turn phase codes, the set tag and the
-dealer's correct raw bit (``s_a ^ s_b``, flipped on YAC cells, so the YAC
-flip is a column); one :func:`click_probabilities` call over the 32 cells
-adds the outcome probabilities for a source and channel.  The simulator,
-the trace writer and the count-table reader all read this table.
+static columns, defined in :mod:`triqss.roundtable` and held here as
+arrays, are the quarter-turn phase codes, the set tag and the dealer's
+correct raw bit (``s_a ^ s_b``, flipped on YAC cells, so the YAC flip is a
+column); one :func:`click_probabilities` call over the 32 cells adds the
+outcome probabilities for a source and channel.  The simulator, the trace
+writer and the count-table reader all read this table.
 
 ``run_protocol`` draws only the rounds that click.  Rounds are i.i.d., so
 the gaps between detections are Geometric(p_det) and each detection is a
@@ -35,30 +36,29 @@ a detection branch, drawn in chunks of ``CHUNK_DETECTIONS`` detections from
 its sequentially spawned children, and a trace branch that only fills in
 the trace rows of rounds with no click.  The result is defined by the seed
 alone: a trace never changes it, and a run stopped early is a prefix of a
-longer run with the same seed.  ``_simulate_block`` is the per-round
-reference engine the sampler is tested against.
+longer run with the same seed.  The tests check the sampler against a
+per-round reference engine built on the same table.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
+from . import roundtable
 from .errors import ParameterError, ProtocolAbortError
 from .optics import ChannelModel, SourceParams, gain, transmittance
+from .roundtable import SetTag, set_shares
 
 __all__ = [
-    "Basis",
     "Outcome",
-    "SetTag",
     "SetThresholds",
-    "ClickProbabilities",
     "SiftedTallies",
     "ProtocolRun",
     "BLOCK_ROUNDS",
@@ -68,7 +68,6 @@ __all__ = [
     "CELL_TAG",
     "CELL_BIT",
     "click_probabilities",
-    "set_shares",
     "run_protocol",
     "verify_correlation",
 ]
@@ -82,23 +81,11 @@ BLOCK_ROUNDS = 1_000_000
 MAX_ROUNDS = 2 ** 50
 
 
-class Basis(IntEnum):
-    X = 0
-    Y = 1
-
-
 class Outcome(IntEnum):
     ZERO = 0
     ONE = 1
     NONE = 2
     DOUBLE = 3
-
-
-class SetTag(IntEnum):
-    X_SET = 0
-    YBC_SET = 1
-    YAC_SET = 2
-    DISCARD = 3
 
 
 class ClickProbabilities(NamedTuple):
@@ -139,14 +126,6 @@ class SiftedTallies:
     def n_y(self) -> int:
         return self.n_ybc + self.n_yac
 
-    def merged(self, other: "SiftedTallies") -> "SiftedTallies":
-        return SiftedTallies(
-            n_x=self.n_x + other.n_x, m_x=self.m_x + other.m_x,
-            n_ybc=self.n_ybc + other.n_ybc, m_ybc=self.m_ybc + other.m_ybc,
-            n_yac=self.n_yac + other.n_yac, m_yac=self.m_yac + other.m_yac,
-            rounds=self.rounds + other.rounds,
-        )
-
 
 @dataclass(frozen=True)
 class ProtocolRun:
@@ -160,44 +139,20 @@ class ProtocolRun:
     seed: int
 
 
-# quarter-turn phase codes (units of pi/2): players send X bits as 0, 2 and
-# Y bits as 3, 1; the dealer adds 0 (X) or 1 (Y) on player b's arm
-_QUARTER_TURN = 0.5 * math.pi
-_PLAYER_QUARTER = np.array([[0, 2], [3, 1]])   # [basis, bit]
-
-# the bases that sift a detected round into each set
-_SET_OF_BASES = {
-    (Basis.X, Basis.X, Basis.X): SetTag.X_SET,
-    (Basis.X, Basis.Y, Basis.Y): SetTag.YBC_SET,
-    (Basis.Y, Basis.X, Basis.Y): SetTag.YAC_SET,
-}
-
-
 # round table rows: cell = s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4
 _CELLS = np.arange(32, dtype=np.uint8)
 _S_A, _S_B = _CELLS & 1, _CELLS >> 1 & 1
 _BASES = (_CELLS >> 2 & 1, _CELLS >> 3 & 1, _CELLS >> 4 & 1)
 
-# static columns of the round table
-CELL_QUARTERS = (
-    _PLAYER_QUARTER[_BASES[0], _S_A],
-    _PLAYER_QUARTER[_BASES[1], _S_B],
-    _BASES[2].astype(int),
-)
-CELL_TAG = np.array(
-    [_SET_OF_BASES.get(bases, SetTag.DISCARD) for bases in zip(*_BASES)], dtype=np.uint8,
-)
-# the bit a sifted round registers on clean hardware: its net quarter turns
-# are even, 0 -> bit 0 and 2 -> bit 1; this is s_a ^ s_b, flipped on YAC cells
-CELL_BIT = ((CELL_QUARTERS[1] + CELL_QUARTERS[2] - CELL_QUARTERS[0]) % 4 >> 1).astype(np.uint8)
+# static columns of the round table, as arrays
+CELL_QUARTERS = tuple(np.array(q) for q in roundtable.CELL_QUARTERS)
+CELL_TAG = np.array(roundtable.CELL_TAG, dtype=np.uint8)
+CELL_BIT = np.array(roundtable.CELL_BIT, dtype=np.uint8)
 
+# total arm phases; quarter-turn codes are in units of pi/2
+_QUARTER_TURN = 0.5 * math.pi
 _CELL_PHASE_A = CELL_QUARTERS[0] * _QUARTER_TURN
 _CELL_PHASE_B = CELL_QUARTERS[1] * _QUARTER_TURN + CELL_QUARTERS[2] * _QUARTER_TURN
-
-
-def set_shares(px: float) -> tuple[float, float]:
-    """Shares of all rounds announced in the X set and in each checked Y set."""
-    return px ** 3, px * (1.0 - px) ** 2
 
 
 def click_probabilities(
@@ -235,16 +190,6 @@ def click_probabilities(
     )
 
 
-class _Block(NamedTuple):
-    """Per-round arrays for one simulated block."""
-
-    cell: np.ndarray
-    outcome: np.ndarray
-    s_c: np.ndarray      # registered dealer bit, before any YAC flip
-    tag: np.ndarray      # set tag; DISCARD when nothing clicked
-    err: np.ndarray      # detected and s_c differs from the cell's correct bit
-
-
 def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> ClickProbabilities:
     """Outcome distribution of each of the 32 round table cells."""
     return click_probabilities(
@@ -253,49 +198,8 @@ def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> ClickPro
     )
 
 
-def _outcome_thresholds(source: SourceParams, channel: ChannelModel) -> tuple:
-    """Per-cell cumulative outcome probabilities ``p0``, ``p0+p1``, ``p0+p1+pn``.
-
-    A round in cell ``c`` with outcome variate ``u`` registers outcome
-    ``(u >= t0[c]) + (u >= t1[c]) + (u >= t2[c])`` in :class:`Outcome` order.
-    """
-    p = _cell_probabilities(source, channel)
-    t0 = p.only0
-    t1 = t0 + p.only1
-    return t0, t1, t1 + p.none
-
-
-def _simulate_block(
-    source: SourceParams,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-    n: int,
-) -> _Block:
-    """Vectorized simulation of ``n`` rounds on one generator.
-
-    Stream layout per block: player bits, then the three basis variates,
-    then the outcome variate, then resolution bits for every round.
-    """
-    s_a = rng.integers(0, 2, n, dtype=np.uint8)
-    s_b = rng.integers(0, 2, n, dtype=np.uint8)
-    b_a, b_b, b_c = ((rng.random(n) >= source.px).view(np.uint8) for _ in range(3))
-    cell = s_a | s_b << 1 | b_a << 2 | b_b << 3 | b_c << 4
-    u = rng.random(n)
-    resolve = rng.integers(0, 2, n, dtype=np.uint8)
-
-    t0, t1, t2 = _outcome_thresholds(source, channel)
-    outcome = (u >= t0[cell]).view(np.uint8) + (u >= t1[cell]) + (u >= t2[cell])
-    detected = outcome != Outcome.NONE
-    s_c = np.where(outcome < Outcome.NONE, outcome, resolve)
-    tag = np.where(detected, CELL_TAG[cell], np.uint8(SetTag.DISCARD))
-    err = detected & (s_c != CELL_BIT[cell])
-    return _Block(cell, outcome, s_c, tag, err)
-
-
-def _tallies(tag: np.ndarray, err: np.ndarray, rounds: int = 0) -> SiftedTallies:
-    """Set and error counts of rounds with set tags ``tag`` and error flags ``err``."""
-    n = np.bincount(tag, minlength=4)
-    m = np.bincount(tag[err], minlength=4)
+def _tallies(n: np.ndarray, m: np.ndarray, rounds: int) -> SiftedTallies:
+    """Tallies from detection counts ``n`` and error counts ``m`` per set tag."""
     return SiftedTallies(
         n_x=int(n[SetTag.X_SET]), m_x=int(m[SetTag.X_SET]),
         n_ybc=int(n[SetTag.YBC_SET]), m_ybc=int(m[SetTag.YBC_SET]),
@@ -487,7 +391,8 @@ def run_protocol(
 
     tables = _detection_tables(source, channel)
     detection_branch, trace_branch = np.random.SeedSequence(seed).spawn(2)
-    total = SiftedTallies()
+    n = np.zeros(4, np.int64)   # detections per set tag
+    m = np.zeros(4, np.int64)   # errors per set tag
     x_cats = []
     rounds = max_rounds
     done = False
@@ -498,16 +403,17 @@ def run_protocol(
             tag = _CAT_TAG[cat]
             if thresholds is not None:
                 met = (
-                    (total.n_x + np.cumsum(tag == SetTag.X_SET) >= thresholds.n_x)
-                    & (total.n_ybc + np.cumsum(tag == SetTag.YBC_SET) >= thresholds.n_ybc)
-                    & (total.n_yac + np.cumsum(tag == SetTag.YAC_SET) >= thresholds.n_yac)
+                    (n[SetTag.X_SET] + np.cumsum(tag == SetTag.X_SET) >= thresholds.n_x)
+                    & (n[SetTag.YBC_SET] + np.cumsum(tag == SetTag.YBC_SET) >= thresholds.n_ybc)
+                    & (n[SetTag.YAC_SET] + np.cumsum(tag == SetTag.YAC_SET) >= thresholds.n_yac)
                 )
                 if met.any():
                     keep = int(np.argmax(met)) + 1
                     pos, cat, tag = pos[:keep], cat[:keep], tag[:keep]
                     rounds = int(pos[-1]) + 1
                     done = True
-            total = total.merged(_tallies(tag, _CAT_ERR[cat]))
+            n += np.bincount(tag, minlength=4)
+            m += np.bincount(tag[_CAT_ERR[cat]], minlength=4)
             x_cats.append(cat[tag == SetTag.X_SET].astype(np.uint8))
             if trace is not None and pos.size:
                 trace.write(int(pos[-1]) + 1, pos, cat)
@@ -519,7 +425,7 @@ def run_protocol(
     x_cat = np.concatenate(x_cats) if x_cats else np.empty(0, np.uint8)
     x_cell = _CAT_CELL[x_cat]
     run = ProtocolRun(
-        tallies=replace(total, rounds=rounds),
+        tallies=_tallies(n, m, rounds),
         key_a=_S_A[x_cell],
         key_b=_S_B[x_cell],
         key_c=_CAT_SC[x_cat],

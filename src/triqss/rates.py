@@ -53,8 +53,8 @@ from .optics import (
     phase_error_from_y,
     transmittance,
 )
-from .protocol import set_shares
 from .report import fmt_value
+from .roundtable import set_shares
 
 __all__ = [
     "RatePoint",

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
 import argparse
+import math
 import re
 import shlex
 import time
@@ -71,6 +72,15 @@ class TestKato:
             main(["kato", "--k", "1e6"])
         assert info.value.code == EXIT_INPUT
 
+    @pytest.mark.parametrize("k", [1e20, 1e40])
+    def test_zero_coeff_deviation_at_a_large_sum(self, capsys, k):
+        # the deviation is sqrt(k ln(1/eps) / 2), with no loss to cancellation
+        # against lam = k
+        code, out, _ = run(capsys, ["kato", "--k", str(k), "--lam", str(k)])
+        assert code == EXIT_OK
+        expected = math.sqrt(0.5 * k * math.log(1e10))
+        assert float(parse_kv(out)["zero_coeff_deviation"]) == pytest.approx(expected, rel=1e-9)
+
 
 class TestAnalyze:
     def test_single_table_report(self, capsys):
@@ -123,6 +133,16 @@ class TestAnalyze:
         code, out, err = run(capsys, ["analyze", TABLE_A9, "--N", n_pulses])
         assert code == EXIT_INPUT
         assert "input error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--px", "0"), ("--px", "1"), ("--px", "2"), ("--px", "-1"), ("--px", "nan"),
+        ("--mu", "inf"), ("--mu", "nan"),
+    ])
+    def test_source_setting_outside_its_domain_exits_3(self, capsys, flag, value):
+        code, out, err = run(capsys, ["analyze", TABLE_A9, flag, value])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
         assert out == ""
 
     @pytest.mark.parametrize("rep_rate", ["nan", "0", "-1"])

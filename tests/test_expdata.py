@@ -18,7 +18,7 @@ from triqss import (
     render_counts,
     tally_sets,
 )
-from triqss.protocol import CELL_BIT, CELL_QUARTERS, CELL_TAG
+from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
 # frozen per-set tallies of the bundled tables:
 # (n_x, m_x, n_ybc, m_ybc, n_yac, m_yac), keyed by (table, intensity)
@@ -181,6 +181,12 @@ class TestObservedGain:
         with pytest.raises(ParameterError):
             observed_sifted_gain(s, 10.0, 0.9)
 
+    @pytest.mark.parametrize("px", [0.0, 1.0, 2.0, -1.0, float("nan")])
+    def test_rejects_px_outside_its_domain(self, fixtures_dir, px):
+        s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
+        with pytest.raises(ParameterError):
+            observed_sifted_gain(s, 5e10, px)
+
 
 class TestExperimentSkr:
     def load(self, fixtures_dir, table="a", mu="9e-4"):
@@ -225,6 +231,17 @@ class TestExperimentSkr:
     def test_per_second_conversion(self, fixtures_dir):
         r = experiment_skr(self.load(fixtures_dir), 5e10, rep_rate_hz=2e8)
         assert r.rate_per_second == pytest.approx(2 * 398.856, rel=1e-9)
+
+    @pytest.mark.parametrize("mu,px", [
+        (float("inf"), 0.9), (float("nan"), 0.9), (-1e-4, 0.9),
+        (9e-4, 0.0), (9e-4, 1.0), (9e-4, float("nan")),
+    ])
+    def test_source_outside_its_domain_rejected(self, fixtures_dir, bench_channel, mu, px):
+        # the model gain path never reads px through the observed gain, so
+        # experiment_skr itself must reject it
+        summary = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")), mu=mu, px=px)
+        with pytest.raises(ParameterError):
+            experiment_skr(summary, 5e10, channel=bench_channel)
 
     @pytest.mark.parametrize("rep_rate", [float("nan"), 0.0, -1.0])
     def test_bad_rep_rate_rejected(self, fixtures_dir, rep_rate):

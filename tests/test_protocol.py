@@ -23,7 +23,8 @@ from triqss import (
     verify_correlation,
 )
 from triqss import protocol
-from triqss.protocol import _simulate_block
+
+from per_round_engine import block_tallies, outcome_thresholds, simulate_block
 
 LOCAL = ChannelModel(length_km=0.0)  # eta = 0.4, errors at defaults
 BRIGHT = SourceParams(intensity=0.01, px=0.8)
@@ -94,7 +95,7 @@ class TestRoundTable:
         # on clean hardware a sifted cell lights exactly the port of its
         # correct bit: s_a ^ s_b, flipped on YAC cells
         clean = ChannelModel(length_km=0.0, dark_count=0.0, misalignment=0.0)
-        t0, t1, _ = protocol._outcome_thresholds(BRIGHT, clean)
+        t0, t1, _ = outcome_thresholds(BRIGHT, clean)
         sifted = 0
         for cell in range(32):
             tag = protocol.CELL_TAG[cell]
@@ -157,8 +158,8 @@ class TestRunProtocol:
     def test_same_child_seed_same_block(self):
         ss = np.random.SeedSequence(123)
         child = ss.spawn(1)[0]
-        b1 = _simulate_block(BRIGHT, LOCAL, np.random.default_rng(child), 10_000)
-        b2 = _simulate_block(BRIGHT, LOCAL, np.random.default_rng(child), 10_000)
+        b1 = simulate_block(BRIGHT, LOCAL, np.random.default_rng(child), 10_000)
+        b2 = simulate_block(BRIGHT, LOCAL, np.random.default_rng(child), 10_000)
         for x, y in zip(b1, b2):
             assert np.array_equal(x, y)
 
@@ -174,9 +175,9 @@ class TestRunProtocol:
     def test_set_fractions_and_qber_track_the_model(self):
         # the sampler and the per-round reference engine both track the model
         n = 1_000_000
-        block = _simulate_block(BRIGHT, LOCAL, np.random.default_rng(2025), n)
+        block = simulate_block(BRIGHT, LOCAL, np.random.default_rng(2025), n)
         for t in (run_protocol(BRIGHT, LOCAL, seed=2024, max_rounds=n).tallies,
-                  protocol._tallies(block.tag, block.err, n)):
+                  block_tallies(block, n)):
             assert t.rounds == n
             q = gain(BRIGHT.intensity, 0.4, LOCAL.dark_count)
             px = BRIGHT.px
@@ -272,7 +273,7 @@ class TestRunProtocol:
 
 class TestDetectionSampler:
     """The sampler draws only the rounds that click; it must agree with the
-    per-round reference engine ``_simulate_block``."""
+    per-round reference engine in ``per_round_engine``."""
 
     def test_agrees_with_the_per_round_engine(self):
         # bright pulses at 0 km, where double clicks are common; every count
@@ -285,8 +286,8 @@ class TestDetectionSampler:
         reference = dict.fromkeys(fields, 0)
         for seed in (101, 102, 103, 104, 105):
             run = run_protocol(src, LOCAL, seed=seed, max_rounds=n).tallies
-            block = _simulate_block(src, LOCAL, np.random.default_rng(seed), n)
-            ref = protocol._tallies(block.tag, block.err, n)
+            block = simulate_block(src, LOCAL, np.random.default_rng(seed), n)
+            ref = block_tallies(block, n)
             for f in fields:
                 sampled[f] += getattr(run, f)
                 reference[f] += getattr(ref, f)

@@ -26,8 +26,8 @@ from triqss import (
 from triqss import rates
 from triqss.finitekey import key_length, key_length_raw, phase_error_upper_bound
 from triqss.optics import bit_error_x, gain, transmittance
-from triqss.protocol import set_shares
 from triqss.rates import write_rate_csv
+from triqss.roundtable import set_shares
 
 SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "refs" / "sweep_finite_1e10.csv"
 
