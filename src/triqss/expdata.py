@@ -278,6 +278,8 @@ def experiment_skr(
         q = observed_sifted_gain(summary, n_pulses, px)
     else:
         q = gain(mu, transmittance(channel), channel.dark_count)
+    if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
+        raise ParameterError("pulse intensity must be positive where clicks were counted")
 
     bound_bc = phase_error_upper_bound(summary.n_x, summary.n_ybc, summary.m_ybc, mu, q, budget)
     bound_ac = phase_error_upper_bound(summary.n_x, summary.n_yac, summary.m_yac, mu, q, budget)

@@ -102,6 +102,16 @@ def transmittance(channel: ChannelModel) -> float:
     return channel.det_efficiency * 10.0 ** (-channel.alpha_db_per_km * channel.length_km / 20.0)
 
 
+def _gain_terms(mu: float, eta: float, dark: float) -> tuple[float, float, float]:
+    """The gain with ``1 - exp(-x)`` and ``exp(-x)`` for ``x = 2 mu eta``."""
+    if mu < 0 or eta < 0 or not 0 <= dark < 1:
+        raise ParameterError("gain arguments out of range")
+    x = 2.0 * mu * eta
+    # -expm1 keeps 1 - exp(-x) accurate when x is far below 1e-8
+    signal, quiet = -math.expm1(-x), math.exp(-x)
+    return (1.0 - dark) * (signal + 2.0 * dark * quiet), signal, quiet
+
+
 def gain(mu: float, eta: float, dark: float) -> float:
     """Probability that exactly one detector clicks in a round.
 
@@ -118,11 +128,7 @@ def gain(mu: float, eta: float, dark: float) -> float:
     dark:
         Dark count probability per detector per gate.
     """
-    if mu < 0 or eta < 0 or not 0 <= dark < 1:
-        raise ParameterError("gain arguments out of range")
-    x = 2.0 * mu * eta
-    # -expm1 keeps 1 - exp(-x) accurate when x is far below 1e-8
-    return (1.0 - dark) * (-math.expm1(-x) + 2.0 * dark * math.exp(-x))
+    return _gain_terms(mu, eta, dark)[0]
 
 
 def bit_error_x(mu: float, eta: float, dark: float, misalignment: float) -> float:
@@ -134,12 +140,11 @@ def bit_error_x(mu: float, eta: float, dark: float, misalignment: float) -> floa
     """
     if not 0 <= misalignment <= 0.5:
         raise ParameterError("misalignment must be in [0, 0.5]")
-    q = gain(mu, eta, dark)
+    q, signal, quiet = _gain_terms(mu, eta, dark)
     if q <= 0.0:
         raise DegenerateGainError("zero detection gain: bit error rate undefined")
-    x = 2.0 * mu * eta
-    wrong = misalignment * (1.0 - dark) * (-math.expm1(-x) + dark * math.exp(-x))
-    wrong += (1.0 - misalignment) * dark * (1.0 - dark) * math.exp(-x)
+    wrong = misalignment * (1.0 - dark) * (signal + dark * quiet)
+    wrong += (1.0 - misalignment) * dark * (1.0 - dark) * quiet
     return wrong / q
 
 

@@ -37,7 +37,9 @@ its sequentially spawned children, and a trace branch that only fills in
 the trace rows of rounds with no click.  The result is defined by the seed
 alone: a trace never changes it, and a run stopped early is a prefix of a
 longer run with the same seed.  The tests check the sampler against a
-per-round reference engine built on the same table.
+per-round reference engine built on the same table.  The trace writer
+gathers each row's bytes by key from a 256-row table, and draws the no-click
+cells a few thousand rows at a time, as it writes them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -217,7 +218,7 @@ _CAT_SC = (_CATS & 1).astype(np.uint8)
 _CAT_TAG = CELL_TAG[_CAT_CELL]
 _CAT_ERR = _CAT_SC != CELL_BIT[_CAT_CELL]
 _CAT_OUTCOME = np.array([Outcome.ZERO, Outcome.ONE, Outcome.DOUBLE, Outcome.DOUBLE])[_CATS & 3]
-_CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_TEXT
+_CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_BYTES
 
 
 class _DetectionTables(NamedTuple):
@@ -276,12 +277,12 @@ def _detections(branch: np.random.SeedSequence, tables: _DetectionTables, horizo
 
 
 # rows end in \r\n, the line end of the default csv dialect
-_TRACE_HEADER = "i,s_a,s_b,basis_a,basis_b,basis_c,outcome,s_c,set_tag\r\n"
+_TRACE_HEADER = b"i,s_a,s_b,basis_a,basis_b,basis_c,outcome,s_c,set_tag\r\n"
 _OUTCOME_NAMES = ("zero", "one", "none", "double")
 _TAG_NAMES = ("X", "YBC", "YAC", "DISCARD")
 
 
-def _row_text(key: int) -> str:
+def _row_text(key: int) -> bytes:
     """Trace row after the index for ``key = cell | outcome << 5 | s_c << 7``."""
     cell, outcome, s_c = key & 31, key >> 5 & 3, key >> 7
     if outcome == Outcome.NONE:
@@ -289,20 +290,45 @@ def _row_text(key: int) -> str:
     else:
         bit, tag = s_c, CELL_TAG[cell]
     bases = ",".join("XY"[b[cell]] for b in _BASES)
-    return (f"{_S_A[cell]},{_S_B[cell]},{bases},{_OUTCOME_NAMES[outcome]},"
-            f"{bit},{_TAG_NAMES[tag]}\r\n")
+    return (f",{_S_A[cell]},{_S_B[cell]},{bases},{_OUTCOME_NAMES[outcome]},"
+            f"{bit},{_TAG_NAMES[tag]}\r\n").encode()
 
 
-_ROW_TEXT = np.array([_row_text(key) for key in range(256)], dtype=object)
+# each key's row text from its comma on, zero-padded to 32 bytes, whole words
+# that the gather copies fastest; no byte of a row is zero
+_ROW_BYTES = np.frombuffer(b"".join(_row_text(key).ljust(32, b"\0") for key in range(256)),
+                           "V32")
+# "0000" to "9999", the last four digits of a row index, as one uint32 each
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_LAST_DIGITS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), -1).view(np.uint32).ravel()
+# trace rows per chunk; divides 10**4, so a chunk's rows differ only in the
+# last four index digits
+_CHUNK_ROWS = 2500
 _NO_DETECTIONS = np.empty(0, np.intp)
+
+
+def _rows(start: int, keys: np.ndarray) -> np.ndarray:
+    """Row bytes from round ``start`` on; the indices differ only in their last four digits."""
+    digits = len(str(start + keys.size - 1))
+    lead = max(digits, 4)
+    rows = np.empty((keys.size, lead + _ROW_BYTES.itemsize), np.uint8)
+    rows[:, lead - 4:lead].view(np.uint32)[:, 0] = _LAST_DIGITS[start % 10_000:][:keys.size]
+    # the digits above the last four, or zero bytes before a short index
+    high = str(start // 10_000).encode() if digits > 4 else bytes(4 - digits)
+    rows[:, :len(high)] = np.frombuffer(high, np.uint8)
+    # keys are below 256; a mode other than "raise" lets take fill out unbuffered
+    np.take(_ROW_BYTES, keys, out=rows[:, lead:].view(_ROW_BYTES.dtype)[:, 0], mode="clip")
+    return rows[rows != 0]
 
 
 class _TraceWriter:
     """Writes one row per round, in order, with rows that did not click filled in.
 
-    The cells of rounds with no click are drawn from the no-click
-    distribution, block ``k`` of ``BLOCK_ROUNDS`` rounds from the ``k``-th
-    child of the trace branch, and only for the rows written.
+    Rows go out as bytes, one write per chunk of at most ``_CHUNK_ROWS``
+    rounds of one index width.  The cells of rounds with no click are drawn
+    from the no-click distribution, block ``k`` of ``BLOCK_ROUNDS`` rounds
+    from the ``k``-th child of the trace branch, a chunk at a time, which
+    gives the same stream as one draw per block.
     """
 
     def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray):
@@ -319,14 +345,13 @@ class _TraceWriter:
             offset = start % BLOCK_ROUNDS
             if offset == 0:
                 self._rng = np.random.default_rng(self._branch.spawn(1)[0])
-            stop = min(end, start - offset + BLOCK_ROUNDS)
+            stop = min(end, start - offset + BLOCK_ROUNDS,
+                       start - start % _CHUNK_ROWS + _CHUNK_ROWS, 10 ** len(str(start)))
             keys = np.searchsorted(self._none_cdf, self._rng.random(stop - start), side="right")
             keys |= Outcome.NONE << 5
             lo, hi = np.searchsorted(pos, (start, stop))
             keys[pos[lo:hi] - start] = _CAT_ROW[cat[lo:hi]]
-            self._fh.writelines(
-                f"{i},{text}" for i, text in zip(count(start), _ROW_TEXT[keys].tolist())
-            )
+            self._fh.write(_rows(start, keys))
             self.written = stop
 
 
@@ -396,7 +421,7 @@ def run_protocol(
     x_cats = []
     rounds = max_rounds
     done = False
-    opened = open(trace_path, "w", newline="") if trace_path is not None else nullcontext()
+    opened = open(trace_path, "wb") if trace_path is not None else nullcontext()
     with opened as fh:
         trace = _TraceWriter(fh, trace_branch, tables.none_cdf) if fh is not None else None
         for pos, cat in _detections(detection_branch, tables, max_rounds):

@@ -137,7 +137,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag,value", [
         ("--px", "0"), ("--px", "1"), ("--px", "2"), ("--px", "-1"), ("--px", "nan"),
-        ("--mu", "inf"), ("--mu", "nan"),
+        ("--mu", "inf"), ("--mu", "nan"), ("--mu", "0"),
     ])
     def test_source_setting_outside_its_domain_exits_3(self, capsys, flag, value):
         code, out, err = run(capsys, ["analyze", TABLE_A9, flag, value])

@@ -233,7 +233,7 @@ class TestExperimentSkr:
         assert r.rate_per_second == pytest.approx(2 * 398.856, rel=1e-9)
 
     @pytest.mark.parametrize("mu,px", [
-        (float("inf"), 0.9), (float("nan"), 0.9), (-1e-4, 0.9),
+        (float("inf"), 0.9), (float("nan"), 0.9), (-1e-4, 0.9), (0.0, 0.9),
         (9e-4, 0.0), (9e-4, 1.0), (9e-4, float("nan")),
     ])
     def test_source_outside_its_domain_rejected(self, fixtures_dir, bench_channel, mu, px):

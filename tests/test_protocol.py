@@ -1,7 +1,10 @@
 """Round-level simulation: encodings, sifting, streams, stopping rules."""
 
 import csv
+import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +26,10 @@ from triqss import (
     verify_correlation,
 )
 from triqss import protocol
+from triqss.cli import main
 
 from per_round_engine import block_tallies, outcome_thresholds, simulate_block
+from per_row_trace import PerRowTraceWriter
 
 LOCAL = ChannelModel(length_km=0.0)  # eta = 0.4, errors at defaults
 BRIGHT = SourceParams(intensity=0.01, px=0.8)
@@ -339,6 +344,72 @@ class TestDetectionSampler:
         assert run.key_a.size == 0
         rows = path.read_text().splitlines()[1:]
         assert len(rows) == 1000 and all(",none,," in r for r in rows)
+
+
+class TestTraceBytes:
+    """The byte writer against the per-row reference it replaced."""
+
+    @staticmethod
+    def _both(tmp_path, monkeypatch, source, **kwargs):
+        files = []
+        for writer in (protocol._TraceWriter, PerRowTraceWriter):
+            monkeypatch.setattr(protocol, "_TraceWriter", writer)
+            path = tmp_path / f"{writer.__name__}.csv"
+            files.append((run_protocol(source, LOCAL, trace_path=path, **kwargs),
+                          path.read_bytes()))
+        (run, data), (ref_run, ref_data) = files
+        assert run.tallies == ref_run.tallies
+        return run, data, ref_data
+
+    def test_index_gains_a_digit(self, tmp_path, monkeypatch):
+        run, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
+                                    seed=5, max_rounds=100_003)
+        assert data == ref
+        assert b"\r\n9999," in data and b"\r\n10000," in data
+        assert b"\r\n99999," in data and data.splitlines()[-1].startswith(b"100002,")
+
+    def test_blocks_and_chunks_split_mid_run(self, tmp_path, monkeypatch):
+        # 777-round blocks cut the 2500-row chunks, and 64-detection chunks
+        # cut both
+        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 777)
+        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 64)
+        _, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
+                                  seed=6, max_rounds=12_345)
+        assert data == ref
+
+    def test_threshold_run_stops_early(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
+        run, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
+                                    seed=8, thresholds=(300, 20, 20))
+        assert data == ref
+        assert len(data.splitlines()) == run.rounds_used + 1
+
+    def test_dense_detections(self, tmp_path, monkeypatch):
+        # mu 0.3 at 0 km: every outcome and both bits of a double click
+        _, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.3, 0.7),
+                                  seed=9, max_rounds=30_000)
+        assert data == ref
+        for text in (b",zero,0,", b",one,1,", b",none,,", b",double,0,", b",double,1,"):
+            assert text in data
+
+    def test_readme_trace_is_pinned(self, tmp_path):
+        path = tmp_path / "rounds.csv"
+        assert main(["simulate", "--seed", "7", "--rounds", "20000", "--length-km", "0",
+                     "--trace", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "69a62d1113368bd833c29f25671641e19fa11dd70498e54f8dce9d196fd4dea2")
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # a writer holding a whole BLOCK_ROUNDS block of keys and uniforms
+        # peaked at about 25 MB
+        tracemalloc.start()
+        try:
+            run_protocol(SourceParams(9e-4, 0.9), LOCAL, seed=5, max_rounds=2_000_000,
+                         trace_path=os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestValidation:
