@@ -5,6 +5,11 @@ Four subcommands: ``simulate`` (round-level protocol simulation),
 (measured count tables to tallies and key rate), and ``kato`` (inspect one
 concentration bound, with a numeric self-check).
 
+A run registers only the flags of the subcommand named by its first
+argument, so argparse builds none of the other three.  With no argument, an
+unknown word or ``-h``/``--help`` first, all four are built, so ``triqss -h``
+and the usage errors list every subcommand.
+
 Settings resolve with precedence command-line flag, then config file
 (``--config``, flat ``key = value`` lines), then built-in default.  The
 effective configuration is echoed as ``#`` comment lines at the top of every
@@ -100,56 +105,70 @@ _SECURITY_FLAGS = (
 )
 
 
-def _subcommand(sub, name: str, help_text: str, *groups) -> argparse.ArgumentParser:
-    """A subcommand parser with ``--config``, ``--out`` and the given flag groups."""
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    for group in groups:
-        for flag, flag_help in group:
-            p.add_argument(flag, type=float, help=flag_help)
-    return p
+# subcommand -> (help, float flag groups, its own flags as (flag, add_argument
+# keywords)); --config and --out come first in every subcommand
+_SUBCOMMANDS = {
+    "simulate": ("simulate protocol rounds", (_SOURCE_FLAGS, _LENGTH_FLAGS, _FIBER_FLAGS), (
+        ("--seed", dict(type=int, help="master seed (required)")),
+        ("--rounds", dict(type=float, help="simulate exactly this many rounds")),
+        ("--nx", dict(type=int, help="X-set detection threshold")),
+        ("--nybc", dict(type=int, help="YBC-set detection threshold")),
+        ("--nyac", dict(type=int, help="YAC-set detection threshold")),
+        ("--max-rounds", dict(type=float, help="round cap in threshold mode")),
+        ("--trace", dict(help="write a per-round trace CSV to this path")),
+    )),
+    "sweep": ("optimized key rate versus distance", (_FIBER_FLAGS, _SECURITY_FLAGS), (
+        ("--N", dict(type=_float_or_inf, dest="n_pulses",
+                     help="total pulses, or 'inf' for the asymptotic curve")),
+        ("--Lmin", dict(type=float, dest="lmin", help="start distance, km")),
+        ("--Lmax", dict(type=float, dest="lmax", help="end distance, km")),
+        ("--step", dict(type=float, help="distance step, km")),
+    )),
+    "analyze": ("analyze measured count tables",
+                (_SOURCE_FLAGS, _LENGTH_FLAGS, _FIBER_FLAGS, _SECURITY_FLAGS), (
+        ("tables", dict(nargs="+", help="count table CSV paths")),
+        ("--N", dict(type=float, dest="n_pulses", help="total emitted pulses")),
+        ("--rep-rate", dict(type=float,
+                            help="pulse rate in Hz for bits-per-second conversion")),
+        ("--analytic-gain", dict(action="store_true",
+                                 help="use the model gain for the coin imbalance "
+                                      "instead of the observed sifted gain")),
+    )),
+    "kato": ("inspect one concentration bound", (), (
+        ("--k", dict(type=float, required=True, help="number of trials")),
+        ("--lam", dict(type=float, required=True, help="observed sum")),
+        ("--eps", dict(type=float, help="failure probability (default 1e-10)")),
+        ("--dir", dict(choices=("upper", "lower"), dest="direction",
+                       help="bound direction (default: upper)")),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``triqss`` parser.
+
+    When ``command`` names a subcommand, only that subcommand's flags are
+    registered; otherwise (``None``, an unknown word, an option) all four
+    subcommands are, so the top-level help and usage errors list them all.
+    """
     parser = _Parser(prog="triqss", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = _subcommand(sub, "simulate", "simulate protocol rounds",
-                        _SOURCE_FLAGS, _LENGTH_FLAGS, _FIBER_FLAGS)
-    p_sim.add_argument("--seed", type=int, help="master seed (required)")
-    p_sim.add_argument("--rounds", type=float, help="simulate exactly this many rounds")
-    p_sim.add_argument("--nx", type=int, help="X-set detection threshold")
-    p_sim.add_argument("--nybc", type=int, help="YBC-set detection threshold")
-    p_sim.add_argument("--nyac", type=int, help="YAC-set detection threshold")
-    p_sim.add_argument("--max-rounds", type=float, dest="max_rounds",
-                       help="round cap in threshold mode")
-    p_sim.add_argument("--trace", help="write a per-round trace CSV to this path")
-
-    p_sweep = _subcommand(sub, "sweep", "optimized key rate versus distance",
-                          _FIBER_FLAGS, _SECURITY_FLAGS)
-    p_sweep.add_argument("--N", type=_float_or_inf, dest="n_pulses",
-                         help="total pulses, or 'inf' for the asymptotic curve")
-    p_sweep.add_argument("--Lmin", type=float, dest="lmin", help="start distance, km")
-    p_sweep.add_argument("--Lmax", type=float, dest="lmax", help="end distance, km")
-    p_sweep.add_argument("--step", type=float, help="distance step, km")
-
-    p_an = _subcommand(sub, "analyze", "analyze measured count tables",
-                       _SOURCE_FLAGS, _LENGTH_FLAGS, _FIBER_FLAGS, _SECURITY_FLAGS)
-    p_an.add_argument("tables", nargs="+", help="count table CSV paths")
-    p_an.add_argument("--N", type=float, dest="n_pulses", help="total emitted pulses")
-    p_an.add_argument("--rep-rate", type=float, dest="rep_rate",
-                      help="pulse rate in Hz for bits-per-second conversion")
-    p_an.add_argument("--analytic-gain", action="store_true", dest="analytic_gain",
-                      help="use the model gain for the coin imbalance "
-                           "instead of the observed sifted gain")
-
-    p_kato = _subcommand(sub, "kato", "inspect one concentration bound")
-    p_kato.add_argument("--k", type=float, required=True, help="number of trials")
-    p_kato.add_argument("--lam", type=float, required=True, help="observed sum")
-    p_kato.add_argument("--eps", type=float, help="failure probability (default 1e-10)")
-    p_kato.add_argument("--dir", choices=("upper", "lower"), dest="direction",
-                        help="bound direction (default: upper)")
+    if command in _SUBCOMMANDS:
+        names = (command,)
+        # the usage line lists every subcommand, as the full parser's does
+        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    else:
+        names, metavar = tuple(_SUBCOMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, groups, flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        for group in groups:
+            for flag, flag_help in group:
+                p.add_argument(flag, type=float, help=flag_help)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -371,8 +390,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     fe = settings.ec_efficiency()
     n_pulses = settings.get("n_pulses", float, 5e10)
     rep_rate = settings.get("rep_rate", float, 1e8)
-    if not n_pulses > 0:
-        raise ParameterError("--N must be positive")
+    if not 0 < n_pulses < math.inf:
+        raise ParameterError("--N must be positive and finite")
     analytic = ns.analytic_gain
     # without --analytic-gain the channel model is never built, so a channel
     # setting from a flag or the config would go unread
@@ -453,7 +472,7 @@ def cmd_kato(ns: argparse.Namespace) -> int:
         "numeric_deviation": numeric.deviation,
         "closed_numeric_rel_diff": abs(closed.deviation - numeric.deviation)
         / max(abs(numeric.deviation), 1e-300),
-        "zero_coeff_deviation": _zero_coeff_deviation(k, math.log(1.0 / eps)),
+        "zero_coeff_deviation": _zero_coeff_deviation(k, -math.log(eps)),
         "azuma_deviation": azuma_deviation(k, eps),
     }
     _emit(ns, _header("kato", settings) + report.render_kv(body))
@@ -469,8 +488,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
     except (NumericalDegeneracyError, DegenerateGainError) as exc:

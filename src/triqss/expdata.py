@@ -233,8 +233,8 @@ def observed_sifted_gain(summary: ExperimentSummary, n_pulses: float, px: float)
     emitted pulses.  A gain above one means the counts cannot come from
     ``n_pulses`` pulses and is rejected.
     """
-    if not n_pulses > 0:
-        raise ParameterError("n_pulses must be positive")
+    if not 0 < n_pulses < math.inf:
+        raise ParameterError("n_pulses must be positive and finite")
     if not 0 < px < 1:
         raise ParameterError("X-basis probability must be in (0, 1)")
     share_x, share_y = set_shares(px)
@@ -265,6 +265,8 @@ def experiment_skr(
     ``n_pulses`` is interpreted as the total number of emitted pulses;
     ``rep_rate_hz`` only converts the per-pulse rate to bits per second.
     """
+    if not 0 < n_pulses < math.inf:
+        raise ParameterError("n_pulses must be positive and finite")
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0):
         raise ParameterError("rep_rate_hz must be finite and positive")
     if budget is None:

@@ -140,6 +140,11 @@ def _a_opt_upper(lam: float, k: float, t: float) -> float:
 def _b_from_constraint(a: float, k: float, t: float, sign: float) -> float:
     """Solve the failure-probability equality for b; sign picks the tail."""
     arg = 18.0 * a * a * k - (16.0 * a * a + sign * 24.0 * a * math.sqrt(k) + 9.0 * k) * t
+    # every a reaches here: an overflow in it (k above about 1e76 for the
+    # closed form) or in a * a * k leaves arg inf or nan
+    if not arg < math.inf:
+        raise NumericalDegeneracyError(
+            "failure-probability constraint overflows at this number of trials")
     if arg < 0.0:
         raise NumericalDegeneracyError("no real b solves the failure-probability constraint")
     return math.sqrt(arg) / (3.0 * math.sqrt(2.0 * k))
@@ -273,7 +278,7 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
     _check_expected(lam_star, k)
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
-    delta = _zero_coeff_deviation(k, math.log(1.0 / eps))
+    delta = _zero_coeff_deviation(k, -math.log(eps))
     if direction == "upper":
         return lam_star + delta
     if direction == "lower":
@@ -290,7 +295,7 @@ def azuma_deviation(k: float, eps: float) -> float:
     _check_trials(k)
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
-    return math.sqrt(2.0 * k * math.log(1.0 / eps))
+    return math.sqrt(-2.0 * k * math.log(eps))
 
 
 @dataclass(frozen=True)
@@ -363,8 +368,12 @@ def phase_error_upper_bound(
 
 
 def _phase_error_logs(budget: EpsilonBudget) -> tuple[float, float]:
-    """``ln(eps_a)`` and ``ln(1 / eps_b)``, the budget terms of the chain."""
-    return math.log(budget.eps_a), math.log(1.0 / budget.eps_b)
+    """``ln(eps_a)`` and ``ln(1 / eps_b)``, the budget terms of the chain.
+
+    ``ln(1 / eps)`` is taken as ``-ln(eps)``: ``1 / eps`` overflows below
+    about 5.6e-309.
+    """
+    return math.log(budget.eps_a), -math.log(budget.eps_b)
 
 
 def _phase_error_chain(
@@ -441,8 +450,12 @@ def _check_ec_efficiency(ec_efficiency: float) -> None:
 
 
 def _key_length_costs(budget: EpsilonBudget) -> tuple[float, float]:
-    """The fixed costs ``log2(2 / eps_c)`` and ``log2(1 / (4 eps_pa^2))``."""
-    return math.log2(2.0 / budget.eps_c), math.log2(1.0 / (4.0 * budget.eps_pa ** 2))
+    """The fixed costs ``log2(2 / eps_c)`` and ``log2(1 / (4 eps_pa^2))``.
+
+    Written as sums of logarithms, since ``2 / eps_c`` overflows and
+    ``eps_pa ** 2`` underflows for tiny failure probabilities.
+    """
+    return 1.0 - math.log2(budget.eps_c), -2.0 - 2.0 * math.log2(budget.eps_pa)
 
 
 def _key_length_raw(

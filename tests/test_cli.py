@@ -2,8 +2,11 @@
 
 import argparse
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -27,7 +30,8 @@ from conftest import FIXTURES
 
 TABLE_A9 = str(FIXTURES / "tableIIIa_mu9e-4.csv")
 ALL_TABLES = sorted(str(p) for p in FIXTURES.glob("tableIII*_mu*.csv"))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 MODEL_FLAGS = ("--mu", "--px", "--loss-db", "--length-km", "--alpha", "--eta-d", "--dark",
                "--ed", "--fe", "--eps-c", "--eps-pa", "--eps-a", "--eps-b")
@@ -40,6 +44,7 @@ UNREAD_FLAGS = (
 VALID_ARGS = {
     "simulate": ["--seed", "1", "--rounds", "10"],
     "sweep": ["--N", "inf", "--Lmax", "0"],
+    "analyze": [TABLE_A9],
     "kato": ["--k", "1e6", "--lam", "5e5"],
 }
 
@@ -80,6 +85,29 @@ class TestKato:
         assert code == EXIT_OK
         expected = math.sqrt(0.5 * k * math.log(1e10))
         assert float(parse_kv(out)["zero_coeff_deviation"]) == pytest.approx(expected, rel=1e-9)
+
+    def test_tiny_eps_gives_finite_deviations(self, capsys):
+        # 1 / eps overflows below about 5.6e-309
+        code, out, _ = run(capsys, ["kato", "--k", "1e6", "--lam", "5e5", "--eps", "1e-320"])
+        assert code == EXIT_OK
+        body = parse_kv(out)
+        expected = math.sqrt(0.5 * 1e6 * -math.log(1e-320))
+        assert float(body["zero_coeff_deviation"]) == pytest.approx(expected, rel=1e-9)
+        assert float(body["azuma_deviation"]) == pytest.approx(2.0 * expected, rel=1e-9)
+
+    @pytest.mark.parametrize("k", ["1e77", "1e200"])
+    def test_overflowing_trial_count_exits_4(self, capsys, k):
+        code, out, err = run(capsys, ["kato", "--k", k, "--lam", str(float(k) / 2)])
+        assert code == EXIT_NUMERIC
+        assert "numerical degeneracy" in err
+        assert out == ""
+
+    def test_largest_decade_without_overflow(self, capsys):
+        code, out, _ = run(capsys, ["kato", "--k", "1e76", "--lam", "5e75"])
+        assert code == EXIT_OK
+        body = parse_kv(out)
+        for name in ("a", "b", "deviation", "bound"):
+            assert math.isfinite(float(body[name]))
 
 
 class TestAnalyze:
@@ -127,7 +155,7 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "input error" in err
 
-    @pytest.mark.parametrize("n_pulses", ["10", "0", "nan"])
+    @pytest.mark.parametrize("n_pulses", ["10", "0", "nan", "inf", "1e400"])
     def test_impossible_pulse_count_exits_3(self, capsys, n_pulses):
         # at N = 10 the sifted counts imply a gain above one per pulse
         code, out, err = run(capsys, ["analyze", TABLE_A9, "--N", n_pulses])
@@ -172,6 +200,24 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "--fe" in err
         assert out == ""
+
+    def test_infinite_pulse_count_with_analytic_gain_exits_3(self, capsys):
+        # the model gain does not read N, which would leave a zero rate
+        code, out, err = run(capsys, ["analyze", TABLE_A9, "--N", "inf", "--analytic-gain"])
+        assert code == EXIT_INPUT
+        assert "--N" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag,eps", [
+        ("--eps-pa", "1e-200"), ("--eps-c", "1e-320"), ("--eps-b", "1e-320"),
+    ])
+    def test_tiny_failure_probability_gives_a_key(self, capsys, flag, eps):
+        # eps_pa ** 2 underflows, 2 / eps_c and 1 / eps_b overflow
+        code, out, _ = run(capsys, ["analyze", TABLE_A9, flag, eps])
+        assert code == EXIT_OK
+        body = parse_kv(out)
+        assert float(body["ep_bar"]) < 0.5
+        assert 0 < int(body["ell"]) < 199428
 
     def test_degenerate_analytic_gain_exits_4(self, capsys):
         code, _, err = run(capsys, ["analyze", TABLE_A9, "--analytic-gain",
@@ -364,6 +410,14 @@ class TestSweep:
         assert "--fe" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag,eps", [("--eps-pa", "1e-200"), ("--eps-b", "1e-320")])
+    def test_tiny_failure_probability_gives_positive_rates(self, capsys, flag, eps):
+        code, out, _ = run(capsys, ["sweep", "--N", "1e10", "--Lmax", "5", flag, eps])
+        assert code == EXIT_OK
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["0", "5"]
+        assert all(int(row[4]) > 0 for row in rows)
+
     def test_length_is_not_echoed(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--N", "inf", "--Lmax", "0"])
         assert code == EXIT_OK
@@ -462,3 +516,85 @@ class TestReadme:
         for name, sub in commands.items():
             flags = {opt for action in sub._actions for opt in action.option_strings}
             assert set(re.findall(r"--?[\w-]+", listed[name])) == flags - {"-h", "--help"}
+
+
+def _subcommand_parsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParserParity:
+    """``build_parser(name)`` parses and reports as the full parser does."""
+
+    @pytest.mark.parametrize("name", list(VALID_ARGS))
+    def test_subcommand_help_is_unchanged(self, name):
+        alone = _subcommand_parsers(build_parser(name))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == _subcommand_parsers(build_parser())[name].format_help()
+        assert build_parser(name).format_usage() == build_parser().format_usage()
+
+    @pytest.mark.parametrize("argv", _readme_commands()
+                             + [[name, *args] for name, args in VALID_ARGS.items()])
+    def test_same_namespace(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["kato", "--k", "1", "--lam", "1", "extra"],
+        ["kato", "--k", "1e6"],
+        ["kato", "--k", "1", "--lam", "1", "--dir", "sideways"],
+        ["analyze"],
+        ["simulate", "--seed", "x"],
+        ["sweep", "--mu", "1"],
+        ["kato", "-h"],
+    ])
+    def test_same_usage_errors_and_help(self, capsys, argv):
+        full = _parse_outcome(build_parser(), argv, capsys)
+        assert _parse_outcome(build_parser(argv[0]), argv, capsys) == full
+        assert isinstance(full[0], int)
+
+    def test_main_registers_only_the_named_subcommand(self, monkeypatch, capsys):
+        kato = _subcommand_parsers(build_parser())["kato"]
+        kato_flags = {opt for action in kato._actions for opt in action.option_strings}
+        registered = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(self, *args, **kwargs):
+            registered.extend(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        assert run(capsys, ["kato", "--k", "1e6", "--lam", "5e5"])[0] == EXIT_OK
+        assert set(registered) == kato_flags
+
+
+class TestModuleEntryPoint:
+    """``python -m triqss.cli``, which reaches ``main`` with ``argv=None``."""
+
+    @staticmethod
+    def cli(*args):
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "triqss.cli", *args], cwd=ROOT, env=env,
+                              capture_output=True, timeout=60)
+
+    def test_kato_reference(self):
+        proc = self.cli("kato", "--k", "1e6", "--lam", "5e5", "--eps", "1e-10")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_bytes()
+
+    def test_top_level_help_lists_every_subcommand(self, monkeypatch):
+        proc = self.cli("--help")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        monkeypatch.setenv("COLUMNS", "80")
+        assert proc.stdout.decode() == build_parser().format_help()
+        assert "{simulate,sweep,analyze,kato}" in proc.stdout.decode()

@@ -174,7 +174,7 @@ class TestObservedGain:
 
     def test_rejects_nonpositive_pulses(self, fixtures_dir):
         s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
-        for bad in (0.0, float("nan")):
+        for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
                 observed_sifted_gain(s, bad, 0.9)
         # more sifted clicks than pulses
@@ -242,6 +242,13 @@ class TestExperimentSkr:
         summary = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")), mu=mu, px=px)
         with pytest.raises(ParameterError):
             experiment_skr(summary, 5e10, channel=bench_channel)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_infinite_pulse_count_rejected(self, fixtures_dir, bench_channel, analytic):
+        # the model gain does not read n_pulses, which would leave a zero rate
+        with pytest.raises(ParameterError):
+            experiment_skr(self.load(fixtures_dir), float("inf"),
+                           channel=bench_channel if analytic else None)
 
     @pytest.mark.parametrize("rep_rate", [float("nan"), 0.0, -1.0])
     def test_bad_rep_rate_rejected(self, fixtures_dir, rep_rate):

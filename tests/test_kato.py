@@ -7,6 +7,7 @@ import pytest
 
 from triqss import (
     EpsilonBudget,
+    NumericalDegeneracyError,
     ParameterError,
     azuma_deviation,
     expected_to_observed,
@@ -95,6 +96,25 @@ class TestClosedFormCoefficients:
         with pytest.raises(ParameterError):
             azuma_deviation(math.inf, 1e-10)
 
+    @pytest.mark.parametrize("k", [1e77, 1e200])
+    @pytest.mark.parametrize("coeffs", [kato_upper_coeffs, kato_lower_coeffs])
+    def test_overflowing_trial_count_is_degenerate(self, coeffs, k):
+        # k * k * lam * (k - lam) overflows; the coefficients would be nan
+        with pytest.raises(NumericalDegeneracyError):
+            coeffs(k / 2, k, 1e-10)
+
+    def test_overflowing_constraint_is_degenerate(self):
+        # the numeric search reaches a = 3 sqrt(k), where a * a * k overflows
+        with pytest.raises(NumericalDegeneracyError):
+            kato_coeffs_numeric(5e199, 1e200, 1e-10, "upper")
+
+    def test_largest_decade_without_overflow(self):
+        for coeffs in (kato_upper_coeffs, kato_lower_coeffs):
+            c = coeffs(5e75, 1e76, 1e-10)
+            assert all(math.isfinite(v) for v in (c.a, c.b, c.deviation))
+            assert c.deviation == pytest.approx(
+                expected_to_observed(0.0, 1e76, 1e-10, "upper"), rel=1e-9)
+
 
 class TestConversions:
     def test_fixed_coefficient_deviation_value(self):
@@ -110,6 +130,12 @@ class TestConversions:
             for eps in GRID_EPS:
                 assert azuma_deviation(k, eps) == pytest.approx(
                     2.0 * math.sqrt(0.5 * k * math.log(1.0 / eps)), rel=1e-14)
+
+    def test_deviations_below_the_reciprocal_overflow(self):
+        # 1 / 1e-320 overflows; the subnormal 1e-320 is stored to about 2e-4
+        dev = expected_to_observed(0.0, 1e6, 1e-320, "upper")
+        assert dev == pytest.approx(math.sqrt(0.5e6 * 320 * math.log(10.0)), rel=1e-6)
+        assert azuma_deviation(1e6, 1e-320) == pytest.approx(2.0 * dev, rel=1e-14)
 
     def test_quadrupling_k_doubles_the_fixed_deviation(self):
         for k in (1e4, 1e6):
@@ -179,6 +205,13 @@ class TestPhaseErrorPipeline:
         bound = phase_error_upper_bound(self.N_X, self.N_Y, 0, 1e-8, self.GAIN, loose)
         assert bound.ep_bar < 1e-4
 
+    def test_tiny_eps_b_keeps_the_bound_below_one(self, budget):
+        tiny = EpsilonBudget(eps_b=1e-320)
+        bound = phase_error_upper_bound(self.N_X, self.N_Y, 111, self.MU, self.GAIN, tiny)
+        default = phase_error_upper_bound(self.N_X, self.N_Y, 111, self.MU, self.GAIN, budget)
+        assert default.ep_bar < bound.ep_bar < 1.0
+        assert not bound.epbar_clamped
+
     def test_saturated_errors_clamp(self, budget):
         bound = phase_error_upper_bound(1000, 50, 50, self.MU, self.GAIN, budget)
         assert bound.ep_bar == 1.0
@@ -210,6 +243,26 @@ class TestKeyLength:
         assert key_length(100, 0.45, 0.2, 1.5, budget) == 0
         raw = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget)
         assert key_length(10 ** 6, 0.1, 0.01, 1.16, budget) == math.floor(raw)
+
+    def test_costs_at_the_default_budget_are_unchanged(self, budget):
+        # the fixed costs, written as sums of logarithms, keep the bits of
+        # log2(2 / eps_c) + log2(1 / (4 eps_pa^2)) at eps = 1e-10
+        raw = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget)
+        h = lambda x: -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+        direct = (10 ** 6 * (1 - h(0.1)) - 10 ** 6 * 1.16 * h(0.01)
+                  - math.log2(2 / 1e-10) - math.log2(1 / (4 * 1e-10 ** 2)))
+        assert raw == direct
+
+    @pytest.mark.parametrize("tiny,cost", [
+        (dict(eps_pa=1e-200), 380 * math.log2(10.0)),
+        (dict(eps_c=1e-320), 310 * math.log2(10.0)),
+    ])
+    def test_tiny_eps_costs_their_bits(self, budget, tiny, cost):
+        # eps_pa ** 2 underflows to zero and 2 / eps_c overflows; the
+        # subnormal 1e-320 is stored to about 2e-4, a few 1e-4 bits
+        raw = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, EpsilonBudget(**tiny))
+        assert raw == pytest.approx(key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget) - cost,
+                                    abs=1e-3)
 
     def test_rejects_inefficient_correction(self, budget):
         for fe in (0.9, math.nan, math.inf):
