@@ -31,15 +31,21 @@ writer and the count-table reader all read this table.
 ``run_protocol`` draws only the rounds that click.  Rounds are i.i.d., so
 the gaps between detections are Geometric(p_det) and each detection is a
 categorical draw over the table's cells and outcomes; this is exact in
-distribution and costs work per detection, not per round.  The seed spawns
-a detection branch, drawn in chunks of ``CHUNK_DETECTIONS`` detections from
-its sequentially spawned children, and a trace branch that only fills in
-the trace rows of rounds with no click.  The result is defined by the seed
-alone: a trace never changes it, and a run stopped early is a prefix of a
-longer run with the same seed.  The tests check the sampler against a
-per-round reference engine built on the same table.  The trace writer
-gathers each row's bytes by key from a 256-row table, and draws the no-click
-cells a few thousand rows at a time, as it writes them.
+distribution and costs work per detection, not per round.  The
+distributions for one source and channel, and a guide table of
+``_GUIDE_BINS`` bins for each (Chen & Asau's indexed search, which starts
+each categorical draw at the right category or just below it), come from a
+small cache keyed by the frozen parameters and are read-only.  Detection
+chunk ``k`` of ``CHUNK_DETECTIONS`` detections draws from
+``SeedSequence(seed, spawn_key=(0, k))`` and trace block ``k`` from
+``spawn_key=(1, k)``: the children that spawning a detection branch and a
+trace branch from the seed, and then one child at a time from each, would
+give.  The result is defined by the seed alone: a trace never changes it,
+and a run stopped early is a prefix of a longer run with the same seed.
+The tests check the sampler against a per-round reference engine built on
+the same table.  The trace writer gathers each row's bytes by key from a
+256-row table, and draws the no-click cells a few thousand rows at a time,
+as it writes them.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -73,10 +81,9 @@ __all__ = [
     "verify_correlation",
 ]
 
-# detections per chunk; chunk k draws from the k-th child of the detection branch
+# detections per chunk; chunk k draws from spawn key (0, k) of the seed
 CHUNK_DETECTIONS = 4096
-# trace rows per block; block k draws its no-click rows from the k-th child
-# of the trace branch
+# trace rows per block; block k draws its no-click rows from spawn key (1, k)
 BLOCK_ROUNDS = 1_000_000
 # most rounds one run may cover; keeps round positions far inside int64
 MAX_ROUNDS = 2 ** 50
@@ -107,6 +114,15 @@ class SetThresholds:
     n_yac: int
 
     def __post_init__(self):
+        for name in ("n_x", "n_ybc", "n_yac"):
+            value = getattr(self, name)
+            try:
+                whole = int(value) == value   # int() raises on NaN and infinities
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise ParameterError(f"set thresholds must be whole numbers: {name} = {value!r}")
+            object.__setattr__(self, name, int(value))
         if min(self.n_x, self.n_ybc, self.n_yac) < 1:
             raise ParameterError("set thresholds must be at least 1")
 
@@ -224,9 +240,17 @@ _CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_BYTES
 class _DetectionTables(NamedTuple):
     """What one round does, as the distributions the sampler draws from."""
 
-    p_det: float           # probability that a round clicks at all
-    cdf: np.ndarray        # over the 128 detected categories
-    none_cdf: np.ndarray   # over the 32 cells, for rounds with no click
+    p_det: float             # probability that a round clicks at all
+    cdf: np.ndarray          # over the 128 detected categories
+    none_cdf: np.ndarray     # over the 32 cells, for rounds with no click
+    guide: np.ndarray        # guide table of cdf
+    none_guide: np.ndarray   # guide table of none_cdf
+
+
+# bins of a guide table; a power of two, so u * _GUIDE_BINS and j / _GUIDE_BINS
+# are exact
+_GUIDE_BINS = 4096
+_BIN_EDGES = np.arange(_GUIDE_BINS) / _GUIDE_BINS
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:
@@ -236,8 +260,32 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1] if cdf[-1] > 0.0 else np.ones_like(cdf)
 
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Entry ``j``: the first category whose ``cdf`` exceeds ``j / _GUIDE_BINS``.
+
+    A variate in bin ``j`` lands on that category or a later one, but not
+    past entry ``j + 1``; ``cdf[-1] == 1`` keeps every entry a valid category.
+    """
+    return np.searchsorted(cdf, _BIN_EDGES, side="right")
+
+
+def _draw(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for variates in [0, 1), by guide table.
+
+    Each variate starts at its bin's guide entry, which is already the
+    answer unless the bin holds a category edge at or below the variate;
+    only those few are searched.
+    """
+    cat = guide[(u * _GUIDE_BINS).astype(np.intp)]
+    short = cdf[cat] <= u
+    if short.any():
+        cat[short] = np.searchsorted(cdf, u[short], side="right")
+    return cat
+
+
+@lru_cache(maxsize=16)
 def _detection_tables(source: SourceParams, channel: ChannelModel) -> _DetectionTables:
-    """Round table weights for one source and channel.
+    """Round table weights for one source and channel, cached and read-only.
 
     ``p_det`` sums every detected category, double clicks included, so it
     sits slightly above :func:`~triqss.optics.gain`, which counts single
@@ -249,31 +297,60 @@ def _detection_tables(source: SourceParams, channel: ChannelModel) -> _Detection
     half_double = 0.5 * p.double
     weights = (p_cell[:, None] * np.stack([p.only0, p.only1, half_double, half_double], 1)).ravel()
     p_det = min(1.0, float(weights.sum()))
-    return _DetectionTables(p_det, _cdf(weights), _cdf(p_cell * p.none))
+    cdf, none_cdf = _cdf(weights), _cdf(p_cell * p.none)
+    arrays = (cdf, none_cdf, _guide(cdf), _guide(none_cdf))
+    for a in arrays:
+        a.flags.writeable = False   # every caller shares the cached arrays
+    return _DetectionTables(p_det, *arrays)
 
 
-def _detections(branch: np.random.SeedSequence, tables: _DetectionTables, horizon: int):
+def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Generator of the seed's descendant at ``spawn_key``, without spawning its ancestors."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+def _detections(seed: int, tables: _DetectionTables, horizon: int):
     """Positions and categories of the detected rounds below ``horizon``.
 
-    Yields one chunk of ``CHUNK_DETECTIONS`` detections at a time, each drawn
-    from the next child of ``branch``: the gaps between detections are
-    Geometric(p_det), and each detection is a categorical draw.
+    Yields one chunk of ``CHUNK_DETECTIONS`` detections at a time, chunk
+    ``k`` drawn from spawn key ``(0, k)`` of ``seed``: the gaps between
+    detections are Geometric(p_det), and each detection is a categorical
+    draw by guide table, equal to a binary search of ``tables.cdf``.
     """
     if tables.p_det == 0.0:   # nothing clicks; geometric(0) would raise
         return
     last = -1
-    while True:
-        rng = np.random.default_rng(branch.spawn(1)[0])
+    for k in count():
+        rng = _generator(seed, 0, k)
         # a gap beyond MAX_ROUNDS passes any horizon, so clipping it changes
         # nothing kept and keeps the positions inside int64
         gaps = np.minimum(rng.geometric(tables.p_det, CHUNK_DETECTIONS), MAX_ROUNDS + 1)
-        cat = np.searchsorted(tables.cdf, rng.random(CHUNK_DETECTIONS), side="right")
+        cat = _draw(tables.cdf, tables.guide, rng.random(CHUNK_DETECTIONS))
         pos = last + np.cumsum(gaps)
         keep = int(np.searchsorted(pos, horizon))
         yield pos[:keep], cat[:keep]
         if keep < CHUNK_DETECTIONS:
             return
         last = int(pos[-1])
+
+
+def _stop(n: np.ndarray, tag: np.ndarray, thresholds: SetThresholds) -> int | None:
+    """Detections of a chunk up to the one that meets every threshold, if one does.
+
+    ``n`` counts the detections per set tag before the chunk and ``tag``
+    holds the chunk's set tags.  The stop is the latest of the unmet sets'
+    ``need``-th hits.
+    """
+    last = -1
+    # in set tag order: X_SET, YBC_SET, YAC_SET
+    for t, target in enumerate((thresholds.n_x, thresholds.n_ybc, thresholds.n_yac)):
+        need = target - int(n[t])
+        if need > 0:
+            hits = np.flatnonzero(tag == t)
+            if hits.size < need:
+                return None
+            last = max(last, int(hits[need - 1]))
+    return last + 1
 
 
 # rows end in \r\n, the line end of the default csv dialect
@@ -326,13 +403,15 @@ class _TraceWriter:
 
     Rows go out as bytes, one write per chunk of at most ``_CHUNK_ROWS``
     rounds of one index width.  The cells of rounds with no click are drawn
-    from the no-click distribution, block ``k`` of ``BLOCK_ROUNDS`` rounds
-    from the ``k``-th child of the trace branch, a chunk at a time, which
-    gives the same stream as one draw per block.
+    by guide table from the no-click distribution, block ``k`` of
+    ``BLOCK_ROUNDS`` rounds from the ``k``-th child of the trace branch, a
+    chunk at a time, which gives the same stream as one draw per block.
     """
 
-    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray):
-        self._fh, self._branch, self._none_cdf = fh, branch, none_cdf
+    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray,
+                 none_guide: np.ndarray):
+        self._fh, self._branch = fh, branch
+        self._none_cdf, self._none_guide = none_cdf, none_guide
         self._rng = None
         self.written = 0
         fh.write(_TRACE_HEADER)
@@ -344,10 +423,11 @@ class _TraceWriter:
             start = self.written
             offset = start % BLOCK_ROUNDS
             if offset == 0:
-                self._rng = np.random.default_rng(self._branch.spawn(1)[0])
+                self._rng = _generator(self._branch.entropy, *self._branch.spawn_key,
+                                       start // BLOCK_ROUNDS)
             stop = min(end, start - offset + BLOCK_ROUNDS,
                        start - start % _CHUNK_ROWS + _CHUNK_ROWS, 10 ** len(str(start)))
-            keys = np.searchsorted(self._none_cdf, self._rng.random(stop - start), side="right")
+            keys = _draw(self._none_cdf, self._none_guide, self._rng.random(stop - start))
             keys |= Outcome.NONE << 5
             lo, hi = np.searchsorted(pos, (start, stop))
             keys[pos[lo:hi] - start] = _CAT_ROW[cat[lo:hi]]
@@ -381,18 +461,22 @@ def run_protocol(
         attached.  When ``None``, exactly ``max_rounds`` rounds are
         simulated.
     seed:
-        Master seed, a nonnegative integer.  It spawns a detection branch,
-        drawn in chunks of ``CHUNK_DETECTIONS`` detections from sequentially
-        spawned children, and a trace branch that only fills in trace rows.
-        The result depends on the seed alone, with or without a trace, and
-        any run is a prefix of a longer run with the same seed.
+        Master seed, a nonnegative integer.  Detection chunk ``k`` of
+        ``CHUNK_DETECTIONS`` detections draws from
+        ``SeedSequence(seed, spawn_key=(0, k))``; trace block ``k`` of
+        ``BLOCK_ROUNDS`` rounds, which only fills in trace rows, from
+        ``spawn_key=(1, k)``.  The result depends on the seed alone, with or
+        without a trace, and any run is a prefix of a longer run with the
+        same seed.
     trace_path:
         Optional CSV path with one row per simulated round and the dealer's
         raw bit before the YAC flip.  Rows of rounds with no click are drawn
         from the no-click distribution.
     """
-    if seed < 0:
-        raise ParameterError("seed must be nonnegative")
+    # checked before a trace file is opened: SeedSequence rejects a float
+    # seed only once a generator is made
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError("seed must be a nonnegative integer")
     if thresholds is not None and not isinstance(thresholds, SetThresholds):
         thresholds = SetThresholds(*thresholds)
     if thresholds is None and max_rounds is None:
@@ -415,7 +499,6 @@ def run_protocol(
         max_rounds = math.ceil(cap) if cap < MAX_ROUNDS else MAX_ROUNDS
 
     tables = _detection_tables(source, channel)
-    detection_branch, trace_branch = np.random.SeedSequence(seed).spawn(2)
     n = np.zeros(4, np.int64)   # detections per set tag
     m = np.zeros(4, np.int64)   # errors per set tag
     x_cats = []
@@ -423,17 +506,15 @@ def run_protocol(
     done = False
     opened = open(trace_path, "wb") if trace_path is not None else nullcontext()
     with opened as fh:
-        trace = _TraceWriter(fh, trace_branch, tables.none_cdf) if fh is not None else None
-        for pos, cat in _detections(detection_branch, tables, max_rounds):
+        trace = None
+        if fh is not None:
+            trace = _TraceWriter(fh, np.random.SeedSequence(seed, spawn_key=(1,)),
+                                 tables.none_cdf, tables.none_guide)
+        for pos, cat in _detections(seed, tables, max_rounds):
             tag = _CAT_TAG[cat]
             if thresholds is not None:
-                met = (
-                    (n[SetTag.X_SET] + np.cumsum(tag == SetTag.X_SET) >= thresholds.n_x)
-                    & (n[SetTag.YBC_SET] + np.cumsum(tag == SetTag.YBC_SET) >= thresholds.n_ybc)
-                    & (n[SetTag.YAC_SET] + np.cumsum(tag == SetTag.YAC_SET) >= thresholds.n_yac)
-                )
-                if met.any():
-                    keep = int(np.argmax(met)) + 1
+                keep = _stop(n, tag, thresholds)
+                if keep is not None:
                     pos, cat, tag = pos[:keep], cat[:keep], tag[:keep]
                     rounds = int(pos[-1]) + 1
                     done = True

@@ -38,7 +38,8 @@ _ROW_TEXT = np.array([row_text(key) for key in range(256)], dtype=object)
 class PerRowTraceWriter:
     """Drop-in for ``protocol._TraceWriter`` on a file opened ``"wb"``."""
 
-    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray):
+    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray,
+                 none_guide: np.ndarray = None):
         self._fh, self._branch, self._none_cdf = fh, branch, none_cdf
         self._rng = None
         self.written = 0

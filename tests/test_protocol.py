@@ -5,9 +5,12 @@ import hashlib
 import math
 import os
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from triqss import (
     Basis,
@@ -28,6 +31,7 @@ from triqss import (
 from triqss import protocol
 from triqss.cli import main
 
+from cumsum_stop import cumsum_stop
 from per_round_engine import block_tallies, outcome_thresholds, simulate_block
 from per_row_trace import PerRowTraceWriter
 
@@ -37,6 +41,13 @@ BRIGHT = SourceParams(intensity=0.01, px=0.8)
 
 def _cell(s_a, s_b, basis_a, basis_b, basis_c):
     return s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4
+
+
+def _same_run(a, b):
+    assert a.tallies == b.tallies
+    assert a.rounds_used == b.rounds_used
+    for x, y in ((a.key_a, b.key_a), (a.key_b, b.key_b), (a.key_c, b.key_c)):
+        assert np.array_equal(x, y)
 
 
 def _arm_phases(cell):
@@ -118,10 +129,30 @@ class TestRunProtocol:
     def test_deterministic_for_fixed_seed(self):
         a = run_protocol(BRIGHT, LOCAL, seed=42, max_rounds=300_000)
         b = run_protocol(BRIGHT, LOCAL, seed=42, max_rounds=300_000)
-        assert a.tallies == b.tallies
-        assert np.array_equal(a.key_a, b.key_a)
-        assert np.array_equal(a.key_b, b.key_b)
-        assert np.array_equal(a.key_c, b.key_c)
+        _same_run(a, b)
+
+    def test_readme_threshold_run_is_pinned(self, capsys):
+        # the README's threshold example, about 3e8 rounds at 30 dB
+        assert main(["simulate", "--seed", "7", "--nx", "5000", "--nybc", "50", "--nyac", "50",
+                     "--max-rounds", "1e9", "--mu", "9e-4", "--px", "0.9",
+                     "--loss-db", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "rounds_used = 295341890" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d86151d99db687c2f576ab3c1857ec190e1fa1b6160ba594bb74583c7b906398")
+
+    def test_spawn_keys_are_the_spawned_children(self):
+        # chunk k of branch b is the k-th child spawned one at a time from
+        # the b-th of two branches of the seed
+        for seed in (0, 7, 2 ** 62 + 3):
+            branches = np.random.SeedSequence(seed).spawn(2)
+            for b, branch in enumerate(branches):
+                for k in range(3):
+                    child = branch.spawn(1)[0]
+                    direct = np.random.SeedSequence(seed, spawn_key=(b, k))
+                    assert np.array_equal(child.generate_state(8), direct.generate_state(8))
+                    assert (protocol._generator(seed, b, k).random(4)
+                            == np.random.default_rng(child).random(4)).all()
 
     def test_block_boundaries_do_not_leak(self, tmp_path, monkeypatch):
         # a threshold run that stops inside the third trace block replays the
@@ -154,11 +185,7 @@ class TestRunProtocol:
         plain = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20))
         traced = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20),
                               trace_path=tmp_path / "trace.csv")
-        assert plain.tallies == traced.tallies
-        assert plain.rounds_used == traced.rounds_used
-        for a, b in ((plain.key_a, traced.key_a), (plain.key_b, traced.key_b),
-                     (plain.key_c, traced.key_c)):
-            assert np.array_equal(a, b)
+        _same_run(plain, traced)
 
     def test_same_child_seed_same_block(self):
         ss = np.random.SeedSequence(123)
@@ -346,6 +373,132 @@ class TestDetectionSampler:
         assert len(rows) == 1000 and all(",none,," in r for r in rows)
 
 
+# the largest variate a generator returns
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-300, 2e-300), st.floats(0.0, 1.0))
+
+
+def _edge_variates(cdf):
+    """Variates on, just below and just above every bin edge and category edge."""
+    edges = np.concatenate([protocol._BIN_EDGES, cdf])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                        [0.0, _BELOW_ONE]])
+    return u[u < 1.0]
+
+
+class TestGuideDraw:
+    """The guide table draw must equal the binary search it replaces."""
+
+    @staticmethod
+    def _check(cdf, guide, u):
+        assert np.array_equal(protocol._draw(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+
+    def _check_weights(self, weights, extra=()):
+        cdf = protocol._cdf(np.asarray(weights, dtype=float))
+        u = np.concatenate([_edge_variates(cdf), np.asarray(extra, dtype=float)])
+        self._check(cdf, protocol._guide(cdf), u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.lists(_WEIGHT, min_size=1, max_size=140), st.integers(0, 4),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    def test_matches_the_binary_search(self, lead, weights, trail, extra):
+        # zero weights, leading and trailing ones included, and weights near 1e-300
+        self._check_weights([0.0] * lead + weights + [0.0] * trail, extra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 68), min_size=1, max_size=60))
+    def test_category_edges_on_bin_edges(self, counts):
+        # whole weights summing to 4096 put every cdf entry on a multiple of 1/4096
+        weights = counts + [4096 - sum(counts)]
+        cdf = protocol._cdf(np.array(weights, dtype=float))
+        assert np.array_equal(cdf * 4096, np.cumsum(weights))
+        self._check_weights(weights)
+
+    def test_all_zero_weights(self):
+        cdf = protocol._cdf(np.zeros(32))
+        assert (cdf == 1.0).all()
+        self._check_weights(np.zeros(32))
+        assert not protocol._draw(cdf, protocol._guide(cdf), _edge_variates(cdf)).any()
+
+    def test_round_table_distributions(self, bench_channel):
+        rng = np.random.default_rng(17)
+        for src, channel in ((SourceParams(9e-4, 0.9), bench_channel),
+                             (SourceParams(0.5, 0.7), LOCAL), (BRIGHT, LOCAL)):
+            tables = protocol._detection_tables(src, channel)
+            for cdf, guide in ((tables.cdf, tables.guide), (tables.none_cdf, tables.none_guide)):
+                self._check(cdf, guide, np.concatenate([_edge_variates(cdf), rng.random(100_000)]))
+
+
+class TestStopRule:
+    """The stop search against the running-count rule in ``cumsum_stop``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=60),
+           st.tuples(*[st.integers(0, 6)] * 3), st.tuples(*[st.integers(1, 12)] * 3))
+    def test_matches_the_running_counts(self, tags, before, targets):
+        # a run stops in the chunk that meets its thresholds, so no chunk
+        # starts with all of them met
+        assume(any(b < t for b, t in zip(before, targets)))
+        n = np.array([*before, 0], np.int64)
+        tag = np.array(tags, np.uint8)
+        th = SetThresholds(*targets)
+        assert protocol._stop(n, tag, th) == cumsum_stop(n, tag, th)
+
+    def test_met_on_the_first_detection(self):
+        # X and YBC are met before the chunk; its first detection completes YAC
+        n = np.array([5, 1, 0, 0], np.int64)
+        tag = np.array([SetTag.YAC_SET, SetTag.X_SET, SetTag.DISCARD], np.uint8)
+        th = SetThresholds(5, 1, 1)
+        assert protocol._stop(n, tag, th) == cumsum_stop(n, tag, th) == 1
+
+    @pytest.mark.parametrize("stop", [64, 127, 4 * 64 + 10],
+                             ids=["first-of-chunk", "chunk-edge", "several-chunks"])
+    def test_runs_match_the_running_counts(self, monkeypatch, stop):
+        # thresholds met exactly at detection ``stop`` of 64-detection chunks;
+        # the first seed whose detection there falls in a sifted set
+        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 64)
+        src = SourceParams(0.05, 0.5)
+        tables = protocol._detection_tables(src, LOCAL)
+        for seed in range(100):
+            chunks = islice(protocol._detections(seed, tables, protocol.MAX_ROUNDS), stop // 64 + 1)
+            pos, cat = map(np.concatenate, zip(*chunks))
+            tags = protocol._CAT_TAG[cat[:stop + 1]]
+            counts = [int((tags == t).sum()) for t in range(3)]
+            if tags[-1] != SetTag.DISCARD and min(counts) >= 1:
+                break
+        th = SetThresholds(*counts)
+        run = run_protocol(src, LOCAL, seed=seed, thresholds=th)
+        assert run.rounds_used == pos[stop] + 1
+        monkeypatch.setattr(protocol, "_stop", cumsum_stop)
+        _same_run(run, run_protocol(src, LOCAL, seed=seed, thresholds=th))
+
+    def test_benchmark_runs_match_the_running_counts(self, monkeypatch, bench_channel):
+        src, th = SourceParams(9e-4, 0.9), SetThresholds(200, 1, 1)
+        runs = [run_protocol(src, bench_channel, seed=seed, thresholds=th) for seed in range(30)]
+        monkeypatch.setattr(protocol, "_stop", cumsum_stop)
+        for seed, run in enumerate(runs):
+            _same_run(run, run_protocol(src, bench_channel, seed=seed, thresholds=th))
+
+
+class TestDetectionTables:
+    def test_cached_arrays_are_read_only(self):
+        tables = protocol._detection_tables(BRIGHT, LOCAL)
+        for a in (tables.cdf, tables.none_cdf, tables.guide, tables.none_guide):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_equal_parameters_give_an_identical_run(self, bench_channel):
+        src, twin = SourceParams(9e-4, 0.9), SourceParams(9e-4, 0.9)
+        assert src == twin and src is not twin
+        first = run_protocol(src, bench_channel, seed=3, thresholds=(200, 1, 1))
+        assert protocol._detection_tables(src, bench_channel) is \
+            protocol._detection_tables(twin, ChannelModel(length_km=bench_channel.length_km))
+        _same_run(first, run_protocol(twin, bench_channel, seed=3, thresholds=(200, 1, 1)))
+        protocol._detection_tables.cache_clear()
+        _same_run(first, run_protocol(twin, bench_channel, seed=3, thresholds=(200, 1, 1)))
+
+
 class TestTraceBytes:
     """The byte writer against the per-row reference it replaced."""
 
@@ -416,6 +569,27 @@ class TestValidation:
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ParameterError):
             SetThresholds(n_x=0, n_ybc=1, n_yac=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5])
+    def test_thresholds_must_be_whole_and_finite(self, bad):
+        # NaN once passed and, with no max_rounds, set a 2**50-round cap
+        for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(ParameterError):
+                SetThresholds(*args)
+        with pytest.raises(ParameterError):
+            run_protocol(BRIGHT, LOCAL, seed=1, thresholds=(bad, 1, 1))
+
+    def test_whole_float_thresholds_become_ints(self):
+        th = SetThresholds(5.0, 1, np.int64(2))
+        assert th == SetThresholds(5, 1, 2)
+        assert all(type(v) is int for v in (th.n_x, th.n_ybc, th.n_yac))
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, math.nan])
+    def test_seed_is_checked_before_the_trace_opens(self, tmp_path, bad):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ParameterError):
+            run_protocol(BRIGHT, LOCAL, seed=bad, max_rounds=100, trace_path=path)
+        assert not path.exists()
 
     def test_key_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
