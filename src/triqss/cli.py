@@ -39,8 +39,8 @@ from .errors import (
 )
 from .finitekey import (
     EpsilonBudget,
-    _zero_coeff_deviation,
     azuma_deviation,
+    expected_to_observed,
     kato_coeffs_numeric,
     kato_lower_coeffs,
     kato_upper_coeffs,
@@ -472,7 +472,7 @@ def cmd_kato(ns: argparse.Namespace) -> int:
         "numeric_deviation": numeric.deviation,
         "closed_numeric_rel_diff": abs(closed.deviation - numeric.deviation)
         / max(abs(numeric.deviation), 1e-300),
-        "zero_coeff_deviation": _zero_coeff_deviation(k, -math.log(eps)),
+        "zero_coeff_deviation": expected_to_observed(0.0, k, eps, "upper"),
         "azuma_deviation": azuma_deviation(k, eps),
     }
     _emit(ns, _header("kato", settings) + report.render_kv(body))

@@ -31,7 +31,7 @@ against a direct numerical minimization (``kato_coeffs_numeric``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import NumericalDegeneracyError, ParameterError
 from .optics import binary_entropy, coin_imbalance, phase_error_terms
@@ -68,6 +68,13 @@ class EpsilonBudget:
         Failure of the observed-to-expected concentration step.
     eps_b:
         Failure of the expected-to-observed concentration step.
+
+    Building a budget derives its terms once, as private attributes that are
+    not fields (so not in ``__init__``, ``repr`` or ``==``): ``ln(eps_a)`` and
+    ``-ln(eps_b)`` for the concentration steps, and the key-length costs
+    ``log2(2 / eps_c)`` and ``log2(1 / (4 eps_pa^2))``, written as sums of
+    logarithms since ``1 / eps_b`` and ``2 / eps_c`` overflow and
+    ``eps_pa ** 2`` underflows for tiny failure probabilities.
     """
 
     eps_c: float = 1e-10
@@ -82,6 +89,11 @@ class EpsilonBudget:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ParameterError(f"{name} must be in (0, 1)")
+        # the derived terms; frozen, so set past the dataclass's __setattr__
+        object.__setattr__(self, "_log_eps_a", math.log(self.eps_a))
+        object.__setattr__(self, "_log_inv_eps_b", -math.log(self.eps_b))
+        object.__setattr__(self, "_cost_c", 1.0 - math.log2(self.eps_c))
+        object.__setattr__(self, "_cost_pa", -2.0 - 2.0 * math.log2(self.eps_pa))
 
     @property
     def eps_phase(self) -> float:
@@ -151,8 +163,10 @@ def _b_from_constraint(a: float, k: float, t: float, sign: float) -> float:
 
 
 def _deviation(a: float, b: float, lam: float, k: float) -> float:
-    """Additive bound ``(b + a(2 lam / k - 1)) sqrt(k)`` at the observed sum ``lam``."""
-    return (b + a * (2.0 * lam / k - 1.0)) * math.sqrt(k)
+    """Additive bound ``(b + a(2 lam / k - 1)) sqrt(k)`` at the observed sum ``lam``,
+    nonnegative as ``b >= |a|``: a rounding residue where it cancels is clamped at 0."""
+    dev = (b + a * (2.0 * lam / k - 1.0)) * math.sqrt(k)
+    return dev if dev > 0.0 else 0.0
 
 
 def _upper_coeffs(lam: float, k: float, t: float) -> tuple[float, float, float]:
@@ -257,12 +271,6 @@ def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> fl
     raise ParameterError("direction must be 'upper' or 'lower'")
 
 
-def _check_expected(lam_star: float, k: float) -> None:
-    _check_trials(k)
-    if lam_star < 0:
-        raise ParameterError("expected sum must be nonnegative")
-
-
 def _zero_coeff_deviation(k: float, log_inv_eps: float) -> float:
     """Deviation ``sqrt(k ln(1/eps) / 2)`` of the zero-coefficient bound."""
     return math.sqrt(0.5 * k * log_inv_eps)
@@ -275,7 +283,9 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
     unavailable; the zero-``a`` bound gives a deviation of
     ``sqrt(k ln(1/eps) / 2)`` independent of the observation.
     """
-    _check_expected(lam_star, k)
+    _check_trials(k)
+    if lam_star < 0:
+        raise ParameterError("expected sum must be nonnegative")
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
     delta = _zero_coeff_deviation(k, -math.log(eps))
@@ -319,14 +329,7 @@ class PhaseErrorBound:
     epbar_clamped: bool = False
 
     def as_report(self, prefix: str = "") -> dict:
-        out = {}
-        for name in (
-            "n_x", "n_y", "m_y", "m_y_expected", "eb_y_expected", "delta",
-            "ep_expected", "m_p_expected", "m_p_observed", "ep_bar",
-            "eps_a", "eps_b", "eby_clamped", "ep_clamped", "epbar_clamped",
-        ):
-            out[prefix + name] = getattr(self, name)
-        return out
+        return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def phase_error_upper_bound(
@@ -355,7 +358,7 @@ def phase_error_upper_bound(
     """
     (m_y_expected, eb_y_expected, delta, ep_raw, ep_expected,
      m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(
-        n_x, n_y, m_y, mu, gain_value, *_phase_error_logs(budget))
+        n_x, n_y, m_y, mu, gain_value, budget)
     return PhaseErrorBound(
         n_x=n_x, n_y=n_y, m_y=m_y,
         m_y_expected=m_y_expected, eb_y_expected=eb_y_expected, delta=delta,
@@ -367,40 +370,29 @@ def phase_error_upper_bound(
     )
 
 
-def _phase_error_logs(budget: EpsilonBudget) -> tuple[float, float]:
-    """``ln(eps_a)`` and ``ln(1 / eps_b)``, the budget terms of the chain.
-
-    ``ln(1 / eps)`` is taken as ``-ln(eps)``: ``1 / eps`` overflows below
-    about 5.6e-309.
-    """
-    return math.log(budget.eps_a), -math.log(budget.eps_b)
-
-
 def _phase_error_chain(
     n_x: float,
     n_y: float,
     m_y: float,
     mu: float,
     gain_value: float,
-    log_eps_a: float,
-    log_inv_eps_b: float,
+    budget: EpsilonBudget,
 ) -> tuple:
     """Float core of :func:`phase_error_upper_bound`.
 
-    Takes the budget as :func:`_phase_error_logs` and returns the
-    intermediates ``(m_y_expected, eb_y_expected, delta, ep_raw,
+    Reads the budget's derived ``ln(eps_a)`` and ``-ln(eps_b)`` and returns
+    the intermediates ``(m_y_expected, eb_y_expected, delta, ep_raw,
     ep_expected, m_p_expected, m_p_observed, ep_bar)``, ``ep_raw`` being the
-    unclamped phase error rate.  Checks the counts as the public steps do;
-    the budget is checked when it is built.
+    unclamped phase error rate.  Checks the counts once, here, for what the
+    public steps check; the budget is checked when it is built.
     """
-    if n_x <= 0 or n_y <= 0:
-        raise ParameterError("detection counts must be positive")
+    if not (0 < n_x < math.inf and 0 < n_y < math.inf):
+        raise ParameterError("detection counts must be positive and finite")
     if not 0 <= m_y <= n_y:
         raise ParameterError("error count must lie in [0, n_y]")
 
     # step 1: observed Y errors -> expected, as observed_to_expected(upper)
-    _check_trials(n_y)
-    m_y_expected = m_y + _upper_coeffs(m_y, n_y, log_eps_a)[2]
+    m_y_expected = m_y + _upper_coeffs(m_y, n_y, budget._log_eps_a)[2]
     eb_y_expected = min(m_y_expected / n_y, 1.0)
 
     # step 2: expected Y error rate -> expected phase error rate
@@ -408,10 +400,10 @@ def _phase_error_chain(
     ep_raw = math.fsum(phase_error_terms(eb_y_expected, delta))
     ep_expected = min(ep_raw, 1.0)
 
-    # step 3: expected phase errors -> observed, as expected_to_observed(upper)
+    # step 3: expected phase errors -> observed, as expected_to_observed(upper);
+    # ep_expected >= 0, a convex mix of eb_y and 1 - eb_y plus a third term >= 0
     m_p_expected = ep_expected * n_x
-    _check_expected(m_p_expected, n_x)
-    m_p_observed = m_p_expected + _zero_coeff_deviation(n_x, log_inv_eps_b)
+    m_p_observed = m_p_expected + _zero_coeff_deviation(n_x, budget._log_inv_eps_b)
     ep_bar = min(m_p_observed / n_x, 1.0)
     return (m_y_expected, eb_y_expected, delta, ep_raw, ep_expected,
             m_p_expected, m_p_observed, ep_bar)
@@ -434,51 +426,17 @@ def key_length_raw(
     artifact of the entropy function, not recovered secrecy; without the cap
     the expression would grow again as ep_bar -> 1 and break monotonicity.
     """
-    _check_key_length_args(n_x, ec_efficiency)
-    return _key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, _key_length_costs(budget))
-
-
-def _check_key_length_args(n_x: float, ec_efficiency: float) -> None:
     if n_x <= 0:
         raise ParameterError("key-set detection count must be positive")
     _check_ec_efficiency(ec_efficiency)
+    lam_ec = n_x * ec_efficiency * binary_entropy(eb_x)
+    return (n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec
+            - budget._cost_c - budget._cost_pa)
 
 
 def _check_ec_efficiency(ec_efficiency: float) -> None:
     if not 1.0 <= ec_efficiency < math.inf:
         raise ParameterError("error-correction efficiency must be finite and at least 1")
-
-
-def _key_length_costs(budget: EpsilonBudget) -> tuple[float, float]:
-    """The fixed costs ``log2(2 / eps_c)`` and ``log2(1 / (4 eps_pa^2))``.
-
-    Written as sums of logarithms, since ``2 / eps_c`` overflows and
-    ``eps_pa ** 2`` underflows for tiny failure probabilities.
-    """
-    return 1.0 - math.log2(budget.eps_c), -2.0 - 2.0 * math.log2(budget.eps_pa)
-
-
-def _key_length_raw(
-    n_x: float,
-    ep_bar: float,
-    eb_x: float,
-    ec_efficiency: float,
-    costs: tuple[float, float],
-) -> float:
-    """Unchecked :func:`key_length_raw` with the costs of :func:`_key_length_costs`."""
-    lam_ec = n_x * ec_efficiency * binary_entropy(eb_x)
-    return n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec - costs[0] - costs[1]
-
-
-def _key_length(
-    n_x: float,
-    ep_bar: float,
-    eb_x: float,
-    ec_efficiency: float,
-    costs: tuple[float, float],
-) -> int:
-    """Unchecked :func:`key_length` with the costs of :func:`_key_length_costs`."""
-    return max(0, math.floor(_key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, costs)))
 
 
 def key_length(
@@ -489,8 +447,7 @@ def key_length(
     budget: EpsilonBudget,
 ) -> int:
     """Secure key length in bits: floored and clamped at zero."""
-    _check_key_length_args(n_x, ec_efficiency)
-    return _key_length(n_x, ep_bar, eb_x, ec_efficiency, _key_length_costs(budget))
+    return max(0, math.floor(key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, budget)))
 
 
 @dataclass(frozen=True)

@@ -87,10 +87,6 @@ class SourceParams:
         if not 0 < self.px < 1:
             raise ParameterError("X-basis probability must be in (0, 1)")
 
-    @property
-    def py(self) -> float:
-        return 1.0 - self.px
-
 
 def transmittance(channel: ChannelModel) -> float:
     """Single-arm transmittance including detector efficiency.

@@ -125,6 +125,9 @@ class SetThresholds:
             object.__setattr__(self, name, int(value))
         if min(self.n_x, self.n_ybc, self.n_yac) < 1:
             raise ParameterError("set thresholds must be at least 1")
+        # a detection takes a round, so a larger threshold is never met
+        if max(self.n_x, self.n_ybc, self.n_yac) > MAX_ROUNDS:
+            raise ParameterError(f"set thresholds must be at most MAX_ROUNDS = {MAX_ROUNDS}")
 
 
 @dataclass(frozen=True)

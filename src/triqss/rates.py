@@ -8,18 +8,28 @@ are pushed through the concentration pipeline exactly as observed counts
 would be.
 
 One code path computes that rate.  A per-distance evaluator checks the
-pulse count, channel and efficiency, and derives the transmittance and the
-budget terms, once per distance; it then maps ``(mu, px)`` to plain floats
-through the optics helpers and the float cores of the finite-key chain.
+pulse count (positive and finite), the length (through ``ChannelModel``)
+and the error-correction efficiency, and derives the transmittance, once
+per distance; the budget derived its own terms when it was built.  The
+evaluator maps ``(mu, px)`` to plain floats through the optics helpers,
+the float core of the phase error chain and ``key_length``.
 ``finite_rate`` is that evaluator plus the ``RatePoint`` wrap.
+
+An error in a per-distance argument raises :class:`ParameterError` from
+every entry point: ``finite_rate``, ``optimize_params`` and
+``sweep_distance`` for the pulse count, the length and the efficiency, and
+``asymptotic_rate`` and ``asymptotic_sweep`` for the length and the
+efficiency.  Only a working point ``(mu, px)`` that fails scores zero in
+the optimizer (the errors in ``_SCORED_ZERO``), so bad input never comes
+back as an abort row or an ``AllAbortError``.
 
 ``optimize_params`` maximizes the finite rate over the pulse intensity and
 the basis probability by coordinate descent with golden-section line
 searches (the rate is smooth and single-peaked along each coordinate in the
 regimes of interest).  The search is fully deterministic: fixed restart
-points, no randomness.  It builds one evaluator per call and memoises it by
-``(mu, px)`` for that call only.  The last sweep of a restart repeats the
-previous ``px`` line search, so over 0..260 km in 5 km steps at
+points, no randomness.  It builds one evaluator per call and memoises its
+scores by ``(mu, px)`` for that call only.  The last sweep of a restart
+repeats the previous ``px`` line search, so over 0..260 km in 5 km steps at
 ``N = 1e10`` the searches request 24,363 points and evaluate 15,782.
 """
 
@@ -36,14 +46,7 @@ from .errors import (
     ProtocolAbortError,
     ZeroCountError,
 )
-from .finitekey import (
-    EpsilonBudget,
-    _check_ec_efficiency,
-    _key_length,
-    _key_length_costs,
-    _phase_error_chain,
-    _phase_error_logs,
-)
+from .finitekey import EpsilonBudget, _check_ec_efficiency, _phase_error_chain, key_length
 from .optics import (
     ChannelModel,
     binary_entropy,
@@ -137,21 +140,27 @@ def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
     return x, f(x)
 
 
+def _asymptotic_point(mu: float, channel: ChannelModel, ec_efficiency: float):
+    """``(rate, eb_x, ep)`` of :func:`asymptotic_rate`, ``ep`` uncapped at 1/2;
+    ``ec_efficiency`` unchecked."""
+    eta = transmittance(channel)
+    q = gain(mu, eta, channel.dark_count)
+    ebx = bit_error_x(mu, eta, channel.dark_count, channel.misalignment)
+    ep = phase_error_from_y(ebx, coin_imbalance(mu, q))
+    # a phase error rate at or above one half means all secrecy is lost;
+    # H's symmetric dip above 1/2 must not resurrect the rate
+    rate = q * (1.0 - ec_efficiency * binary_entropy(ebx) - binary_entropy(min(ep, 0.5)))
+    return max(rate, 0.0), ebx, ep
+
+
 def asymptotic_rate(mu: float, channel: ChannelModel, ec_efficiency: float = 1.16) -> float:
     """Per-pulse key rate in the infinite-key limit at full sifting.
 
     ``R = Q (1 - f H(EbX) - H(Ep))`` with the Y-basis error rate modeled by
     the X-basis value, clamped at zero.
     """
-    eta = transmittance(channel)
-    q = gain(mu, eta, channel.dark_count)
-    ebx = bit_error_x(mu, eta, channel.dark_count, channel.misalignment)
-    delta = coin_imbalance(mu, q)
-    # a phase error rate at or above one half means all secrecy is lost;
-    # H's symmetric dip above 1/2 must not resurrect the rate
-    ep = min(phase_error_from_y(ebx, delta), 0.5)
-    rate = q * (1.0 - ec_efficiency * binary_entropy(ebx) - binary_entropy(ep))
-    return max(rate, 0.0)
+    _check_ec_efficiency(ec_efficiency)
+    return _asymptotic_point(mu, channel, ec_efficiency)[0]
 
 
 def _rate_evaluator(
@@ -163,21 +172,19 @@ def _rate_evaluator(
 ):
     """Finite-size rate at one distance, as a function of ``(mu, px)``.
 
-    Checks the pulse count, the channel and the efficiency once and derives
-    the transmittance and the budget terms once.  The returned
-    ``evaluate(mu, px)`` gives ``(rate_per_pulse, ell, ep_bar, eb_x)`` and
-    raises what :func:`finite_rate` raises at that working point.
+    Checks the pulse count, the length and the efficiency once, raising
+    :class:`ParameterError`, and derives the transmittance once.  The
+    returned ``evaluate(mu, px)`` gives ``(rate_per_pulse, ell, ep_bar,
+    eb_x)`` and raises what :func:`finite_rate` raises at that working point.
     """
     if budget is None:
         budget = EpsilonBudget()
-    if n_pulses <= 0:
-        raise ParameterError("n_pulses must be positive")
+    if not 0 < n_pulses < math.inf:
+        raise ParameterError("n_pulses must be positive and finite")
     channel = replace(channel, length_km=length_km)
     _check_ec_efficiency(ec_efficiency)
     eta = transmittance(channel)
     dark, misalignment = channel.dark_count, channel.misalignment
-    log_eps_a, log_inv_eps_b = _phase_error_logs(budget)
-    costs = _key_length_costs(budget)
 
     def evaluate(mu: float, px: float) -> tuple[float, int, float, float]:
         if not 0 < px < 1:
@@ -194,9 +201,8 @@ def _rate_evaluator(
             )
         m_y = ebx * n_y
 
-        # the chain rejects n_x <= 0, the last check key_length makes
-        ep_bar = _phase_error_chain(n_x, n_y, m_y, mu, q, log_eps_a, log_inv_eps_b)[-1]
-        ell = _key_length(n_x, ep_bar, ebx, ec_efficiency, costs)
+        ep_bar = _phase_error_chain(n_x, n_y, m_y, mu, q, budget)[-1]
+        ell = key_length(n_x, ep_bar, ebx, ec_efficiency, budget)
         return ell / n_pulses, ell, ep_bar, ebx
 
     return evaluate
@@ -231,33 +237,6 @@ def finite_rate(
 # errors that score a working point zero in the optimizer
 _SCORED_ZERO = (ProtocolAbortError, ParameterError, DegenerateGainError,
                 NumericalDegeneracyError)
-
-
-def _objective(
-    length_km: float,
-    n_pulses: float,
-    channel: ChannelModel,
-    ec_efficiency: float,
-    budget: EpsilonBudget | None,
-):
-    """The optimizer's score at one distance: ``score(mu, px)`` is the finite
-    rate per pulse, or 0.0 where the working point aborts or leaves the
-    model's domain."""
-    try:
-        evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
-    except _SCORED_ZERO:
-        # the distance itself is out of the domain: every point fails
-        return lambda mu, px: 0.0
-
-    def score(mu: float, px: float) -> float:
-        try:
-            return evaluate(mu, px)[0]
-        except _SCORED_ZERO:
-            return 0.0
-
-    return score
-
-
 # restart points, all inside the search box
 _RESTARTS = ((1e-3, 0.90), (3e-4, 0.80), (3e-3, 0.95))
 _LOG_MU_BOUNDS = (math.log10(MU_BOUNDS[0]), math.log10(MU_BOUNDS[1]))
@@ -277,13 +256,15 @@ def optimize_params(
     Coordinate descent alternating golden-section searches over ``log10(mu)``
     in ``MU_BOUNDS`` and ``px`` in ``PX_BOUNDS``, restarted from three fixed
     points plus any ``extra_starts``.  Working points that abort or leave the
-    model's domain score zero.  Raises :class:`AllAbortError` when no evaluated point yields a key.
+    model's domain score zero; a bad pulse count, length or efficiency raises
+    :class:`ParameterError` before the search.  Raises :class:`AllAbortError`
+    when no evaluated point yields a key.
 
     Each distinct ``(mu, px)`` is evaluated once, on one per-distance
     evaluator, and a repeat request reads a memo that lives for this call
     only.  ``trace`` and ``n_evals`` record every request, repeats included.
     """
-    score = _objective(length_km, n_pulses, channel, ec_efficiency, budget)
+    evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
     trace: list[tuple] = []
     # local to the call: one that outlived it would answer repeated calls from memory
     memo: dict[tuple[float, float], float] = {}
@@ -291,7 +272,11 @@ def optimize_params(
     def rate_at(mu: float, px: float) -> float:
         r = memo.get((mu, px))
         if r is None:
-            r = memo[mu, px] = score(mu, px)
+            try:
+                r = evaluate(mu, px)[0]
+            except _SCORED_ZERO:
+                r = 0.0
+            memo[mu, px] = r
         trace.append((mu, px, r))
         return r
 
@@ -364,22 +349,20 @@ def asymptotic_sweep(
     Sifting is free in this limit, so ``px`` is reported as 1 and the key
     length as infinite.
     """
+    _check_ec_efficiency(ec_efficiency)
     points = []
     for length in sorted(set(float(l) for l in lengths)):
         ch = replace(channel, length_km=length)
 
         def rate_at_log(l: float) -> float:
             try:
-                return asymptotic_rate(10.0 ** l, ch, ec_efficiency)
+                return _asymptotic_point(10.0 ** l, ch, ec_efficiency)[0]
             except (ParameterError, DegenerateGainError):
                 return 0.0
 
         lmu, rate = golden_max(rate_at_log, *_LOG_MU_BOUNDS, tol=1e-5)
         mu = 10.0 ** lmu
-        eta = transmittance(ch)
-        q = gain(mu, eta, ch.dark_count)
-        ebx = bit_error_x(mu, eta, ch.dark_count, ch.misalignment)
-        ep = phase_error_from_y(ebx, coin_imbalance(mu, q))
+        _, ebx, ep = _asymptotic_point(mu, ch, ec_efficiency)
         points.append(RatePoint(
             length_km=length, mu=mu, px=1.0,
             rate_per_pulse=rate, ell=math.inf, ep_bar=ep, eb_x=ebx,

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
 import argparse
+import hashlib
 import math
 import os
 import re
@@ -76,6 +77,13 @@ class TestKato:
         with pytest.raises(SystemExit) as info:
             main(["kato", "--k", "1e6"])
         assert info.value.code == EXIT_INPUT
+
+    def test_deviation_at_the_upper_end_is_zero(self, capsys):
+        # b + a(2 lam / k - 1) cancels at lam = k; its rounding residue once
+        # printed as -1.110223025e-16
+        code, out, _ = run(capsys, ["kato", "--k", "1", "--lam", "1"])
+        assert code == EXIT_OK
+        assert parse_kv(out)["deviation"] == "0"
 
     @pytest.mark.parametrize("k", [1e20, 1e40])
     def test_zero_coeff_deviation_at_a_large_sum(self, capsys, k):
@@ -291,6 +299,16 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", "1e30"])
         assert code == EXIT_INPUT
         assert "max_rounds" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("nx", [str(MAX_ROUNDS + 1), "1" + "0" * 400],
+                             ids=["MAX_ROUNDS+1", "10**400"])
+    def test_threshold_above_the_ceiling_exits_3(self, capsys, nx):
+        # --max-rounds keeps a run that accepted the threshold short
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--nx", nx,
+                                      "--nybc", "1", "--nyac", "1", "--max-rounds", "100"])
+        assert code == EXIT_INPUT
+        assert "MAX_ROUNDS" in err
         assert out == ""
 
     def test_hopeless_threshold_run_aborts_at_the_ceiling(self, capsys):
@@ -591,6 +609,19 @@ class TestModuleEntryPoint:
         proc = self.cli("kato", "--k", "1e6", "--lam", "5e5", "--eps", "1e-10")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_bytes()
+
+    def test_nine_table_analyze_reference(self):
+        # relative paths: the header echoes them, and mu and px come from the names
+        tables = [str(Path(t).relative_to(ROOT)) for t in ALL_TABLES]
+        proc = self.cli("analyze", *tables, "--N", "5e10")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == (ROOT / "bench" / "refs" / "analyze_nine_N5e10.txt").read_bytes()
+
+    def test_asymptotic_sweep_reference(self):
+        proc = self.cli("sweep", "--N", "inf")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "a6eaac9be09d8d22d02f516da31de7eac72fa9889ea2b085bd82d9f7320bceb2")
 
     def test_top_level_help_lists_every_subcommand(self, monkeypatch):
         proc = self.cli("--help")

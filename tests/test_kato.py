@@ -39,6 +39,14 @@ class TestClosedFormCoefficients:
         assert up.a == pytest.approx(-0.015350253106502735, rel=1e-12)
         assert up.deviation == pytest.approx(3393.0354890388417, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("coeffs", [kato_upper_coeffs, kato_lower_coeffs])
+    def test_deviation_is_nonnegative_where_it_cancels(self, coeffs, k):
+        # at lam = k (upper tail) and lam = 0 (lower) b + a(2 lam / k - 1)
+        # cancels to zero, and rounding once left -1.1e-16 at k = 1
+        for lam in (0.0, k):
+            assert coeffs(lam, k, 1e-10).deviation >= 0.0
+
     def test_midpoint_coefficient_is_not_zero(self):
         # the optimum is near zero at the midpoint but measurably below it
         up = kato_upper_coeffs(5e5, 1e6, 1e-10)
@@ -178,6 +186,13 @@ class TestPhaseErrorPipeline:
         assert bound.m_y_expected == pytest.approx(198.5248386217448, rel=1e-12)
         assert bound.delta == pytest.approx(0.018768926680927285, rel=1e-12)
         assert not bound.ep_clamped and not bound.epbar_clamped
+
+    @pytest.mark.parametrize("n_x,n_y", [
+        (math.inf, N_Y), (N_X, math.inf), (math.nan, N_Y), (N_X, math.nan), (0.0, N_Y), (N_X, -1.0),
+    ])
+    def test_rejects_counts_that_are_not_positive_and_finite(self, budget, n_x, n_y):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            phase_error_upper_bound(n_x, n_y, 0.0, self.MU, self.GAIN, budget)
 
     def test_monotone_in_observed_errors(self, budget):
         bounds = [

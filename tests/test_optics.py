@@ -63,10 +63,6 @@ class TestChannelModel:
 
 
 class TestSourceParams:
-    def test_py_complements_px(self):
-        s = SourceParams(intensity=1e-3, px=0.9)
-        assert s.py == pytest.approx(0.1)
-
     @pytest.mark.parametrize("mu,px", [(-1e-3, 0.9), (1e-3, 0.0), (1e-3, 1.0)])
     def test_rejects_bad_params(self, mu, px):
         with pytest.raises(ParameterError):

@@ -579,6 +579,19 @@ class TestValidation:
         with pytest.raises(ParameterError):
             run_protocol(BRIGHT, LOCAL, seed=1, thresholds=(bad, 1, 1))
 
+    @pytest.mark.parametrize("big", [protocol.MAX_ROUNDS + 1, 10 ** 400],
+                             ids=["MAX_ROUNDS+1", "10**400"])
+    def test_thresholds_have_a_ceiling(self, big):
+        # a detection takes a round, so no run of at most MAX_ROUNDS meets
+        # these; 10**400 once overflowed the default round cap
+        for args in ((big, 1, 1), (1, big, 1), (1, 1, big)):
+            with pytest.raises(ParameterError, match="MAX_ROUNDS"):
+                SetThresholds(*args)
+        # max_rounds keeps a run that accepted the threshold short
+        with pytest.raises(ParameterError, match="MAX_ROUNDS"):
+            run_protocol(BRIGHT, LOCAL, seed=1, thresholds=(big, 1, 1), max_rounds=100)
+        assert SetThresholds(protocol.MAX_ROUNDS, 1, 1).n_x == protocol.MAX_ROUNDS
+
     def test_whole_float_thresholds_become_ints(self):
         th = SetThresholds(5.0, 1, np.int64(2))
         assert th == SetThresholds(5, 1, 2)

@@ -52,6 +52,14 @@ def _spy_on_evaluators(monkeypatch):
     return calls
 
 
+def _score(length_km, mu, px, n_pulses, channel):
+    """The finite rate per pulse, or 0.0 where the working point fails."""
+    try:
+        return finite_rate(length_km, mu, px, n_pulses, channel).rate_per_pulse
+    except rates._SCORED_ZERO:
+        return 0.0
+
+
 class TestGoldenMax:
     def test_finds_quadratic_peak(self):
         x, f = golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, tol=1e-8)
@@ -146,12 +154,21 @@ class TestRateEvaluator:
     )
     def test_optimizer_scores_finite_rate_or_zero(self, length_km, mu, px, n_pulses, dark):
         ch = ChannelModel(dark_count=dark)
+        if n_pulses <= 0 or length_km < 0:
+            # a bad pulse count or length is an input error, not a zero score
+            with pytest.raises(ParameterError):
+                finite_rate(length_km, mu, px, n_pulses, ch)
+            with pytest.raises(ParameterError):
+                optimize_params(length_km, n_pulses, ch)
+            return
+        expected = _score(length_km, mu, px, n_pulses, ch)
         try:
-            expected = finite_rate(length_km, mu, px, n_pulses, ch).rate_per_pulse
-        except rates._SCORED_ZERO:
-            expected = 0.0
-        score = rates._objective(length_km, n_pulses, ch, 1.16, None)
-        assert score(mu, px) == expected
+            trace = optimize_params(length_km, n_pulses, ch, extra_starts=((mu, px),)).trace
+        except AllAbortError:
+            # every request scored zero, this one included
+            assert expected == 0.0
+            return
+        assert {r for m, p, r in trace if (m, p) == (mu, px)} == {expected}
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -216,8 +233,8 @@ class TestOptimizeParams:
         assert calls == [len(distinct), 1]
         assert (result.n_evals, len(result.trace), len(distinct)) == (426, 426, 289)
         # a repeat request reads the same score a fresh evaluation gives
-        fresh = rates._objective(100.0, 1e10, ChannelModel(), 1.16, None)
-        assert all(r == fresh(mu, px) for mu, px, r in result.trace)
+        assert all(r == _score(100.0, mu, px, 1e10, ChannelModel())
+                   for mu, px, r in result.trace)
 
     def test_a_memo_does_not_outlive_its_call(self, monkeypatch):
         calls = _spy_on_evaluators(monkeypatch)
@@ -247,6 +264,16 @@ class TestOptimizeParams:
         result = optimize_params(200.0, 1e10, ch)
         assert result.best.rate_per_pulse > 1e-7
         assert result.best.ell > 0
+
+    def test_only_working_point_errors_score_zero(self, monkeypatch):
+        def broken_evaluator(*args):
+            def evaluate(mu, px):
+                raise ZeroDivisionError("not a model-domain error")
+            return evaluate
+
+        monkeypatch.setattr(rates, "_rate_evaluator", broken_evaluator)
+        with pytest.raises(ZeroDivisionError):
+            optimize_params(100.0, 1e10, ChannelModel())
 
     def test_raises_when_nothing_works(self):
         ch = ChannelModel()
@@ -300,3 +327,32 @@ class TestSweeps:
         assert lines[0] == "L_km,mu,px,rate_per_pulse,ell,Ep_bar,EbX,N"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0"
+
+
+# each rate entry point as a function of (length_km, n_pulses, ec_efficiency);
+# the asymptotic pair takes no pulse count
+_ENTRY_POINTS = {
+    "finite_rate": lambda L, n, fe: finite_rate(L, 1e-3, 0.9, n, ChannelModel(), fe),
+    "optimize_params": lambda L, n, fe: optimize_params(L, n, ChannelModel(), fe),
+    "sweep_distance": lambda L, n, fe: sweep_distance([L], n, ChannelModel(), fe),
+    "asymptotic_rate": lambda L, n, fe: asymptotic_rate(1e-3, ChannelModel(length_km=L), fe),
+    "asymptotic_sweep": lambda L, n, fe: asymptotic_sweep([L], ChannelModel(), fe),
+}
+_FINITE = ("finite_rate", "optimize_params", "sweep_distance")
+_BAD_ARGUMENTS = (
+    [(entry, "n_pulses", n, "n_pulses") for entry in _FINITE
+     for n in (0.0, -1.0, math.nan, math.inf)]
+    + [(entry, "ec_efficiency", fe, "error-correction efficiency") for entry in _ENTRY_POINTS
+       for fe in (0.5, math.nan, math.inf)]
+    + [(entry, "length_km", L, "fiber length") for entry in _ENTRY_POINTS
+       for L in (-5.0, math.nan)]
+)
+
+
+@pytest.mark.parametrize("entry,name,value,message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]}") for case in _BAD_ARGUMENTS])
+def test_bad_arguments_raise_instead_of_scoring_zero(entry, name, value, message):
+    # not an abort row, an AllAbortError, a NaN rate or a rate below Shannon's limit
+    args = {"length_km": 0.0, "n_pulses": 1e10, "ec_efficiency": 1.16, name: value}
+    with pytest.raises(ParameterError, match=message):
+        _ENTRY_POINTS[entry](args["length_km"], args["n_pulses"], args["ec_efficiency"])
