@@ -32,7 +32,6 @@ _EXPORTS = {
     "experiment_skr": "expdata",
     "observed_sifted_gain": "expdata",
     "parse_counts": "expdata",
-    "render_counts": "expdata",
     "tally_sets": "expdata",
     "EpsilonBudget": "finitekey",
     "KatoCoefficients": "finitekey",

@@ -470,8 +470,10 @@ def cmd_kato(ns: argparse.Namespace) -> int:
         "bound": observed_to_expected(lam, k, eps, direction),
         "numeric_a": numeric.a,
         "numeric_deviation": numeric.deviation,
+        # deviations scale as sqrt(k), and the numeric one is good to about
+        # 1e-15 of that; below a millionth of sqrt(k) both read as zero
         "closed_numeric_rel_diff": abs(closed.deviation - numeric.deviation)
-        / max(abs(numeric.deviation), 1e-300),
+        / max(abs(numeric.deviation), 1e-6 * math.sqrt(k)),
         "zero_coeff_deviation": expected_to_observed(0.0, k, eps, "upper"),
         "azuma_deviation": azuma_deviation(k, eps),
     }

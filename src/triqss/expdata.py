@@ -17,7 +17,6 @@ pi.  Clicks in the unexpected port count as errors.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ __all__ = [
     "CountRow",
     "ExperimentSummary",
     "parse_counts",
-    "render_counts",
     "classify_row",
     "tally_sets",
     "observed_sifted_gain",
@@ -114,16 +112,6 @@ def parse_counts(source) -> list[CountRow]:
         seen[row.triple] = lineno
         rows.append(row)
     return rows
-
-
-def render_counts(rows) -> str:
-    """Serialize rows back to CSV text; inverse of :func:`parse_counts`."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(COUNT_HEADER)
-    for row in rows:
-        writer.writerow([row.phase_a, row.phase_b, row.phase_c, row.spd1, row.spd2])
-    return out.getvalue()
 
 
 def classify_row(row: CountRow) -> RowClass:

@@ -35,17 +35,21 @@ distribution and costs work per detection, not per round.  The
 distributions for one source and channel, and a guide table of
 ``_GUIDE_BINS`` bins for each (Chen & Asau's indexed search, which starts
 each categorical draw at the right category or just below it), come from a
-small cache keyed by the frozen parameters and are read-only.  Detection
-chunk ``k`` of ``CHUNK_DETECTIONS`` detections draws from
-``SeedSequence(seed, spawn_key=(0, k))`` and trace block ``k`` from
-``spawn_key=(1, k)``: the children that spawning a detection branch and a
-trace branch from the seed, and then one child at a time from each, would
-give.  The result is defined by the seed alone: a trace never changes it,
-and a run stopped early is a prefix of a longer run with the same seed.
-The tests check the sampler against a per-round reference engine built on
-the same table.  The trace writer gathers each row's bytes by key from a
-256-row table, and draws the no-click cells a few thousand rows at a time,
-as it writes them.
+small cache keyed by the frozen parameters and are read-only.  Detections
+come in chunks whose size is fixed by the chunk index alone:
+``FIRST_CHUNK_DETECTIONS`` in chunk 0, which covers most runs at high loss,
+then ``CHUNK_DETECTIONS`` each.  Chunk ``k`` of ``size`` detections makes
+one ``random(2 * size)`` call on ``SeedSequence(seed, spawn_key=(0, k))``:
+the first half gives the gaps by inversion, ``floor(log(1 - u) /
+log1p(-p_det)) + 1``, and the second half the categories.  Trace block
+``k`` draws from ``spawn_key=(1, k)``: the children that spawning a
+detection branch and a trace branch from the seed, and then one child at a
+time from each, would give.  The result is defined by the seed alone: a
+trace never changes it, and a run stopped early is a prefix of a longer run
+with the same seed.  The tests check the sampler against a per-round
+reference engine built on the same table.  The trace writer gathers each
+row's bytes by key from a 256-row table, and draws the no-click cells a few
+thousand rows at a time, as it writes them.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ __all__ = [
     "SiftedTallies",
     "ProtocolRun",
     "BLOCK_ROUNDS",
+    "FIRST_CHUNK_DETECTIONS",
     "CHUNK_DETECTIONS",
     "MAX_ROUNDS",
     "CELL_QUARTERS",
@@ -81,7 +86,9 @@ __all__ = [
     "verify_correlation",
 ]
 
-# detections per chunk; chunk k draws from spawn key (0, k) of the seed
+# detections in the first chunk, and in each later one (see _chunk_detections);
+# a run at 30 dB with thresholds (200, 1, 1) keeps about 300
+FIRST_CHUNK_DETECTIONS = 512
 CHUNK_DETECTIONS = 4096
 # trace rows per block; block k draws its no-click rows from spawn key (1, k)
 BLOCK_ROUNDS = 1_000_000
@@ -220,12 +227,10 @@ def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> ClickPro
 
 def _tallies(n: np.ndarray, m: np.ndarray, rounds: int) -> SiftedTallies:
     """Tallies from detection counts ``n`` and error counts ``m`` per set tag."""
-    return SiftedTallies(
-        n_x=int(n[SetTag.X_SET]), m_x=int(m[SetTag.X_SET]),
-        n_ybc=int(n[SetTag.YBC_SET]), m_ybc=int(m[SetTag.YBC_SET]),
-        n_yac=int(n[SetTag.YAC_SET]), m_yac=int(m[SetTag.YAC_SET]),
-        rounds=rounds,
-    )
+    # in set tag order: X_SET, YBC_SET, YAC_SET, DISCARD
+    (n_x, n_ybc, n_yac, _), (m_x, m_ybc, m_yac, _) = n.tolist(), m.tolist()
+    return SiftedTallies(n_x=n_x, m_x=m_x, n_ybc=n_ybc, m_ybc=m_ybc, n_yac=n_yac, m_yac=m_yac,
+                         rounds=rounds)
 
 
 # detected categories: cat = cell * 4 + k, where k = 0 is a lone click on
@@ -238,6 +243,13 @@ _CAT_TAG = CELL_TAG[_CAT_CELL]
 _CAT_ERR = _CAT_SC != CELL_BIT[_CAT_CELL]
 _CAT_OUTCOME = np.array([Outcome.ZERO, Outcome.ONE, Outcome.DOUBLE, Outcome.DOUBLE])[_CATS & 3]
 _CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_BYTES
+# per category: its set tag one-hot, then the same again if its bit is an
+# error; the category counts of a chunk times this table are its detections
+# and then its errors per set tag
+_CAT_COUNTS = np.eye(4, dtype=np.int64)[_CAT_TAG]
+_CAT_COUNTS = np.hstack([_CAT_COUNTS, _CAT_COUNTS * _CAT_ERR[:, None]])
+# per category: the key bits s_a, s_b and s_c
+_CAT_KEYS = np.stack([_S_A[_CAT_CELL], _S_B[_CAT_CELL], _CAT_SC])
 
 
 class _DetectionTables(NamedTuple):
@@ -248,6 +260,7 @@ class _DetectionTables(NamedTuple):
     none_cdf: np.ndarray     # over the 32 cells, for rounds with no click
     guide: np.ndarray        # guide table of cdf
     none_guide: np.ndarray   # guide table of none_cdf
+    set_gains: tuple         # chance that a round adds to the X set, and to each Y set
 
 
 # bins of a guide table; a power of two, so u * _GUIDE_BINS and j / _GUIDE_BINS
@@ -304,7 +317,9 @@ def _detection_tables(source: SourceParams, channel: ChannelModel) -> _Detection
     arrays = (cdf, none_cdf, _guide(cdf), _guide(none_cdf))
     for a in arrays:
         a.flags.writeable = False   # every caller shares the cached arrays
-    return _DetectionTables(p_det, *arrays)
+    q = gain(source.intensity, transmittance(channel), channel.dark_count)
+    share_x, share_y = set_shares(source.px)
+    return _DetectionTables(p_det, *arrays, (share_x * q, share_y * q))
 
 
 def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -312,27 +327,46 @@ def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
+def _chunk_detections(k: int) -> int:
+    """Detections in chunk ``k``; fixed by ``k`` alone, so a run is a prefix of any longer run."""
+    return FIRST_CHUNK_DETECTIONS if k == 0 else CHUNK_DETECTIONS
+
+
 def _detections(seed: int, tables: _DetectionTables, horizon: int):
     """Positions and categories of the detected rounds below ``horizon``.
 
-    Yields one chunk of ``CHUNK_DETECTIONS`` detections at a time, chunk
-    ``k`` drawn from spawn key ``(0, k)`` of ``seed``: the gaps between
-    detections are Geometric(p_det), and each detection is a categorical
-    draw by guide table, equal to a binary search of ``tables.cdf``.
+    Yields one chunk at a time.  Chunk ``k`` of ``_chunk_detections(k)``
+    detections makes one ``random(2 * size)`` call on spawn key ``(0, k)``
+    of ``seed``: the gaps between detections are Geometric(p_det) by
+    inversion of the first half, and each detection is a categorical draw
+    from the second half by guide table, equal to a binary search of
+    ``tables.cdf``.
     """
-    if tables.p_det == 0.0:   # nothing clicks; geometric(0) would raise
+    if tables.p_det == 0.0:   # nothing clicks
         return
+    # log of the chance that a round does not click; every gap is 1 when all
+    # rounds click.  Below p_det of about 1e-31 every gap but that of u == 0
+    # clips to MAX_ROUNDS + 1, so the ceiling at -1e-300 changes no gap and
+    # keeps the quotients finite
+    log_miss = min(math.log1p(-tables.p_det), -1e-300) if tables.p_det < 1.0 else -math.inf
     last = -1
     for k in count():
-        rng = _generator(seed, 0, k)
-        # a gap beyond MAX_ROUNDS passes any horizon, so clipping it changes
-        # nothing kept and keeps the positions inside int64
-        gaps = np.minimum(rng.geometric(tables.p_det, CHUNK_DETECTIONS), MAX_ROUNDS + 1)
-        cat = _draw(tables.cdf, tables.guide, rng.random(CHUNK_DETECTIONS))
-        pos = last + np.cumsum(gaps)
+        size = _chunk_detections(k)
+        u = _generator(seed, 0, k).random(2 * size)
+        # the quotient is at least 0, so the cast floors it; a gap beyond
+        # MAX_ROUNDS passes any horizon, so clipping it changes nothing kept
+        # and keeps the positions inside int64.  The first gap counts from
+        # the last detection of the chunk before
+        q = np.log(1.0 - u[:size])
+        q /= log_miss
+        gaps = np.minimum(q, MAX_ROUNDS, out=q).astype(np.int64)
+        gaps += 1
+        gaps[0] += last
+        pos = np.cumsum(gaps, out=gaps)
+        cat = _draw(tables.cdf, tables.guide, u[size:])
         keep = int(np.searchsorted(pos, horizon))
         yield pos[:keep], cat[:keep]
-        if keep < CHUNK_DETECTIONS:
+        if keep < size:
             return
         last = int(pos[-1])
 
@@ -344,15 +378,18 @@ def _stop(n: np.ndarray, tag: np.ndarray, thresholds: SetThresholds) -> int | No
     holds the chunk's set tags.  The stop is the latest of the unmet sets'
     ``need``-th hits.
     """
-    last = -1
-    # in set tag order: X_SET, YBC_SET, YAC_SET
+    # a stable sort lists the hits of each set tag in chunk order, the tags
+    # in set tag order: X_SET, YBC_SET, YAC_SET, DISCARD
+    hits = np.argsort(tag, kind="stable")
+    counts = np.bincount(tag, minlength=4).tolist()
+    start, last = 0, -1
     for t, target in enumerate((thresholds.n_x, thresholds.n_ybc, thresholds.n_yac)):
         need = target - int(n[t])
         if need > 0:
-            hits = np.flatnonzero(tag == t)
-            if hits.size < need:
+            if counts[t] < need:
                 return None
-            last = max(last, int(hits[need - 1]))
+            last = max(last, int(hits[start + need - 1]))
+        start += counts[t]
     return last + 1
 
 
@@ -464,10 +501,13 @@ def run_protocol(
         attached.  When ``None``, exactly ``max_rounds`` rounds are
         simulated.
     seed:
-        Master seed, a nonnegative integer.  Detection chunk ``k`` of
-        ``CHUNK_DETECTIONS`` detections draws from
-        ``SeedSequence(seed, spawn_key=(0, k))``; trace block ``k`` of
-        ``BLOCK_ROUNDS`` rounds, which only fills in trace rows, from
+        Master seed, a nonnegative integer.  Detections come in chunks of
+        ``FIRST_CHUNK_DETECTIONS`` and then ``CHUNK_DETECTIONS``, sizes
+        fixed by the chunk index.  Chunk ``k`` of ``size`` detections takes
+        one stream of ``2 * size`` uniforms from
+        ``SeedSequence(seed, spawn_key=(0, k))``, the first half for the
+        gaps and the second for the categories; trace block ``k`` of
+        ``BLOCK_ROUNDS`` rounds, which only fills in trace rows, draws from
         ``spawn_key=(1, k)``.  The result depends on the seed alone, with or
         without a trace, and any run is a prefix of a longer run with the
         same seed.
@@ -489,11 +529,9 @@ def run_protocol(
             raise ParameterError(f"max_rounds must be a whole number from 1 to {MAX_ROUNDS}")
         max_rounds = int(max_rounds)
 
+    tables = _detection_tables(source, channel)
     if thresholds is not None and max_rounds is None:
-        q = gain(source.intensity, transmittance(channel), channel.dark_count)
-        share_x, share_y = set_shares(source.px)
-        p_x = share_x * q
-        p_y = share_y * q
+        p_x, p_y = tables.set_gains
         if p_x <= 0.0 or p_y <= 0.0:
             raise ProtocolAbortError("thresholds unreachable: zero detection probability")
         expected = max(thresholds.n_x / p_x, thresholds.n_ybc / p_y, thresholds.n_yac / p_y)
@@ -501,10 +539,9 @@ def run_protocol(
         cap = 100.0 * expected
         max_rounds = math.ceil(cap) if cap < MAX_ROUNDS else MAX_ROUNDS
 
-    tables = _detection_tables(source, channel)
-    n = np.zeros(4, np.int64)   # detections per set tag
-    m = np.zeros(4, np.int64)   # errors per set tag
-    x_cats = []
+    nm = np.zeros(8, np.int64)   # detections, then errors, per set tag
+    n = nm[:4]
+    x_keys = []   # key bits s_a, s_b and s_c of the X detections, a chunk at a time
     rounds = max_rounds
     done = False
     opened = open(trace_path, "wb") if trace_path is not None else nullcontext()
@@ -521,9 +558,8 @@ def run_protocol(
                     pos, cat, tag = pos[:keep], cat[:keep], tag[:keep]
                     rounds = int(pos[-1]) + 1
                     done = True
-            n += np.bincount(tag, minlength=4)
-            m += np.bincount(tag[_CAT_ERR[cat]], minlength=4)
-            x_cats.append(cat[tag == SetTag.X_SET].astype(np.uint8))
+            nm += np.bincount(cat, minlength=128) @ _CAT_COUNTS
+            x_keys.append(_CAT_KEYS.take(cat[tag == SetTag.X_SET], axis=1))
             if trace is not None and pos.size:
                 trace.write(int(pos[-1]) + 1, pos, cat)
             if done:
@@ -531,13 +567,12 @@ def run_protocol(
         if trace is not None:
             trace.write(rounds)
 
-    x_cat = np.concatenate(x_cats) if x_cats else np.empty(0, np.uint8)
-    x_cell = _CAT_CELL[x_cat]
+    key_a, key_b, key_c = np.concatenate(x_keys, 1) if x_keys else np.empty((3, 0), np.uint8)
     run = ProtocolRun(
-        tallies=_tallies(n, m, rounds),
-        key_a=_S_A[x_cell],
-        key_b=_S_B[x_cell],
-        key_c=_CAT_SC[x_cat],
+        tallies=_tallies(n, nm[4:], rounds),
+        key_a=key_a,
+        key_b=key_b,
+        key_c=key_c,
         rounds_used=rounds,
         seed=seed,
     )

@@ -85,6 +85,13 @@ class TestKato:
         assert code == EXIT_OK
         assert parse_kv(out)["deviation"] == "0"
 
+    def test_self_check_of_two_zero_deviations(self, capsys):
+        # closed 0 against a numeric 3e-15 once printed a relative difference
+        # of 1: the denominator had no floor on the deviation scale
+        code, out, _ = run(capsys, ["kato", "--k", "1", "--lam", "1"])
+        assert code == EXIT_OK
+        assert float(parse_kv(out)["closed_numeric_rel_diff"]) < 1e-6
+
     @pytest.mark.parametrize("k", [1e20, 1e40])
     def test_zero_coeff_deviation_at_a_large_sum(self, capsys, k):
         # the deviation is sqrt(k ln(1/eps) / 2), with no loss to cancellation

@@ -50,6 +50,25 @@ def _same_run(a, b):
         assert np.array_equal(x, y)
 
 
+class _ChunkRule:
+    """Detection chunk sizes for tests: ``first`` in chunk 0 and ``rest`` after,
+    with the chunks drawn recorded in ``drawn``."""
+
+    def __init__(self, first, rest):
+        self.first, self.rest, self.drawn = first, rest, set()
+
+    def __call__(self, k):
+        self.drawn.add(k)
+        return self.first if k == 0 else self.rest
+
+
+def _small_chunks(monkeypatch, first, rest):
+    """Patch the chunk size rule with small chunks, so a short run crosses chunk edges."""
+    rule = _ChunkRule(first, rest)
+    monkeypatch.setattr(protocol, "_chunk_detections", rule)
+    return rule
+
+
 def _arm_phases(cell):
     """Total phases on player a's and player b's arm, from the quarter-turn codes."""
     q_a, q_b, q_c = (int(q[cell]) for q in protocol.CELL_QUARTERS)
@@ -137,9 +156,9 @@ class TestRunProtocol:
                      "--max-rounds", "1e9", "--mu", "9e-4", "--px", "0.9",
                      "--loss-db", "30"]) == 0
         out = capsys.readouterr().out
-        assert "rounds_used = 295341890" in out
+        assert "rounds_used = 297190741" in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d86151d99db687c2f576ab3c1857ec190e1fa1b6160ba594bb74583c7b906398")
+            "fbe1b5ccc57b1a70d14264e0d02c2fe8f380cf0dec0e324588c58709561ef697")
 
     def test_spawn_keys_are_the_spawned_children(self):
         # chunk k of branch b is the k-th child spawned one at a time from
@@ -158,7 +177,7 @@ class TestRunProtocol:
         # a threshold run that stops inside the third trace block replays the
         # start of a longer fixed run across several detection chunks: same
         # keys, same trace rows, and the round index runs on across blocks
-        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 500)
+        rule = _small_chunks(monkeypatch, 300, 500)
         monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
         src = SourceParams(intensity=0.5, px=0.7)
         fixed_trace, stop_trace = tmp_path / "fixed.csv", tmp_path / "stop.csv"
@@ -167,7 +186,8 @@ class TestRunProtocol:
                             trace_path=stop_trace)
         assert 20_000 < stop.rounds_used < 30_000
         k = stop.key_a.size
-        assert 5 * 500 < k < fixed.key_a.size
+        assert 300 + 4 * 500 < k < fixed.key_a.size
+        assert rule.drawn >= set(range(6))
         for short, full in ((stop.key_a, fixed.key_a), (stop.key_b, fixed.key_b),
                             (stop.key_c, fixed.key_c)):
             assert np.array_equal(short, full[:k])
@@ -179,13 +199,14 @@ class TestRunProtocol:
 
     def test_trace_does_not_change_the_result(self, tmp_path, monkeypatch):
         # small chunks and blocks interleave the two streams' draws
-        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 64)
+        rule = _small_chunks(monkeypatch, 40, 64)
         monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 1000)
         src = SourceParams(intensity=0.05, px=0.7)
         plain = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20))
         traced = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20),
                               trace_path=tmp_path / "trace.csv")
         _same_run(plain, traced)
+        assert rule.drawn >= set(range(3))
 
     def test_same_child_seed_same_block(self):
         ss = np.random.SeedSequence(123)
@@ -333,7 +354,7 @@ class TestDetectionSampler:
     def test_gaps_between_clicks_are_geometric(self, tmp_path, monkeypatch):
         # Kolmogorov-Smirnov test of the gaps between detected trace rows,
         # over several detection chunks, against the Geometric(p_det) CDF
-        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 256)
+        rule = _small_chunks(monkeypatch, 100, 256)
         src = SourceParams(intensity=0.01, px=0.8)
         path = tmp_path / "trace.csv"
         run_protocol(src, LOCAL, seed=404, max_rounds=300_000, trace_path=path)
@@ -341,7 +362,7 @@ class TestDetectionSampler:
         clicks = np.array([int(r.split(b",")[0]) for r in rows if b",none," not in r])
         gaps = np.diff(clicks, prepend=-1)
         n = gaps.size
-        assert n > 4 * 256
+        assert n > 100 + 3 * 256 and rule.drawn >= set(range(5))
         p_det = protocol._detection_tables(src, LOCAL).p_det
         values = np.unique(gaps)
         # both step functions are flat between the observed values, so the
@@ -371,6 +392,75 @@ class TestDetectionSampler:
         assert run.key_a.size == 0
         rows = path.read_text().splitlines()[1:]
         assert len(rows) == 1000 and all(",none,," in r for r in rows)
+
+
+class TestDetectionStream:
+    """The stream layout: chunk sizes fixed by the chunk index, and gaps by
+    inversion of the chunk's first half of uniforms."""
+
+    @staticmethod
+    def _gaps(tables, n_chunks, horizon=protocol.MAX_ROUNDS, seed=5):
+        chunks = list(islice(protocol._detections(seed, tables, horizon), n_chunks))
+        pos, cat = map(np.concatenate, zip(*chunks))
+        return np.diff(pos, prepend=-1), cat
+
+    @pytest.mark.parametrize("p_det", [1e-12, None], ids=["1e-12", "bright"])
+    def test_chunk_layout(self, p_det):
+        # chunk k of size 512, 4096, 4096, ... is one random(2 * size) call:
+        # gaps floor(log(1 - u) / log1p(-p_det)) + 1 from the first half,
+        # categories by binary search from the second.  At 1e-12 a log(1 - p)
+        # denominator moves the gaps by about 1e7 rounds
+        tables = protocol._detection_tables(BRIGHT, LOCAL)
+        if p_det is not None:
+            tables = tables._replace(p_det=p_det)
+        chunks = islice(protocol._detections(3, tables, 2 ** 62), 3)
+        last = -1
+        for k, (pos, cat) in enumerate(chunks):
+            size = (512, 4096, 4096)[k]
+            assert protocol._chunk_detections(k) == size == pos.size == cat.size
+            u = protocol._generator(3, 0, k).random(2 * size)
+            gaps = np.floor(np.log(1.0 - u[:size]) / np.log1p(-tables.p_det)) + 1
+            assert np.array_equal(np.diff(pos, prepend=last), gaps)
+            assert np.array_equal(cat, np.searchsorted(tables.cdf, u[size:], side="right"))
+            last = pos[-1]
+
+    @pytest.mark.parametrize("p_det", [1e-6, 1e-3, 0.5])
+    def test_gaps_are_geometric(self, p_det):
+        # Kolmogorov-Smirnov test of three chunks of gaps against the
+        # Geometric(p_det) CDF, as in TestDetectionSampler
+        tables = protocol._detection_tables(BRIGHT, LOCAL)._replace(p_det=p_det)
+        gaps, _ = self._gaps(tables, 3)
+        n = gaps.size
+        assert n == 512 + 2 * 4096
+        values = np.unique(gaps)
+        at = np.concatenate([values, values - 1])
+        empirical = np.searchsorted(np.sort(gaps), at, side="right") / n
+        model = -np.expm1(at * np.log1p(-p_det))
+        assert np.abs(empirical - model).max() < 1.63 / math.sqrt(n)
+
+    def test_gaps_and_categories_are_independent(self):
+        # a detection's category must not follow from the gap before it; the
+        # correlation of independent samples has a standard deviation of
+        # 1 / sqrt(n)
+        gaps, cat = self._gaps(protocol._detection_tables(BRIGHT, LOCAL), 3)
+        assert abs(np.corrcoef(gaps, cat)[0, 1]) < 4 / math.sqrt(gaps.size)
+
+    def test_every_round_clicks_at_p_det_one(self):
+        tables = protocol._detection_tables(BRIGHT, LOCAL)._replace(p_det=1.0)
+        with np.errstate(all="raise"):
+            gaps, _ = self._gaps(tables, 2)
+        assert gaps.size == 512 + 4096 and (gaps == 1).all()
+
+    @pytest.mark.parametrize("p_det", [1e-300, 1e-310, 5e-324])
+    def test_tiny_p_det_clips_without_overflow(self, p_det):
+        # gaps clip to MAX_ROUNDS + 1 without a numpy warning, subnormal
+        # p_det included, and none falls inside a run
+        tables = protocol._detection_tables(BRIGHT, LOCAL)._replace(p_det=p_det)
+        with np.errstate(all="raise"):
+            gaps, _ = self._gaps(tables, 2, horizon=np.iinfo(np.int64).max)
+            kept = [pos.size for pos, _ in protocol._detections(5, tables, protocol.MAX_ROUNDS)]
+        assert kept == [0]
+        assert gaps.size == 512 + 4096 and (gaps == protocol.MAX_ROUNDS + 1).all()
 
 
 # the largest variate a generator returns
@@ -451,24 +541,32 @@ class TestStopRule:
         th = SetThresholds(5, 1, 1)
         assert protocol._stop(n, tag, th) == cumsum_stop(n, tag, th) == 1
 
-    @pytest.mark.parametrize("stop", [64, 127, 4 * 64 + 10],
-                             ids=["first-of-chunk", "chunk-edge", "several-chunks"])
+    @pytest.mark.parametrize("stop", [39, 40, 40 + 64 - 1, 40 + 3 * 64 + 10],
+                             ids=["last-of-first-chunk", "first-of-chunk", "chunk-edge",
+                                  "several-chunks"])
     def test_runs_match_the_running_counts(self, monkeypatch, stop):
-        # thresholds met exactly at detection ``stop`` of 64-detection chunks;
-        # the first seed whose detection there falls in a sifted set
-        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 64)
+        # thresholds met exactly at detection ``stop`` of a 40-detection first
+        # chunk and 64-detection chunks after it, on both sides of the edge
+        # where the size changes; the first seed whose detection there falls
+        # in a sifted set
+        rule = _small_chunks(monkeypatch, 40, 64)
+        last_chunk = 0 if stop < 40 else 1 + (stop - 40) // 64
         src = SourceParams(0.05, 0.5)
         tables = protocol._detection_tables(src, LOCAL)
         for seed in range(100):
-            chunks = islice(protocol._detections(seed, tables, protocol.MAX_ROUNDS), stop // 64 + 1)
+            chunks = islice(protocol._detections(seed, tables, protocol.MAX_ROUNDS),
+                            last_chunk + 1)
             pos, cat = map(np.concatenate, zip(*chunks))
             tags = protocol._CAT_TAG[cat[:stop + 1]]
             counts = [int((tags == t).sum()) for t in range(3)]
             if tags[-1] != SetTag.DISCARD and min(counts) >= 1:
                 break
         th = SetThresholds(*counts)
+        rule.drawn.clear()
         run = run_protocol(src, LOCAL, seed=seed, thresholds=th)
         assert run.rounds_used == pos[stop] + 1
+        # the run draws every chunk up to the one the stop falls in, and no more
+        assert rule.drawn == set(range(last_chunk + 1))
         monkeypatch.setattr(protocol, "_stop", cumsum_stop)
         _same_run(run, run_protocol(src, LOCAL, seed=seed, thresholds=th))
 
@@ -522,13 +620,14 @@ class TestTraceBytes:
         assert b"\r\n99999," in data and data.splitlines()[-1].startswith(b"100002,")
 
     def test_blocks_and_chunks_split_mid_run(self, tmp_path, monkeypatch):
-        # 777-round blocks cut the 2500-row chunks, and 64-detection chunks
-        # cut both
+        # 777-round blocks cut the 2500-row chunks, and detection chunks of
+        # 40 and then 64 cut both
         monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 777)
-        monkeypatch.setattr(protocol, "CHUNK_DETECTIONS", 64)
+        rule = _small_chunks(monkeypatch, 40, 64)
         _, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
                                   seed=6, max_rounds=12_345)
         assert data == ref
+        assert rule.drawn >= set(range(3))
 
     def test_threshold_run_stops_early(self, tmp_path, monkeypatch):
         monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
@@ -550,7 +649,7 @@ class TestTraceBytes:
         assert main(["simulate", "--seed", "7", "--rounds", "20000", "--length-km", "0",
                      "--trace", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "69a62d1113368bd833c29f25671641e19fa11dd70498e54f8dce9d196fd4dea2")
+            "def8fb64975b6d4b3157009306d12e84f8b2fc3fbcc9872aecbec773055253fa")
 
     def test_memory_is_bounded_by_the_chunk(self):
         # a writer holding a whole BLOCK_ROUNDS block of keys and uniforms
