@@ -74,6 +74,7 @@ _EXPORTS = {
     "sweep_distance": "rates",
     "write_rate_csv": "rates",
     "Basis": "roundtable",
+    "SetCounts": "roundtable",
     "SetTag": "roundtable",
 }
 

@@ -25,8 +25,10 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import re
 import sys
+from dataclasses import fields
 
 from . import expdata, rates, report
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
     QssError,
 )
 from .finitekey import (
+    EC_EFFICIENCY,
     EpsilonBudget,
     azuma_deviation,
     expected_to_observed,
@@ -55,19 +58,9 @@ EXIT_NUMERIC = 4
 
 MAX_GRID_POINTS = 100_000
 
-DEFAULTS = {
-    "alpha": 0.167,        # fiber attenuation, dB/km
-    "eta_d": 0.4,          # detector efficiency
-    "dark": 2e-8,          # dark count probability per gate
-    "ed": 0.015,           # misalignment
-    "fe": 1.16,            # error correction efficiency
-    "eps_c": 1e-10,
-    "eps_pa": 1e-10,
-    "eps_a": 1e-10,
-    "eps_b": 1e-10,
-    "mu": 9e-4,
-    "px": 0.9,
-}
+# the source settings of simulate; the channel and security settings default
+# to those of ChannelModel, EpsilonBudget and EC_EFFICIENCY
+DEFAULTS = {"mu": 9e-4, "px": 0.9}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +208,8 @@ class Settings:
 
     def channel(self, *, with_length: bool = True) -> ChannelModel:
         """Channel model; ``with_length=False`` leaves the length at 0 unread."""
-        alpha = self.get("alpha")
+        default = ChannelModel()
+        alpha = self.get("alpha", float, default.alpha_db_per_km)
         length = 0.0
         if with_length:
             loss_db = self.get("loss_db", float, None)
@@ -229,24 +223,21 @@ class Settings:
         return ChannelModel(
             alpha_db_per_km=alpha,
             length_km=length,
-            det_efficiency=self.get("eta_d"),
-            dark_count=self.get("dark"),
-            misalignment=self.get("ed"),
+            det_efficiency=self.get("eta_d", float, default.det_efficiency),
+            dark_count=self.get("dark", float, default.dark_count),
+            misalignment=self.get("ed", float, default.misalignment),
         )
 
     def ec_efficiency(self) -> float:
-        fe = self.get("fe")
+        fe = self.get("fe", float, EC_EFFICIENCY)
         if not 1.0 <= fe < math.inf:
             raise ParameterError("--fe must be finite and at least 1")
         return fe
 
     def budget(self) -> EpsilonBudget:
-        return EpsilonBudget(
-            eps_c=self.get("eps_c"),
-            eps_pa=self.get("eps_pa"),
-            eps_a=self.get("eps_a"),
-            eps_b=self.get("eps_b"),
-        )
+        # the config keys are the field names, in field order
+        return EpsilonBudget(**{f.name: self.get(f.name, float, f.default)
+                                for f in fields(EpsilonBudget)})
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
@@ -281,6 +272,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     nyac = settings.get("nyac", int, None)
     max_rounds = settings.get("max_rounds", float, None)
     trace = settings.get("trace", str, None)
+    if rounds is not None and max_rounds is not None:
+        # --rounds is the round count or, with thresholds, the cap
+        raise ParameterError("give --rounds or --max-rounds, not both")
 
     thresholds = None
     if nx is not None or nybc is not None or nyac is not None:
@@ -314,11 +308,11 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         "abort": abort_exc is not None,
     }
     if t.n_x:
-        body["eb_x_observed"] = t.m_x / t.n_x
+        body["eb_x_observed"] = t.eb_x
     if t.n_ybc:
-        body["eb_ybc_observed"] = t.m_ybc / t.n_ybc
+        body["eb_ybc_observed"] = t.eb_ybc
     if t.n_yac:
-        body["eb_yac_observed"] = t.m_yac / t.n_yac
+        body["eb_yac_observed"] = t.eb_yac
     _emit(ns, _header("simulate", settings) + report.render_kv(body))
     if abort_exc is not None:
         print(f"abort: {abort_exc}", file=sys.stderr)
@@ -370,15 +364,16 @@ _TABLE_IN_NAME = re.compile(r"tableIII([abc])", re.IGNORECASE)
 
 
 def _infer_from_name(path: str) -> tuple:
-    """Best-effort (mu, px) from fixture-style file names; None when absent."""
+    """Best-effort (mu, px) from a fixture-style file name, not its directories."""
+    name = os.path.basename(path)
     mu = px = None
-    m = _MU_IN_NAME.search(path)
+    m = _MU_IN_NAME.search(name)
     if m:
         try:
             mu = float(m.group(1))
         except ValueError:
             mu = None
-    m = _TABLE_IN_NAME.search(path)
+    m = _TABLE_IN_NAME.search(name)
     if m:
         px = _PX_BY_TABLE[m.group(1).lower()]
     return mu, px

@@ -22,9 +22,10 @@ import os
 from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
-from .finitekey import EpsilonBudget, KeyRateReport, key_length, phase_error_upper_bound
+from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
+from .finitekey import key_length, phase_error_upper_bound
 from .optics import ChannelModel, SourceParams, binary_entropy, gain, transmittance
-from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetTag, set_shares
+from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
 __all__ = [
     "CountRow",
@@ -140,33 +141,11 @@ _CLASS_OF_TRIPLE = {
 
 
 @dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(SetCounts):
     """Set tallies and error rates extracted from one count table."""
 
-    n_x: int
-    m_x: int
-    n_ybc: int
-    m_ybc: int
-    n_yac: int
-    m_yac: int
     mu: float | None = None
     px: float | None = None
-
-    @property
-    def n_y(self) -> int:
-        return self.n_ybc + self.n_yac
-
-    @property
-    def eb_x(self) -> float:
-        return self.m_x / self.n_x
-
-    @property
-    def eb_ybc(self) -> float:
-        return self.m_ybc / self.n_ybc
-
-    @property
-    def eb_yac(self) -> float:
-        return self.m_yac / self.n_yac
 
     @property
     def eb_y_worst(self) -> float:
@@ -237,9 +216,9 @@ def observed_sifted_gain(summary: ExperimentSummary, n_pulses: float, px: float)
 def experiment_skr(
     summary: ExperimentSummary,
     n_pulses: float,
-    budget: EpsilonBudget | None = None,
+    budget: EpsilonBudget = EpsilonBudget(),
     *,
-    ec_efficiency: float = 1.16,
+    ec_efficiency: float = EC_EFFICIENCY,
     channel: ChannelModel | None = None,
     rep_rate_hz: float = 1e8,
 ) -> KeyRateReport:
@@ -257,8 +236,6 @@ def experiment_skr(
         raise ParameterError("n_pulses must be positive and finite")
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0):
         raise ParameterError("rep_rate_hz must be finite and positive")
-    if budget is None:
-        budget = EpsilonBudget()
     mu, px = summary.mu, summary.px
     if mu is None or px is None:
         raise ParameterError("the summary carries no mu and px; pass them to tally_sets")

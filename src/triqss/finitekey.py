@@ -31,12 +31,13 @@ against a direct numerical minimization (``kato_coeffs_numeric``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import NumericalDegeneracyError, ParameterError
 from .optics import binary_entropy, coin_imbalance, phase_error_terms
 
 __all__ = [
+    "EC_EFFICIENCY",
     "EpsilonBudget",
     "KatoCoefficients",
     "kato_upper_coeffs",
@@ -52,6 +53,10 @@ __all__ = [
     "key_length_raw",
     "KeyRateReport",
 ]
+
+# error-correction efficiency f: the leak is f H(eb_x) per key-set bit; the
+# default of every rate function and of the command line's --fe
+EC_EFFICIENCY = 1.16
 
 
 @dataclass(frozen=True)
@@ -462,12 +467,12 @@ class KeyRateReport:
     ell: int
     rate_per_pulse: float
     abort: bool
-    rate_per_second: float | None = None
-    phase: PhaseErrorBound | None = None
-    budget: EpsilonBudget = field(default_factory=EpsilonBudget)
+    rate_per_second: float
+    phase: PhaseErrorBound
+    budget: EpsilonBudget
 
     def as_report(self) -> dict:
-        out = {
+        return {
             "n_pulses": self.n_pulses,
             "n_x": self.n_x,
             "eb_x": self.eb_x,
@@ -476,17 +481,9 @@ class KeyRateReport:
             "ell": self.ell,
             "rate_per_pulse": self.rate_per_pulse,
             "abort": self.abort,
-        }
-        if self.rate_per_second is not None:
-            out["rate_per_second"] = self.rate_per_second
-        if self.phase is not None:
-            out.update(self.phase.as_report(prefix="phase."))
-        out.update({
-            "eps_c": self.budget.eps_c,
-            "eps_pa": self.budget.eps_pa,
-            "eps_a": self.budget.eps_a,
-            "eps_b": self.budget.eps_b,
+            "rate_per_second": self.rate_per_second,
+            **self.phase.as_report(prefix="phase."),
+            **{f.name: getattr(self.budget, f.name) for f in fields(EpsilonBudget)},
             "eps_phase": self.budget.eps_phase,
             "eps_secrecy": self.budget.eps_secrecy,
-        })
-        return out
+        }

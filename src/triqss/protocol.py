@@ -19,14 +19,13 @@ Detected rounds are sifted by the announced bases into three sets:
 In every sifted set the dealer's bit, after the YAC flip, should equal the
 XOR of the players' bits; disagreements are tallied as errors.
 
-Everything a round does follows from the round table: one row per setting
-cell ``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``.  Its
-static columns, defined in :mod:`triqss.roundtable` and held here as
-arrays, are the quarter-turn phase codes, the set tag and the dealer's
-correct raw bit (``s_a ^ s_b``, flipped on YAC cells, so the YAC flip is a
-column); one :func:`click_probabilities` call over the 32 cells adds the
-outcome probabilities for a source and channel.  The simulator, the trace
-writer and the count-table reader all read this table.
+Everything a round does follows from the round table of
+:mod:`triqss.roundtable`: one row per setting cell, with the settings, the
+quarter-turn phase codes, the set tag and the dealer's correct raw bit
+(``s_a ^ s_b``, flipped on YAC cells, so the YAC flip is a column), held
+here as private arrays.  One :func:`click_probabilities` call over the 32
+cells adds the outcome probabilities for a source and channel.  The
+simulator, the trace writer and the count-table reader all read this table.
 
 ``run_protocol`` draws only the rounds that click.  Rounds are i.i.d., so
 the gaps between detections are Geometric(p_det) and each detection is a
@@ -35,21 +34,28 @@ distribution and costs work per detection, not per round.  The
 distributions for one source and channel, and a guide table of
 ``_GUIDE_BINS`` bins for each (Chen & Asau's indexed search, which starts
 each categorical draw at the right category or just below it), come from a
-small cache keyed by the frozen parameters and are read-only.  Detections
-come in chunks whose size is fixed by the chunk index alone:
-``FIRST_CHUNK_DETECTIONS`` in chunk 0, which covers most runs at high loss,
-then ``CHUNK_DETECTIONS`` each.  Chunk ``k`` of ``size`` detections makes
-one ``random(2 * size)`` call on ``SeedSequence(seed, spawn_key=(0, k))``:
-the first half gives the gaps by inversion, ``floor(log(1 - u) /
-log1p(-p_det)) + 1``, and the second half the categories.  Trace block
-``k`` draws from ``spawn_key=(1, k)``: the children that spawning a
-detection branch and a trace branch from the seed, and then one child at a
-time from each, would give.  The result is defined by the seed alone: a
-trace never changes it, and a run stopped early is a prefix of a longer run
-with the same seed.  The tests check the sampler against a per-round
-reference engine built on the same table.  The trace writer gathers each
-row's bytes by key from a 256-row table, and draws the no-click cells a few
-thousand rows at a time, as it writes them.
+small cache keyed by the frozen parameters and are read-only.
+
+Stream layout.  Every draw comes from a descendant of
+``SeedSequence(seed)`` at a fixed spawn key: the child that spawning a
+detection branch and a trace branch from the seed, and then children one
+at a time from each, would give.
+
+- Detections come in chunks whose size is fixed by the chunk index alone:
+  ``FIRST_CHUNK_DETECTIONS`` in chunk 0, which covers most runs at high
+  loss, then ``CHUNK_DETECTIONS`` each.  Chunk ``k`` of ``size``
+  detections makes one ``random(2 * size)`` call on spawn key ``(0, k)``:
+  the first half gives the gaps by inversion, ``floor(log(1 - u) /
+  log1p(-p_det)) + 1``, and the second half the categories.
+- The trace draws the cells of its rounds with no click, in round order,
+  from the one generator at spawn key ``(1, 0)``.
+
+The result is defined by the seed alone: a trace never changes it, and a
+run stopped early is a prefix of a longer run with the same seed.  The
+tests check the sampler against a per-round reference engine built on the
+same table.  The trace writer gathers each row's bytes by key from a
+256-row table, and draws the no-click cells a few thousand rows at a time,
+as it writes them.
 """
 
 from __future__ import annotations
@@ -67,20 +73,16 @@ import numpy as np
 from . import roundtable
 from .errors import ParameterError, ProtocolAbortError
 from .optics import ChannelModel, SourceParams, gain, transmittance
-from .roundtable import SetTag, set_shares
+from .roundtable import SetCounts, SetTag, set_shares
 
 __all__ = [
     "Outcome",
     "SetThresholds",
     "SiftedTallies",
     "ProtocolRun",
-    "BLOCK_ROUNDS",
     "FIRST_CHUNK_DETECTIONS",
     "CHUNK_DETECTIONS",
     "MAX_ROUNDS",
-    "CELL_QUARTERS",
-    "CELL_TAG",
-    "CELL_BIT",
     "click_probabilities",
     "run_protocol",
     "verify_correlation",
@@ -90,8 +92,6 @@ __all__ = [
 # a run at 30 dB with thresholds (200, 1, 1) keeps about 300
 FIRST_CHUNK_DETECTIONS = 512
 CHUNK_DETECTIONS = 4096
-# trace rows per block; block k draws its no-click rows from spawn key (1, k)
-BLOCK_ROUNDS = 1_000_000
 # most rounds one run may cover; keeps round positions far inside int64
 MAX_ROUNDS = 2 ** 50
 
@@ -138,20 +138,10 @@ class SetThresholds:
 
 
 @dataclass(frozen=True)
-class SiftedTallies:
+class SiftedTallies(SetCounts):
     """Detection and error counts per sifted set, plus rounds consumed."""
 
-    n_x: int = 0
-    m_x: int = 0
-    n_ybc: int = 0
-    m_ybc: int = 0
-    n_yac: int = 0
-    m_yac: int = 0
     rounds: int = 0
-
-    @property
-    def n_y(self) -> int:
-        return self.n_ybc + self.n_yac
 
 
 @dataclass(frozen=True)
@@ -166,20 +156,16 @@ class ProtocolRun:
     seed: int
 
 
-# round table rows: cell = s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4
-_CELLS = np.arange(32, dtype=np.uint8)
-_S_A, _S_B = _CELLS & 1, _CELLS >> 1 & 1
-_BASES = (_CELLS >> 2 & 1, _CELLS >> 3 & 1, _CELLS >> 4 & 1)
-
-# static columns of the round table, as arrays
-CELL_QUARTERS = tuple(np.array(q) for q in roundtable.CELL_QUARTERS)
-CELL_TAG = np.array(roundtable.CELL_TAG, dtype=np.uint8)
-CELL_BIT = np.array(roundtable.CELL_BIT, dtype=np.uint8)
+# the round table's columns, one entry per cell, as arrays
+_S_A, _S_B, *_BASES = np.array(roundtable._SETTINGS, np.uint8)
+_QUARTERS = np.array(roundtable.CELL_QUARTERS)
+_TAG = np.array(roundtable.CELL_TAG, np.uint8)
+_BIT = np.array(roundtable.CELL_BIT, np.uint8)
 
 # total arm phases; quarter-turn codes are in units of pi/2
 _QUARTER_TURN = 0.5 * math.pi
-_CELL_PHASE_A = CELL_QUARTERS[0] * _QUARTER_TURN
-_CELL_PHASE_B = CELL_QUARTERS[1] * _QUARTER_TURN + CELL_QUARTERS[2] * _QUARTER_TURN
+_CELL_PHASE_A = _QUARTERS[0] * _QUARTER_TURN
+_CELL_PHASE_B = _QUARTERS[1] * _QUARTER_TURN + _QUARTERS[2] * _QUARTER_TURN
 
 
 def click_probabilities(
@@ -239,8 +225,8 @@ def _tallies(n: np.ndarray, m: np.ndarray, rounds: int) -> SiftedTallies:
 _CATS = np.arange(128)
 _CAT_CELL = _CATS >> 2
 _CAT_SC = (_CATS & 1).astype(np.uint8)
-_CAT_TAG = CELL_TAG[_CAT_CELL]
-_CAT_ERR = _CAT_SC != CELL_BIT[_CAT_CELL]
+_CAT_TAG = _TAG[_CAT_CELL]
+_CAT_ERR = _CAT_SC != _BIT[_CAT_CELL]
 _CAT_OUTCOME = np.array([Outcome.ZERO, Outcome.ONE, Outcome.DOUBLE, Outcome.DOUBLE])[_CATS & 3]
 _CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_BYTES
 # per category: its set tag one-hot, then the same again if its bit is an
@@ -335,12 +321,10 @@ def _chunk_detections(k: int) -> int:
 def _detections(seed: int, tables: _DetectionTables, horizon: int):
     """Positions and categories of the detected rounds below ``horizon``.
 
-    Yields one chunk at a time.  Chunk ``k`` of ``_chunk_detections(k)``
-    detections makes one ``random(2 * size)`` call on spawn key ``(0, k)``
-    of ``seed``: the gaps between detections are Geometric(p_det) by
-    inversion of the first half, and each detection is a categorical draw
-    from the second half by guide table, equal to a binary search of
-    ``tables.cdf``.
+    Yields one chunk at a time, drawn from ``seed`` as the stream layout
+    (module docstring) sets out: the gaps between detections are
+    Geometric(p_det) by inversion, and each detection is a categorical draw
+    by guide table, equal to a binary search of ``tables.cdf``.
     """
     if tables.p_det == 0.0:   # nothing clicks
         return
@@ -405,7 +389,7 @@ def _row_text(key: int) -> bytes:
     if outcome == Outcome.NONE:
         bit, tag = "", SetTag.DISCARD
     else:
-        bit, tag = s_c, CELL_TAG[cell]
+        bit, tag = s_c, _TAG[cell]
     bases = ",".join("XY"[b[cell]] for b in _BASES)
     return (f",{_S_A[cell]},{_S_B[cell]},{bases},{_OUTCOME_NAMES[outcome]},"
             f"{bit},{_TAG_NAMES[tag]}\r\n").encode()
@@ -443,16 +427,14 @@ class _TraceWriter:
 
     Rows go out as bytes, one write per chunk of at most ``_CHUNK_ROWS``
     rounds of one index width.  The cells of rounds with no click are drawn
-    by guide table from the no-click distribution, block ``k`` of
-    ``BLOCK_ROUNDS`` rounds from the ``k``-th child of the trace branch, a
-    chunk at a time, which gives the same stream as one draw per block.
+    by guide table from the no-click distribution, in round order from
+    ``rng``, the trace's generator of the stream layout (module docstring).
     """
 
-    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray,
+    def __init__(self, fh, rng: np.random.Generator, none_cdf: np.ndarray,
                  none_guide: np.ndarray):
-        self._fh, self._branch = fh, branch
+        self._fh, self._rng = fh, rng
         self._none_cdf, self._none_guide = none_cdf, none_guide
-        self._rng = None
         self.written = 0
         fh.write(_TRACE_HEADER)
 
@@ -461,12 +443,7 @@ class _TraceWriter:
         """Rows up to round ``end``; ``pos`` and ``cat`` are the detections among them."""
         while self.written < end:
             start = self.written
-            offset = start % BLOCK_ROUNDS
-            if offset == 0:
-                self._rng = _generator(self._branch.entropy, *self._branch.spawn_key,
-                                       start // BLOCK_ROUNDS)
-            stop = min(end, start - offset + BLOCK_ROUNDS,
-                       start - start % _CHUNK_ROWS + _CHUNK_ROWS, 10 ** len(str(start)))
+            stop = min(end, start - start % _CHUNK_ROWS + _CHUNK_ROWS, 10 ** len(str(start)))
             keys = _draw(self._none_cdf, self._none_guide, self._rng.random(stop - start))
             keys |= Outcome.NONE << 5
             lo, hi = np.searchsorted(pos, (start, stop))
@@ -501,14 +478,8 @@ def run_protocol(
         attached.  When ``None``, exactly ``max_rounds`` rounds are
         simulated.
     seed:
-        Master seed, a nonnegative integer.  Detections come in chunks of
-        ``FIRST_CHUNK_DETECTIONS`` and then ``CHUNK_DETECTIONS``, sizes
-        fixed by the chunk index.  Chunk ``k`` of ``size`` detections takes
-        one stream of ``2 * size`` uniforms from
-        ``SeedSequence(seed, spawn_key=(0, k))``, the first half for the
-        gaps and the second for the categories; trace block ``k`` of
-        ``BLOCK_ROUNDS`` rounds, which only fills in trace rows, draws from
-        ``spawn_key=(1, k)``.  The result depends on the seed alone, with or
+        Master seed, a nonnegative integer; the module docstring gives the
+        stream layout.  The result depends on the seed alone, with or
         without a trace, and any run is a prefix of a longer run with the
         same seed.
     trace_path:
@@ -548,8 +519,7 @@ def run_protocol(
     with opened as fh:
         trace = None
         if fh is not None:
-            trace = _TraceWriter(fh, np.random.SeedSequence(seed, spawn_key=(1,)),
-                                 tables.none_cdf, tables.none_guide)
+            trace = _TraceWriter(fh, _generator(seed, 1, 0), tables.none_cdf, tables.none_guide)
         for pos, cat in _detections(seed, tables, max_rounds):
             tag = _CAT_TAG[cat]
             if thresholds is not None:

@@ -46,7 +46,8 @@ from .errors import (
     ProtocolAbortError,
     ZeroCountError,
 )
-from .finitekey import EpsilonBudget, _check_ec_efficiency, _phase_error_chain, key_length
+from .finitekey import EC_EFFICIENCY, EpsilonBudget, key_length
+from .finitekey import _check_ec_efficiency, _phase_error_chain
 from .optics import (
     ChannelModel,
     binary_entropy,
@@ -153,7 +154,8 @@ def _asymptotic_point(mu: float, channel: ChannelModel, ec_efficiency: float):
     return max(rate, 0.0), ebx, ep
 
 
-def asymptotic_rate(mu: float, channel: ChannelModel, ec_efficiency: float = 1.16) -> float:
+def asymptotic_rate(mu: float, channel: ChannelModel,
+                    ec_efficiency: float = EC_EFFICIENCY) -> float:
     """Per-pulse key rate in the infinite-key limit at full sifting.
 
     ``R = Q (1 - f H(EbX) - H(Ep))`` with the Y-basis error rate modeled by
@@ -168,7 +170,7 @@ def _rate_evaluator(
     n_pulses: float,
     channel: ChannelModel,
     ec_efficiency: float,
-    budget: EpsilonBudget | None,
+    budget: EpsilonBudget,
 ):
     """Finite-size rate at one distance, as a function of ``(mu, px)``.
 
@@ -177,8 +179,6 @@ def _rate_evaluator(
     returned ``evaluate(mu, px)`` gives ``(rate_per_pulse, ell, ep_bar,
     eb_x)`` and raises what :func:`finite_rate` raises at that working point.
     """
-    if budget is None:
-        budget = EpsilonBudget()
     if not 0 < n_pulses < math.inf:
         raise ParameterError("n_pulses must be positive and finite")
     channel = replace(channel, length_km=length_km)
@@ -214,8 +214,8 @@ def finite_rate(
     px: float,
     n_pulses: float,
     channel: ChannelModel,
-    ec_efficiency: float = 1.16,
-    budget: EpsilonBudget | None = None,
+    ec_efficiency: float = EC_EFFICIENCY,
+    budget: EpsilonBudget = EpsilonBudget(),
 ) -> RatePoint:
     """Finite-size key rate from expected tallies at one working point.
 
@@ -246,8 +246,8 @@ def optimize_params(
     length_km: float,
     n_pulses: float,
     channel: ChannelModel,
-    ec_efficiency: float = 1.16,
-    budget: EpsilonBudget | None = None,
+    ec_efficiency: float = EC_EFFICIENCY,
+    budget: EpsilonBudget = EpsilonBudget(),
     *,
     extra_starts: tuple = (),
 ) -> OptimizationResult:
@@ -309,8 +309,8 @@ def sweep_distance(
     lengths,
     n_pulses: float,
     channel: ChannelModel,
-    ec_efficiency: float = 1.16,
-    budget: EpsilonBudget | None = None,
+    ec_efficiency: float = EC_EFFICIENCY,
+    budget: EpsilonBudget = EpsilonBudget(),
 ) -> list[RatePoint]:
     """Optimized finite rate at each distance, returned in ascending order.
 
@@ -342,7 +342,7 @@ def sweep_distance(
 def asymptotic_sweep(
     lengths,
     channel: ChannelModel,
-    ec_efficiency: float = 1.16,
+    ec_efficiency: float = EC_EFFICIENCY,
 ) -> list[RatePoint]:
     """Infinite-key rate with optimized intensity at each distance.
 

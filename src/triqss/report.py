@@ -29,9 +29,11 @@ def render_kv(pairs) -> str:
 def parse_kv(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines into a string-to-string dict.
 
-    Values keep their textual form; callers convert types themselves.
+    Values keep their textual form; callers convert types themselves.  A
+    key given twice is an error, since either value could be the one meant.
     """
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -42,5 +44,9 @@ def parse_kv(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ParameterError(f"config line {lineno}: empty key")
+        if key in first_line:
+            raise ParameterError(
+                f"config line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out

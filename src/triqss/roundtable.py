@@ -1,19 +1,21 @@
-"""Static columns of the round table, in plain Python.
+"""Static columns of the round table, and the set tallies, in plain Python.
 
 A round's settings form one of 32 cells
-``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``.  Each
-column below holds one value per cell: the quarter-turn phase codes, the
-set the announced bases sift the round into, and the dealer's correct raw
-bit.  The simulator turns these columns into arrays; the count-table reader
-reads them as they are.  Nothing here needs numpy, so the analysis
-commands start without it.
+``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``; this is the
+only module that knows that layout.  Each column below holds one value per
+cell: the quarter-turn phase codes, the set the announced bases sift the
+round into, and the dealer's correct raw bit.  The simulator turns these
+columns into arrays; the count-table reader reads them as they are.  Both
+reduce their clicks to the same :class:`SetCounts`.  Nothing here needs
+numpy, so the analysis commands start without it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import IntEnum
 
-__all__ = ["Basis", "SetTag", "CELL_QUARTERS", "CELL_TAG", "CELL_BIT", "set_shares"]
+__all__ = ["Basis", "SetTag", "SetCounts", "CELL_QUARTERS", "CELL_TAG", "CELL_BIT", "set_shares"]
 
 
 class Basis(IntEnum):
@@ -39,17 +41,17 @@ _SET_OF_BASES = {
     (Basis.Y, Basis.X, Basis.Y): SetTag.YAC_SET,
 }
 
-_CELLS = range(32)
+# the settings columns, bit i of the cell for setting i: s_a, s_b, basis_a,
+# basis_b, basis_c; private to the package, and read by the simulator too
+_SETTINGS = tuple(tuple(cell >> i & 1 for cell in range(32)) for i in range(5))
+_S_A, _S_B, *_BASES = _SETTINGS
 
 CELL_QUARTERS = (
-    tuple(_PLAYER_QUARTER[cell >> 2 & 1][cell & 1] for cell in _CELLS),
-    tuple(_PLAYER_QUARTER[cell >> 3 & 1][cell >> 1 & 1] for cell in _CELLS),
-    tuple(cell >> 4 & 1 for cell in _CELLS),
+    tuple(_PLAYER_QUARTER[b][s] for b, s in zip(_BASES[0], _S_A)),
+    tuple(_PLAYER_QUARTER[b][s] for b, s in zip(_BASES[1], _S_B)),
+    _BASES[2],
 )
-CELL_TAG = tuple(
-    _SET_OF_BASES.get((cell >> 2 & 1, cell >> 3 & 1, cell >> 4 & 1), SetTag.DISCARD)
-    for cell in _CELLS
-)
+CELL_TAG = tuple(_SET_OF_BASES.get(bases, SetTag.DISCARD) for bases in zip(*_BASES))
 # the bit a sifted round registers on clean hardware: its net quarter turns
 # are even, 0 -> bit 0 and 2 -> bit 1; this is s_a ^ s_b, flipped on YAC cells
 CELL_BIT = tuple((q_b + q_c - q_a) % 4 >> 1 for q_a, q_b, q_c in zip(*CELL_QUARTERS))
@@ -58,3 +60,31 @@ CELL_BIT = tuple((q_b + q_c - q_a) % 4 >> 1 for q_a, q_b, q_c in zip(*CELL_QUART
 def set_shares(px: float) -> tuple[float, float]:
     """Shares of all rounds announced in the X set and in each checked Y set."""
     return px ** 3, px * (1.0 - px) ** 2
+
+
+@dataclass(frozen=True)
+class SetCounts:
+    """Detections ``n_*`` and errors ``m_*`` in the X set and the two checked Y sets."""
+
+    n_x: int = 0
+    m_x: int = 0
+    n_ybc: int = 0
+    m_ybc: int = 0
+    n_yac: int = 0
+    m_yac: int = 0
+
+    @property
+    def n_y(self) -> int:
+        return self.n_ybc + self.n_yac
+
+    @property
+    def eb_x(self) -> float:
+        return self.m_x / self.n_x
+
+    @property
+    def eb_ybc(self) -> float:
+        return self.m_ybc / self.n_ybc
+
+    @property
+    def eb_yac(self) -> float:
+        return self.m_yac / self.n_yac

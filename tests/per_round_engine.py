@@ -9,9 +9,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from triqss import protocol
-from triqss.protocol import CELL_BIT, CELL_TAG, Outcome
+from triqss import protocol, roundtable
+from triqss.protocol import Outcome
 from triqss.roundtable import SetTag
+
+CELL_TAG = np.array(roundtable.CELL_TAG, np.uint8)
+CELL_BIT = np.array(roundtable.CELL_BIT, np.uint8)
 
 
 class Block(NamedTuple):

@@ -1,10 +1,10 @@
 """Per-row reference for the trace writer.
 
 It formats every row with its own f-string, as the writer did before rows
-were assembled as bytes, and draws the no-click cells the same way
-(block ``k`` of ``BLOCK_ROUNDS`` rounds from the ``k``-th child of the trace
-branch), so a run with it in place of ``protocol._TraceWriter`` must write
-the same file byte for byte.
+were assembled as bytes, and draws the no-click cells the same way (in
+round order from the trace's generator, by binary search), so a run with it
+in place of ``protocol._TraceWriter`` must write the same file byte for
+byte.
 """
 
 from itertools import count
@@ -12,8 +12,8 @@ from itertools import count
 import numpy as np
 
 from triqss import protocol
-from triqss.protocol import _BASES, _S_A, _S_B, CELL_TAG, Outcome
-from triqss.roundtable import SetTag
+from triqss.protocol import _BASES, _S_A, _S_B, Outcome
+from triqss.roundtable import CELL_TAG, SetTag
 
 _OUTCOME_NAMES = ("zero", "one", "none", "double")
 _TAG_NAMES = ("X", "YBC", "YAC", "DISCARD")
@@ -38,26 +38,20 @@ _ROW_TEXT = np.array([row_text(key) for key in range(256)], dtype=object)
 class PerRowTraceWriter:
     """Drop-in for ``protocol._TraceWriter`` on a file opened ``"wb"``."""
 
-    def __init__(self, fh, branch: np.random.SeedSequence, none_cdf: np.ndarray,
+    def __init__(self, fh, rng: np.random.Generator, none_cdf: np.ndarray,
                  none_guide: np.ndarray = None):
-        self._fh, self._branch, self._none_cdf = fh, branch, none_cdf
-        self._rng = None
+        self._fh, self._rng, self._none_cdf = fh, rng, none_cdf
         self.written = 0
         fh.write(HEADER.encode())
 
     def write(self, end: int, pos: np.ndarray = protocol._NO_DETECTIONS,
               cat: np.ndarray = protocol._NO_DETECTIONS) -> None:
-        while self.written < end:
-            start = self.written
-            offset = start % protocol.BLOCK_ROUNDS
-            if offset == 0:
-                self._rng = np.random.default_rng(self._branch.spawn(1)[0])
-            stop = min(end, start - offset + protocol.BLOCK_ROUNDS)
-            keys = np.searchsorted(self._none_cdf, self._rng.random(stop - start), side="right")
-            keys |= Outcome.NONE << 5
-            lo, hi = np.searchsorted(pos, (start, stop))
-            keys[pos[lo:hi] - start] = protocol._CAT_ROW[cat[lo:hi]]
-            self._fh.write("".join(
-                f"{i},{text}" for i, text in zip(count(start), _ROW_TEXT[keys].tolist())
-            ).encode())
-            self.written = stop
+        start = self.written
+        keys = np.searchsorted(self._none_cdf, self._rng.random(end - start), side="right")
+        keys |= Outcome.NONE << 5
+        lo, hi = np.searchsorted(pos, (start, end))
+        keys[pos[lo:hi] - start] = protocol._CAT_ROW[cat[lo:hi]]
+        self._fh.write("".join(
+            f"{i},{text}" for i, text in zip(count(start), _ROW_TEXT[keys].tolist())
+        ).encode())
+        self.written = end

@@ -164,6 +164,19 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert parse_kv(out)["ell"] == "199428"
 
+    @pytest.mark.parametrize("directory", ["mu8e-4", "emu2"])
+    def test_directory_name_does_not_set_the_intensity(self, capsys, tmp_path, directory):
+        # only the file name is read: mu8e-4/ once rated the table at
+        # mu = 8e-4, and emu2/ at mu = 2
+        copy = tmp_path / directory / "tableIIIa_mu9e-4.csv"
+        copy.parent.mkdir()
+        copy.write_text((FIXTURES / "tableIIIa_mu9e-4.csv").read_text())
+        code, out, _ = run(capsys, ["analyze", str(copy)])
+        assert code == EXIT_OK
+        body = parse_kv(out)
+        assert float(body["mu"]) == 9e-4 and float(body["px"]) == 0.9
+        assert body["rate_per_pulse"] == "3.98856e-06"
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, ["analyze", str(tmp_path / "missing.csv"),
                                     "--mu", "9e-4", "--px", "0.9"])
@@ -342,6 +355,24 @@ class TestSimulate:
                                       "--loss-db", "10", "--alpha", "0"])
         assert code == EXIT_INPUT
         assert "--alpha" in err
+        assert out == ""
+
+    def test_rounds_with_max_rounds_exits_3(self, capsys):
+        # the run once used --rounds as the cap and echoed the unread --max-rounds
+        code, out, err = run(capsys, ["simulate", "--seed", "7", "--rounds", "100000",
+                                      "--nx", "5", "--nybc", "1", "--nyac", "1",
+                                      "--max-rounds", "1e9", "--length-km", "0"])
+        assert code == EXIT_INPUT
+        assert "--rounds" in err and "--max-rounds" in err
+        assert out == ""
+
+    def test_repeated_config_key_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 9e-4\n# the later value once won silently\nmu = 5e-4\n")
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg), "--seed", "2",
+                                      "--rounds", "1000"])
+        assert code == EXIT_INPUT
+        assert "'mu'" in err and "line 1" in err and "line 3" in err
         assert out == ""
 
     def test_unconvertible_config_value_exits_3(self, capsys, tmp_path):
@@ -629,6 +660,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "a6eaac9be09d8d22d02f516da31de7eac72fa9889ea2b085bd82d9f7320bceb2")
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("analyze fixtures/tableIIIa_mu9e-4.csv",
+         "d01b3834466f94089afd5bffbd889a311c41832f059893645ab08f5dbf99325b"),
+        ("analyze fixtures/tableIIIb_mu8e-4.csv --analytic-gain --length-km 10",
+         "c41fe9003c9cb7ca868ca40f9568fdfcc32ae09f1d8aa8dbb89ccd6d61b43584"),
+        ("simulate --seed 3 --rounds 1000000 --loss-db 30",
+         "99a8f42cffae528ad4c94957d93699a3c5581da104fcb018ca74431a637599d6"),
+    ], ids=["analyze-a9", "analyze-b8-analytic", "simulate-30db"])
+    def test_pinned_report(self, argv, digest):
+        proc = self.cli(*argv.split())
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     def test_top_level_help_lists_every_subcommand(self, monkeypatch):
         proc = self.cli("--help")

@@ -29,6 +29,7 @@ from triqss import (
     verify_correlation,
 )
 from triqss import protocol
+from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 from triqss.cli import main
 
 from cumsum_stop import cumsum_stop
@@ -71,7 +72,7 @@ def _small_chunks(monkeypatch, first, rest):
 
 def _arm_phases(cell):
     """Total phases on player a's and player b's arm, from the quarter-turn codes."""
-    q_a, q_b, q_c = (int(q[cell]) for q in protocol.CELL_QUARTERS)
+    q_a, q_b, q_c = (int(q[cell]) for q in CELL_QUARTERS)
     return q_a * 0.5 * math.pi, q_b * 0.5 * math.pi + q_c * 0.5 * math.pi
 
 
@@ -80,14 +81,14 @@ class TestEncodings:
         # X bits go out as phases 0 and pi, Y bits as 3pi/2 and pi/2
         quarters = {(Basis.X, 0): 0, (Basis.X, 1): 2, (Basis.Y, 0): 3, (Basis.Y, 1): 1}
         for cell in range(32):
-            q_a, q_b, _ = (q[cell] for q in protocol.CELL_QUARTERS)
+            q_a, q_b, _ = (q[cell] for q in CELL_QUARTERS)
             assert q_a == quarters[cell >> 2 & 1, cell & 1]
             assert q_b == quarters[cell >> 3 & 1, cell >> 1 & 1]
 
     def test_dealer_phases(self):
         # the dealer adds 0 (X) or pi/2 (Y) on player b's arm
         for cell in range(32):
-            assert protocol.CELL_QUARTERS[2][cell] == cell >> 4 & 1
+            assert CELL_QUARTERS[2][cell] == cell >> 4 & 1
 
     def test_matched_x_settings_interfere_deterministically(self):
         # same bits -> detector 0 arm gets all the light; opposite bits -> detector 1
@@ -95,7 +96,7 @@ class TestEncodings:
             for s_b in (0, 1):
                 cell = _cell(s_a, s_b, Basis.X, Basis.X, Basis.X)
                 probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
-                assert protocol.CELL_BIT[cell] == s_a ^ s_b
+                assert CELL_BIT[cell] == s_a ^ s_b
                 if s_a == s_b:
                     assert probs.only1 == 0.0 and probs.only0 > 0.0
                 else:
@@ -109,13 +110,13 @@ class TestEncodings:
                 probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 expected = s_a ^ s_b
                 assert (probs.only1 == 0.0) == (expected == 0)
-                assert protocol.CELL_BIT[cell] == expected
+                assert CELL_BIT[cell] == expected
 
                 cell = _cell(s_a, s_b, Basis.Y, Basis.X, Basis.Y)
                 probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 raw = s_a ^ s_b ^ 1
                 assert (probs.only1 == 0.0) == (raw == 0)
-                assert protocol.CELL_BIT[cell] == raw
+                assert CELL_BIT[cell] == raw
 
     def test_click_probabilities_sum_to_one(self):
         for dphi in np.linspace(0.0, 2 * math.pi, 9):
@@ -133,11 +134,11 @@ class TestRoundTable:
         t0, t1, _ = outcome_thresholds(BRIGHT, clean)
         sifted = 0
         for cell in range(32):
-            tag = protocol.CELL_TAG[cell]
+            tag = CELL_TAG[cell]
             if tag == SetTag.DISCARD:
                 continue
             sifted += 1
-            bit = protocol.CELL_BIT[cell]
+            bit = CELL_BIT[cell]
             assert bit == (cell & 1) ^ (cell >> 1 & 1) ^ (tag == SetTag.YAC_SET)
             p0, p1 = t0[cell], t1[cell] - t0[cell]
             assert (p0 > 0.0, p1 > 0.0) == ((True, False) if bit == 0 else (False, True))
@@ -174,11 +175,10 @@ class TestRunProtocol:
                             == np.random.default_rng(child).random(4)).all()
 
     def test_block_boundaries_do_not_leak(self, tmp_path, monkeypatch):
-        # a threshold run that stops inside the third trace block replays the
-        # start of a longer fixed run across several detection chunks: same
-        # keys, same trace rows, and the round index runs on across blocks
+        # a threshold run replays the start of a longer fixed run across
+        # several detection chunks: same keys, same trace rows, and the round
+        # index runs on across trace chunks
         rule = _small_chunks(monkeypatch, 300, 500)
-        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
         src = SourceParams(intensity=0.5, px=0.7)
         fixed_trace, stop_trace = tmp_path / "fixed.csv", tmp_path / "stop.csv"
         fixed = run_protocol(src, LOCAL, seed=8, max_rounds=30_000, trace_path=fixed_trace)
@@ -198,9 +198,8 @@ class TestRunProtocol:
             list(range(stop.rounds_used))
 
     def test_trace_does_not_change_the_result(self, tmp_path, monkeypatch):
-        # small chunks and blocks interleave the two streams' draws
+        # small chunks interleave the two streams' draws
         rule = _small_chunks(monkeypatch, 40, 64)
-        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 1000)
         src = SourceParams(intensity=0.05, px=0.7)
         plain = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20))
         traced = run_protocol(src, LOCAL, seed=19, thresholds=(300, 20, 20),
@@ -620,9 +619,7 @@ class TestTraceBytes:
         assert b"\r\n99999," in data and data.splitlines()[-1].startswith(b"100002,")
 
     def test_blocks_and_chunks_split_mid_run(self, tmp_path, monkeypatch):
-        # 777-round blocks cut the 2500-row chunks, and detection chunks of
-        # 40 and then 64 cut both
-        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 777)
+        # detection chunks of 40 and then 64 cut the 2500-row chunks
         rule = _small_chunks(monkeypatch, 40, 64)
         _, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
                                   seed=6, max_rounds=12_345)
@@ -630,7 +627,6 @@ class TestTraceBytes:
         assert rule.drawn >= set(range(3))
 
     def test_threshold_run_stops_early(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 10_000)
         run, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
                                     seed=8, thresholds=(300, 20, 20))
         assert data == ref
@@ -652,7 +648,7 @@ class TestTraceBytes:
             "def8fb64975b6d4b3157009306d12e84f8b2fc3fbcc9872aecbec773055253fa")
 
     def test_memory_is_bounded_by_the_chunk(self):
-        # a writer holding a whole BLOCK_ROUNDS block of keys and uniforms
+        # a writer holding a whole million-round block of keys and uniforms
         # peaked at about 25 MB
         tracemalloc.start()
         try:
