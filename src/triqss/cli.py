@@ -384,7 +384,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     budget = settings.budget()
     fe = settings.ec_efficiency()
     n_pulses = settings.get("n_pulses", float, 5e10)
-    rep_rate = settings.get("rep_rate", float, 1e8)
+    rep_rate = settings.get("rep_rate", float, expdata._REP_RATE_HZ)
     if not 0 < n_pulses < math.inf:
         raise ParameterError("--N must be positive and finite")
     analytic = ns.analytic_gain

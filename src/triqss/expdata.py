@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
-from .finitekey import key_length, phase_error_upper_bound
-from .optics import ChannelModel, SourceParams, binary_entropy, gain, transmittance
+from .finitekey import _phase_error_bound, key_length
+from .optics import ChannelModel, SourceParams, binary_entropy, coin_imbalance, gain, transmittance
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
 __all__ = [
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 COUNT_HEADER = ["phase_a", "phase_b", "phase_c", "spd1", "spd2"]
+
+# pulse repetition rate that converts a per-pulse rate to bits per second;
+# the default of experiment_skr and of the command line's --rep-rate
+_REP_RATE_HZ = 1e8
+
 
 @dataclass(frozen=True)
 class CountRow:
@@ -220,7 +225,7 @@ def experiment_skr(
     *,
     ec_efficiency: float = EC_EFFICIENCY,
     channel: ChannelModel | None = None,
-    rep_rate_hz: float = 1e8,
+    rep_rate_hz: float = _REP_RATE_HZ,
 ) -> KeyRateReport:
     """Secure key rate extracted from measured tallies.
 
@@ -248,8 +253,9 @@ def experiment_skr(
     if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
         raise ParameterError("pulse intensity must be positive where clicks were counted")
 
-    bound_bc = phase_error_upper_bound(summary.n_x, summary.n_ybc, summary.m_ybc, mu, q, budget)
-    bound_ac = phase_error_upper_bound(summary.n_x, summary.n_yac, summary.m_yac, mu, q, budget)
+    delta = coin_imbalance(mu, q)
+    bound_bc = _phase_error_bound(summary.n_x, summary.n_ybc, summary.m_ybc, delta, budget)
+    bound_ac = _phase_error_bound(summary.n_x, summary.n_yac, summary.m_yac, delta, budget)
     worst = bound_bc if bound_bc.ep_bar >= bound_ac.ep_bar else bound_ac
 
     ell = key_length(summary.n_x, worst.ep_bar, summary.eb_x, ec_efficiency, budget)

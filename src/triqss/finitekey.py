@@ -139,24 +139,27 @@ def _validate_kato_args(lam: float, k: float, eps: float) -> None:
         raise ParameterError("failure probability must be in (0, 1)")
 
 
-def _a_opt_upper(lam: float, k: float, t: float) -> float:
-    """Closed-form minimizer of the upper-tail deviation; t = ln(eps) < 0."""
-    sk = math.sqrt(k)
-    inner = -(k * k) * t * (9.0 * lam * (k - lam) - 2.0 * k * t)
+_SQRT2 = math.sqrt(2.0)
+
+
+def _a_opt_upper(lam: float, k: float, sk: float, t: float) -> float:
+    """Closed-form minimizer of the upper-tail deviation; sk = sqrt(k), t = ln(eps) < 0."""
+    g = 9.0 * lam * (k - lam) - 2.0 * k * t
+    inner = -(k * k) * t * g
     if inner < 0.0:
         raise NumericalDegeneracyError("negative discriminant in coefficient formula")
     num = 3.0 * (
         72.0 * sk * lam * (k - lam) * t
         - 16.0 * k * sk * t * t
-        + 9.0 * math.sqrt(2.0) * (k - 2.0 * lam) * math.sqrt(inner)
+        + 9.0 * _SQRT2 * (k - 2.0 * lam) * math.sqrt(inner)
     )
-    den = 4.0 * (9.0 * k - 8.0 * t) * (9.0 * lam * (k - lam) - 2.0 * k * t)
+    den = 4.0 * (9.0 * k - 8.0 * t) * g
     return num / den
 
 
-def _b_from_constraint(a: float, k: float, t: float, sign: float) -> float:
-    """Solve the failure-probability equality for b; sign picks the tail."""
-    arg = 18.0 * a * a * k - (16.0 * a * a + sign * 24.0 * a * math.sqrt(k) + 9.0 * k) * t
+def _b_from_constraint(a: float, k: float, sk: float, t: float, sign: float) -> float:
+    """Solve the failure-probability equality for b; sign picks the tail, sk = sqrt(k)."""
+    arg = 18.0 * a * a * k - (16.0 * a * a + sign * 24.0 * a * sk + 9.0 * k) * t
     # every a reaches here: an overflow in it (k above about 1e76 for the
     # closed form) or in a * a * k leaves arg inf or nan
     if not arg < math.inf:
@@ -167,18 +170,19 @@ def _b_from_constraint(a: float, k: float, t: float, sign: float) -> float:
     return math.sqrt(arg) / (3.0 * math.sqrt(2.0 * k))
 
 
-def _deviation(a: float, b: float, lam: float, k: float) -> float:
+def _deviation(a: float, b: float, lam: float, k: float, sk: float) -> float:
     """Additive bound ``(b + a(2 lam / k - 1)) sqrt(k)`` at the observed sum ``lam``,
     nonnegative as ``b >= |a|``: a rounding residue where it cancels is clamped at 0."""
-    dev = (b + a * (2.0 * lam / k - 1.0)) * math.sqrt(k)
+    dev = (b + a * (2.0 * lam / k - 1.0)) * sk
     return dev if dev > 0.0 else 0.0
 
 
 def _upper_coeffs(lam: float, k: float, t: float) -> tuple[float, float, float]:
     """``(a, b, deviation)`` of the upper tail, unchecked; t = ln(eps)."""
-    a = _a_opt_upper(lam, k, t)
-    b = _b_from_constraint(a, k, t, +1.0)
-    return a, b, _deviation(a, b, lam, k)
+    sk = math.sqrt(k)
+    a = _a_opt_upper(lam, k, sk, t)
+    b = _b_from_constraint(a, k, sk, t, +1.0)
+    return a, b, _deviation(a, b, lam, k, sk)
 
 
 def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
@@ -207,10 +211,10 @@ def kato_lower_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
     minimizer is ``-a_upper(k - lam)`` with the sign-flipped constraint.
     """
     _validate_kato_args(lam, k, eps)
-    t = math.log(eps)
-    a = -_a_opt_upper(k - lam, k, t)
-    b = _b_from_constraint(a, k, t, -1.0)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k), epsilon=eps)
+    t, sk = math.log(eps), math.sqrt(k)
+    a = -_a_opt_upper(k - lam, k, sk, t)
+    b = _b_from_constraint(a, k, sk, t, -1.0)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
 
 
 def kato_failure_probability(a: float, b: float, k: float, direction: str) -> float:
@@ -236,14 +240,14 @@ def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> Kat
     _validate_kato_args(lam, k, eps)
     if direction not in ("upper", "lower"):
         raise ParameterError("direction must be 'upper' or 'lower'")
-    t = math.log(eps)
+    t, sk = math.log(eps), math.sqrt(k)
     sign = 1.0 if direction == "upper" else -1.0
     c = 2.0 * lam / k - 1.0
 
     def objective(a: float) -> float:
-        return _b_from_constraint(a, k, t, sign) + a * c
+        return _b_from_constraint(a, k, sk, t, sign) + a * c
 
-    lo, hi = -3.0 * math.sqrt(k), 3.0 * math.sqrt(k)
+    lo, hi = -3.0 * sk, 3.0 * sk
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -258,8 +262,8 @@ def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> Kat
             x2 = lo + invphi * (hi - lo)
             f2 = objective(x2)
     a = 0.5 * (lo + hi)
-    b = _b_from_constraint(a, k, t, sign)
-    return KatoCoefficients(a=a, b=b, deviation=objective(a) * math.sqrt(k), epsilon=eps)
+    b = _b_from_constraint(a, k, sk, t, sign)
+    return KatoCoefficients(a=a, b=b, deviation=objective(a) * sk, epsilon=eps)
 
 
 def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> float:
@@ -361,9 +365,19 @@ def phase_error_upper_bound(
     budget:
         Failure probabilities; consumes ``eps_a`` and ``eps_b``.
     """
-    (m_y_expected, eb_y_expected, delta, ep_raw, ep_expected,
-     m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(
-        n_x, n_y, m_y, mu, gain_value, budget)
+    return _phase_error_bound(n_x, n_y, m_y, coin_imbalance(mu, gain_value), budget)
+
+
+def _phase_error_bound(
+    n_x: float,
+    n_y: float,
+    m_y: float,
+    delta: float,
+    budget: EpsilonBudget,
+) -> PhaseErrorBound:
+    """:func:`phase_error_upper_bound` at a given coin imbalance ``delta``."""
+    (m_y_expected, eb_y_expected, ep_raw, ep_expected,
+     m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, delta, budget)
     return PhaseErrorBound(
         n_x=n_x, n_y=n_y, m_y=m_y,
         m_y_expected=m_y_expected, eb_y_expected=eb_y_expected, delta=delta,
@@ -379,17 +393,17 @@ def _phase_error_chain(
     n_x: float,
     n_y: float,
     m_y: float,
-    mu: float,
-    gain_value: float,
+    delta: float,
     budget: EpsilonBudget,
 ) -> tuple:
-    """Float core of :func:`phase_error_upper_bound`.
+    """Float core of :func:`phase_error_upper_bound`, given the coin imbalance.
 
     Reads the budget's derived ``ln(eps_a)`` and ``-ln(eps_b)`` and returns
-    the intermediates ``(m_y_expected, eb_y_expected, delta, ep_raw,
-    ep_expected, m_p_expected, m_p_observed, ep_bar)``, ``ep_raw`` being the
-    unclamped phase error rate.  Checks the counts once, here, for what the
-    public steps check; the budget is checked when it is built.
+    the intermediates ``(m_y_expected, eb_y_expected, ep_raw, ep_expected,
+    m_p_expected, m_p_observed, ep_bar)``, ``ep_raw`` being the unclamped
+    phase error rate.  Checks the counts once, here, for what the public
+    steps check; the budget is checked when it is built, and ``delta`` by
+    :func:`~triqss.optics.phase_error_terms`.
     """
     if not (0 < n_x < math.inf and 0 < n_y < math.inf):
         raise ParameterError("detection counts must be positive and finite")
@@ -401,7 +415,6 @@ def _phase_error_chain(
     eb_y_expected = min(m_y_expected / n_y, 1.0)
 
     # step 2: expected Y error rate -> expected phase error rate
-    delta = coin_imbalance(mu, gain_value)
     ep_raw = math.fsum(phase_error_terms(eb_y_expected, delta))
     ep_expected = min(ep_raw, 1.0)
 
@@ -410,7 +423,7 @@ def _phase_error_chain(
     m_p_expected = ep_expected * n_x
     m_p_observed = m_p_expected + _zero_coeff_deviation(n_x, budget._log_inv_eps_b)
     ep_bar = min(m_p_observed / n_x, 1.0)
-    return (m_y_expected, eb_y_expected, delta, ep_raw, ep_expected,
+    return (m_y_expected, eb_y_expected, ep_raw, ep_expected,
             m_p_expected, m_p_observed, ep_bar)
 
 
@@ -434,7 +447,18 @@ def key_length_raw(
     if n_x <= 0:
         raise ParameterError("key-set detection count must be positive")
     _check_ec_efficiency(ec_efficiency)
-    lam_ec = n_x * ec_efficiency * binary_entropy(eb_x)
+    return _key_length_raw(n_x, ep_bar, binary_entropy(eb_x), ec_efficiency, budget)
+
+
+def _key_length_raw(
+    n_x: float,
+    ep_bar: float,
+    h_eb_x: float,
+    ec_efficiency: float,
+    budget: EpsilonBudget,
+) -> float:
+    """Float core of :func:`key_length_raw`, given ``h_eb_x = H(eb_x)``; unchecked."""
+    lam_ec = n_x * ec_efficiency * h_eb_x
     return (n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec
             - budget._cost_c - budget._cost_pa)
 

@@ -100,7 +100,8 @@ def transmittance(channel: ChannelModel) -> float:
 
 def _gain_terms(mu: float, eta: float, dark: float) -> tuple[float, float, float]:
     """The gain with ``1 - exp(-x)`` and ``exp(-x)`` for ``x = 2 mu eta``."""
-    if mu < 0 or eta < 0 or not 0 <= dark < 1:
+    # written so that a NaN fails it
+    if not (mu >= 0 and eta >= 0 and 0 <= dark < 1):
         raise ParameterError("gain arguments out of range")
     x = 2.0 * mu * eta
     # -expm1 keeps 1 - exp(-x) accurate when x is far below 1e-8
@@ -136,12 +137,19 @@ def bit_error_x(mu: float, eta: float, dark: float, misalignment: float) -> floa
     """
     if not 0 <= misalignment <= 0.5:
         raise ParameterError("misalignment must be in [0, 0.5]")
+    return _gain_and_bit_error(mu, eta, dark, misalignment)[1]
+
+
+def _gain_and_bit_error(mu: float, eta: float, dark: float,
+                        misalignment: float) -> tuple[float, float]:
+    """``(gain, bit_error_x)`` from one evaluation of the gain terms;
+    ``misalignment`` unchecked."""
     q, signal, quiet = _gain_terms(mu, eta, dark)
     if q <= 0.0:
         raise DegenerateGainError("zero detection gain: bit error rate undefined")
     wrong = misalignment * (1.0 - dark) * (signal + dark * quiet)
     wrong += (1.0 - misalignment) * dark * (1.0 - dark) * quiet
-    return wrong / q
+    return q, wrong / q
 
 
 def basis_overlap(mu: float) -> float:
@@ -151,8 +159,9 @@ def basis_overlap(mu: float) -> float:
     form ``exp(-mu) * (cos(mu) + sin(mu))``, which equals
     ``1 - mu**2 + (2/3) mu**3 - ...`` for small ``mu``.
     """
-    if mu < 0:
-        raise ParameterError("pulse intensity must be nonnegative")
+    # cos and sin of an infinite intensity raise a bare ValueError
+    if not 0 <= mu < math.inf:
+        raise ParameterError("pulse intensity must be finite and nonnegative")
     return math.exp(-mu) * (math.cos(mu) + math.sin(mu))
 
 

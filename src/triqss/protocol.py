@@ -152,8 +152,12 @@ class ProtocolRun:
     key_a: np.ndarray
     key_b: np.ndarray
     key_c: np.ndarray
-    rounds_used: int
     seed: int
+
+    @property
+    def rounds_used(self) -> int:
+        """Rounds the run consumed, ``tallies.rounds``."""
+        return self.tallies.rounds
 
 
 # the round table's columns, one entry per cell, as arrays
@@ -543,7 +547,6 @@ def run_protocol(
         key_a=key_a,
         key_b=key_b,
         key_c=key_c,
-        rounds_used=rounds,
         seed=seed,
     )
     if thresholds is not None and not done:

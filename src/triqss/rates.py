@@ -7,12 +7,26 @@ error rate taken equal to the X-basis model value.  Those expected tallies
 are pushed through the concentration pipeline exactly as observed counts
 would be.
 
-One code path computes that rate.  A per-distance evaluator checks the
-pulse count (positive and finite), the length (through ``ChannelModel``)
-and the error-correction efficiency, and derives the transmittance, once
-per distance; the budget derived its own terms when it was built.  The
-evaluator maps ``(mu, px)`` to plain floats through the optics helpers,
-the float core of the phase error chain and ``key_length``.
+One code path computes that rate, a per-distance evaluator of
+``(mu, px)`` built in three stages, following what each term depends on:
+
+- per distance, once: the checks of the pulse count (positive and
+  finite), the length (through ``ChannelModel``) and the error-correction
+  efficiency, and the transmittance; the budget derived its own terms
+  when it was built;
+- per intensity ``mu``: the gain ``Q`` and ``EbX`` from one evaluation of
+  the optics' gain terms, ``H(EbX)`` for the error-correction leak, and the
+  coin imbalance; an imbalance out of its domain is not raised here but
+  after the count check, where the public functions raise it;
+- per basis probability ``px``: the set shares, times the pulse count.
+
+Each of the last two stages is a one-entry cache local to the evaluator:
+it is recomputed only when its argument differs from the previous call's.
+A ``px`` line search holds ``mu`` fixed and a ``mu`` line search holds
+``px`` fixed, so every request of the optimizer reuses one of them.  What
+is left per request is the pair's counts, the float core of the phase
+error chain and of the key length.  The results, and the error a failing
+point raises, are those of the public functions step by step.
 ``finite_rate`` is that evaluator plus the ``RatePoint`` wrap.
 
 An error in a per-distance argument raises :class:`ParameterError` from
@@ -46,14 +60,13 @@ from .errors import (
     ProtocolAbortError,
     ZeroCountError,
 )
-from .finitekey import EC_EFFICIENCY, EpsilonBudget, key_length
-from .finitekey import _check_ec_efficiency, _phase_error_chain
+from .finitekey import EC_EFFICIENCY, EpsilonBudget
+from .finitekey import _check_ec_efficiency, _key_length_raw, _phase_error_chain
 from .optics import (
     ChannelModel,
+    _gain_and_bit_error,
     binary_entropy,
-    bit_error_x,
     coin_imbalance,
-    gain,
     phase_error_from_y,
     transmittance,
 )
@@ -144,9 +157,8 @@ def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
 def _asymptotic_point(mu: float, channel: ChannelModel, ec_efficiency: float):
     """``(rate, eb_x, ep)`` of :func:`asymptotic_rate`, ``ep`` uncapped at 1/2;
     ``ec_efficiency`` unchecked."""
-    eta = transmittance(channel)
-    q = gain(mu, eta, channel.dark_count)
-    ebx = bit_error_x(mu, eta, channel.dark_count, channel.misalignment)
+    q, ebx = _gain_and_bit_error(mu, transmittance(channel), channel.dark_count,
+                                 channel.misalignment)
     ep = phase_error_from_y(ebx, coin_imbalance(mu, q))
     # a phase error rate at or above one half means all secrecy is lost;
     # H's symmetric dip above 1/2 must not resurrect the rate
@@ -178,6 +190,8 @@ def _rate_evaluator(
     :class:`ParameterError`, and derives the transmittance once.  The
     returned ``evaluate(mu, px)`` gives ``(rate_per_pulse, ell, ep_bar,
     eb_x)`` and raises what :func:`finite_rate` raises at that working point.
+    It keeps the terms of the last ``mu`` and the last ``px`` it was given
+    (see the module docstring); nothing else outlives a call.
     """
     if not 0 < n_pulses < math.inf:
         raise ParameterError("n_pulses must be positive and finite")
@@ -185,24 +199,40 @@ def _rate_evaluator(
     _check_ec_efficiency(ec_efficiency)
     eta = transmittance(channel)
     dark, misalignment = channel.dark_count, channel.misalignment
+    # the one-entry caches; None matches no float, and NaN not even itself
+    mu_key = px_key = None
+    q = ebx = h_ebx = delta = n_share_x = n_share_y = None
 
     def evaluate(mu: float, px: float) -> tuple[float, int, float, float]:
+        nonlocal mu_key, q, ebx, h_ebx, delta, px_key, n_share_x, n_share_y
         if not 0 < px < 1:
             raise ParameterError("px must be in (0, 1)")
-        q = gain(mu, eta, dark)
-        ebx = bit_error_x(mu, eta, dark, misalignment)
+        if mu != mu_key:
+            mu_key = None   # stays unset if this stage raises
+            q, ebx = _gain_and_bit_error(mu, eta, dark, misalignment)
+            h_ebx = binary_entropy(ebx)
+            try:
+                delta = coin_imbalance(mu, q)
+            except ParameterError:
+                delta = None   # raised below, after the checks that come first
+            mu_key = mu
+        if px != px_key:
+            share_x, share_y = set_shares(px)
+            n_share_x, n_share_y = n_pulses * share_x, n_pulses * share_y
+            px_key = px
 
-        share_x, share_y = set_shares(px)
-        n_x = n_pulses * share_x * q
-        n_y = n_pulses * share_y * q
+        n_x = n_share_x * q
+        n_y = n_share_y * q
         if n_y < 1.0:
             raise ZeroCountError(
                 f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"
             )
+        if delta is None:
+            coin_imbalance(mu, q)   # raises the error caught above
         m_y = ebx * n_y
 
-        ep_bar = _phase_error_chain(n_x, n_y, m_y, mu, q, budget)[-1]
-        ell = key_length(n_x, ep_bar, ebx, ec_efficiency, budget)
+        ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[-1]
+        ell = max(0, math.floor(_key_length_raw(n_x, ep_bar, h_ebx, ec_efficiency, budget)))
         return ell / n_pulses, ell, ep_bar, ebx
 
     return evaluate
