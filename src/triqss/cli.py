@@ -8,7 +8,9 @@ concentration bound, with a numeric self-check).
 A run registers only the flags of the subcommand named by its first
 argument, so argparse builds none of the other three.  With no argument, an
 unknown word or ``-h``/``--help`` first, all four are built, so ``triqss -h``
-and the usage errors list every subcommand.
+and the usage errors list every subcommand.  ``main`` builds each of these
+parsers once per process and reuses it on later calls; ``build_parser``
+builds a new one on every call.
 
 Settings resolve with precedence command-line flag, then config file
 (``--config``, flat ``key = value`` lines), then built-in default.  The
@@ -23,6 +25,7 @@ conditions), 3 input error, 4 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
@@ -163,6 +166,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flag, options in flags:
             p.add_argument(flag, **options)
     return parser
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process for ``main``.
+
+    Reuse is safe: ``parse_args`` keeps no state between calls, and help and
+    usage read the terminal width when they print.  ``command`` is a
+    subcommand name or ``None``, so at most five parsers are ever cached.
+    """
+    return build_parser(command)
 
 
 # namespace entries that a config key cannot set
@@ -487,7 +501,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ns = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    ns = _parser(command).parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
     except (NumericalDegeneracyError, DegenerateGainError) as exc:

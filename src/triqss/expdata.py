@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
-from .finitekey import _phase_error_bound, key_length
-from .optics import ChannelModel, SourceParams, binary_entropy, coin_imbalance, gain, transmittance
+from .finitekey import _checked_ec_leak, _key_length, _phase_error_bound
+from .optics import ChannelModel, SourceParams, coin_imbalance, gain, transmittance
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
 __all__ = [
@@ -258,8 +258,9 @@ def experiment_skr(
     bound_ac = _phase_error_bound(summary.n_x, summary.n_yac, summary.m_yac, delta, budget)
     worst = bound_bc if bound_bc.ep_bar >= bound_ac.ep_bar else bound_ac
 
-    ell = key_length(summary.n_x, worst.ep_bar, summary.eb_x, ec_efficiency, budget)
-    lam_ec = summary.n_x * ec_efficiency * binary_entropy(summary.eb_x)
+    # the leak that the key length subtracts is the one reported
+    lam_ec = _checked_ec_leak(summary.n_x, summary.eb_x, ec_efficiency)
+    ell = _key_length(summary.n_x, worst.ep_bar, lam_ec, budget)
     return KeyRateReport(
         n_pulses=n_pulses,
         n_x=summary.n_x,

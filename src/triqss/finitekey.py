@@ -444,23 +444,32 @@ def key_length_raw(
     artifact of the entropy function, not recovered secrecy; without the cap
     the expression would grow again as ep_bar -> 1 and break monotonicity.
     """
+    return _key_length_raw(n_x, ep_bar, _checked_ec_leak(n_x, eb_x, ec_efficiency), budget)
+
+
+def _ec_leak(n_x: float, h_eb_x: float, ec_efficiency: float) -> float:
+    """The error-correction leak ``lambda_EC = n_x f H(eb_x)``, given
+    ``h_eb_x = H(eb_x)``; unchecked.  Every key length subtracts this."""
+    return n_x * ec_efficiency * h_eb_x
+
+
+def _checked_ec_leak(n_x: float, eb_x: float, ec_efficiency: float) -> float:
+    """:func:`_ec_leak` after the checks of :func:`key_length_raw`."""
     if n_x <= 0:
         raise ParameterError("key-set detection count must be positive")
     _check_ec_efficiency(ec_efficiency)
-    return _key_length_raw(n_x, ep_bar, binary_entropy(eb_x), ec_efficiency, budget)
+    return _ec_leak(n_x, binary_entropy(eb_x), ec_efficiency)
 
 
-def _key_length_raw(
-    n_x: float,
-    ep_bar: float,
-    h_eb_x: float,
-    ec_efficiency: float,
-    budget: EpsilonBudget,
-) -> float:
-    """Float core of :func:`key_length_raw`, given ``h_eb_x = H(eb_x)``; unchecked."""
-    lam_ec = n_x * ec_efficiency * h_eb_x
+def _key_length_raw(n_x: float, ep_bar: float, lam_ec: float, budget: EpsilonBudget) -> float:
+    """Float core of :func:`key_length_raw`, given the leak ``lam_ec``; unchecked."""
     return (n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec
             - budget._cost_c - budget._cost_pa)
+
+
+def _key_length(n_x: float, ep_bar: float, lam_ec: float, budget: EpsilonBudget) -> int:
+    """Float core of :func:`key_length`, given the leak ``lam_ec``; unchecked."""
+    return max(0, math.floor(_key_length_raw(n_x, ep_bar, lam_ec, budget)))
 
 
 def _check_ec_efficiency(ec_efficiency: float) -> None:
@@ -476,7 +485,7 @@ def key_length(
     budget: EpsilonBudget,
 ) -> int:
     """Secure key length in bits: floored and clamped at zero."""
-    return max(0, math.floor(key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, budget)))
+    return _key_length(n_x, ep_bar, _checked_ec_leak(n_x, eb_x, ec_efficiency), budget)
 
 
 @dataclass(frozen=True)

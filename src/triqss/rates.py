@@ -34,8 +34,15 @@ every entry point: ``finite_rate``, ``optimize_params`` and
 ``sweep_distance`` for the pulse count, the length and the efficiency, and
 ``asymptotic_rate`` and ``asymptotic_sweep`` for the length and the
 efficiency.  Only a working point ``(mu, px)`` that fails scores zero in
-the optimizer (the errors in ``_SCORED_ZERO``), so bad input never comes
-back as an abort row or an ``AllAbortError``.
+the optimizer, so bad input never comes back as an abort row or an
+``AllAbortError``.  The errors that score zero (``_SCORED_ZERO``) are
+:class:`ProtocolAbortError` (an expected Y set below one event),
+:class:`ParameterError` (a point outside the model's domain),
+:class:`DegenerateGainError` and :class:`NumericalDegeneracyError`.  The
+last is an overflow of the Kato closed form, which sets in once a trial
+count passes about 1e77: when no point at a distance yields a key and one
+of them overflowed, the optimizer raises that error instead of
+``AllAbortError``, so a huge pulse count is not reported as "no key".
 
 ``optimize_params`` maximizes the finite rate over the pulse intensity and
 the basis probability by coordinate descent with golden-section line
@@ -61,7 +68,7 @@ from .errors import (
     ZeroCountError,
 )
 from .finitekey import EC_EFFICIENCY, EpsilonBudget
-from .finitekey import _check_ec_efficiency, _key_length_raw, _phase_error_chain
+from .finitekey import _check_ec_efficiency, _ec_leak, _key_length, _phase_error_chain
 from .optics import (
     ChannelModel,
     _gain_and_bit_error,
@@ -232,7 +239,7 @@ def _rate_evaluator(
         m_y = ebx * n_y
 
         ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[-1]
-        ell = max(0, math.floor(_key_length_raw(n_x, ep_bar, h_ebx, ec_efficiency, budget)))
+        ell = _key_length(n_x, ep_bar, _ec_leak(n_x, h_ebx, ec_efficiency), budget)
         return ell / n_pulses, ell, ep_bar, ebx
 
     return evaluate
@@ -287,8 +294,9 @@ def optimize_params(
     in ``MU_BOUNDS`` and ``px`` in ``PX_BOUNDS``, restarted from three fixed
     points plus any ``extra_starts``.  Working points that abort or leave the
     model's domain score zero; a bad pulse count, length or efficiency raises
-    :class:`ParameterError` before the search.  Raises :class:`AllAbortError`
-    when no evaluated point yields a key.
+    :class:`ParameterError` before the search.  When no evaluated point
+    yields a key, raises :class:`NumericalDegeneracyError` if a point failed
+    with one, else :class:`AllAbortError`.
 
     Each distinct ``(mu, px)`` is evaluated once, on one per-distance
     evaluator, and a repeat request reads a memo that lives for this call
@@ -298,13 +306,17 @@ def optimize_params(
     trace: list[tuple] = []
     # local to the call: one that outlived it would answer repeated calls from memory
     memo: dict[tuple[float, float], float] = {}
+    overflow = None   # the first NumericalDegeneracyError a point raised
 
     def rate_at(mu: float, px: float) -> float:
+        nonlocal overflow
         r = memo.get((mu, px))
         if r is None:
             try:
                 r = evaluate(mu, px)[0]
-            except _SCORED_ZERO:
+            except _SCORED_ZERO as exc:
+                if overflow is None and isinstance(exc, NumericalDegeneracyError):
+                    overflow = exc
                 r = 0.0
             memo[mu, px] = r
         trace.append((mu, px, r))
@@ -328,9 +340,10 @@ def optimize_params(
 
     best_mu, best_px, best_rate = max(trace, key=lambda rec: rec[2])
     if best_rate <= 0.0:
-        raise AllAbortError(
-            f"no positive key rate found at L={length_km} km for n_pulses={n_pulses:g}"
-        )
+        message = f"no positive key rate found at L={length_km} km for n_pulses={n_pulses:g}"
+        if overflow is not None:
+            raise NumericalDegeneracyError(f"{message}: {overflow}") from overflow
+        raise AllAbortError(message)
     best = finite_rate(length_km, best_mu, best_px, n_pulses, channel, ec_efficiency, budget)
     return OptimizationResult(best=best, trace=trace, n_evals=len(trace))
 
@@ -348,6 +361,9 @@ def sweep_distance(
     optimization with the previous optimum.  Because the rate at fixed
     parameters can only grow as the channel shortens, this guarantees the
     reported curve is monotone nonincreasing in distance.
+
+    A distance where :func:`optimize_params` raises :class:`AllAbortError`
+    gives an abort row; its :class:`NumericalDegeneracyError` propagates.
     """
     points: list[RatePoint] = []
     warm: tuple = ()

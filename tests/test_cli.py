@@ -21,6 +21,7 @@ from triqss.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_GRID_POINTS,
+    _parser,
     build_parser,
     distance_grid,
     main,
@@ -474,6 +475,28 @@ class TestSweep:
         assert [row[0] for row in rows] == ["0", "5"]
         assert all(int(row[4]) > 0 for row in rows)
 
+    # the Kato closed form overflows once a trial count passes about 1e77;
+    # past that no point yields a key, which is not a protocol abort
+    @pytest.mark.parametrize("n_pulses", ["1e90", "1e100"])
+    def test_pulse_count_past_the_overflow_exits_4(self, capsys, n_pulses):
+        code, out, err = run(capsys, ["sweep", "--N", n_pulses,
+                                      "--Lmin", "0", "--Lmax", "100", "--step", "50"])
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numerical degeneracy: no positive key rate found")
+        assert out == ""
+
+    # digests of the data rows, taken before overflows with no key raised
+    @pytest.mark.parametrize("n_pulses,digest", [
+        ("1e77", "57dc1aebd1a7a4ccb741c51c671b23591fc57f0de74ff388559beaea0897f345"),
+        ("1e80", "d2dca598efb8164af8aefc674ff8ba0c54b2a2039b04a1affc7f1b7d364198c2"),
+    ])
+    def test_pulse_count_below_the_overflow_keeps_its_rows(self, capsys, n_pulses, digest):
+        code, out, _ = run(capsys, ["sweep", "--N", n_pulses,
+                                    "--Lmin", "0", "--Lmax", "100", "--step", "50"])
+        assert code == EXIT_OK
+        rows = "".join(l + "\n" for l in out.splitlines() if not l.startswith("#"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
     def test_length_is_not_echoed(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--N", "inf", "--Lmax", "0"])
         assert code == EXIT_OK
@@ -618,6 +641,7 @@ class TestParserParity:
         assert isinstance(full[0], int)
 
     def test_main_registers_only_the_named_subcommand(self, monkeypatch, capsys):
+        _parser.cache_clear()   # as in a fresh process
         kato = _subcommand_parsers(build_parser())["kato"]
         kato_flags = {opt for action in kato._actions for opt in action.option_strings}
         registered = []
@@ -630,6 +654,62 @@ class TestParserParity:
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
         assert run(capsys, ["kato", "--k", "1e6", "--lam", "5e5"])[0] == EXIT_OK
         assert set(registered) == kato_flags
+
+
+def _parametrized_argvs(test):
+    """The ``argv`` values of a test's ``parametrize`` mark."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+def _main_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """``main`` builds each parser once per process; reuse changes no output."""
+
+    @pytest.mark.parametrize("argv", [[name, *args] for name, args in VALID_ARGS.items()]
+                             + _parametrized_argvs(TestParserParity.test_same_usage_errors_and_help))
+    def test_second_call_repeats_the_first(self, capsys, argv):
+        _parser.cache_clear()
+        first = _main_outcome(argv, capsys)
+        assert _parser.cache_info().currsize == 1
+        assert _main_outcome(argv, capsys) == first
+        assert _parser.cache_info().hits == 1
+
+    def test_one_parser_per_subcommand_and_one_for_the_rest(self, capsys):
+        _parser.cache_clear()
+        for i in range(20):
+            assert _main_outcome([f"word{i}"], capsys)[0] == EXIT_INPUT
+        assert _parser.cache_info().currsize == 1
+        for argv in ([], ["-h"], *([name, *args] for name, args in VALID_ARGS.items())):
+            _main_outcome(argv, capsys)
+        assert _parser.cache_info().currsize <= 5
+
+    @pytest.mark.parametrize("command", [None, *VALID_ARGS])
+    def test_reused_help_follows_the_terminal_width(self, monkeypatch, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+
+        def fresh_help():
+            parser = build_parser(command)
+            return (_subcommand_parsers(parser)[command] if command else parser).format_help()
+
+        _parser.cache_clear()
+        helps = []
+        for columns in ("60", "100"):
+            monkeypatch.setenv("COLUMNS", columns)
+            helps.append(fresh_help())
+            assert _main_outcome(argv, capsys) == (EXIT_OK, helps[-1], "")
+        assert _parser.cache_info().misses == 1
+        if command:   # the top-level help fits in 60 columns
+            assert helps[0] != helps[1]
 
 
 class TestModuleEntryPoint:

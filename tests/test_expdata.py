@@ -17,6 +17,7 @@ from triqss import (
     parse_counts,
     tally_sets,
 )
+from triqss.finitekey import _key_length
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
 # frozen per-set tallies of the bundled tables:
@@ -201,6 +202,12 @@ class TestExperimentSkr:
         assert r.rate_per_second == pytest.approx(398.856, rel=1e-9)
         assert r.ep_bar == pytest.approx(0.16973920492264538, rel=1e-12)
         assert not r.abort
+
+    @pytest.mark.parametrize("table,mu", sorted(EXPECTED_TALLIES))
+    def test_reported_leak_is_the_one_subtracted(self, fixtures_dir, table, mu):
+        r = experiment_skr(self.load(fixtures_dir, table, mu), 5e10, ec_efficiency=1.3)
+        assert r.ell > 0
+        assert _key_length(r.n_x, r.ep_bar, r.lambda_ec, r.budget) == r.ell
 
     def test_worst_y_set_drives_the_bound(self, fixtures_dir):
         s = self.load(fixtures_dir)

@@ -14,6 +14,7 @@ from triqss import (
     AllAbortError,
     ChannelModel,
     EpsilonBudget,
+    NumericalDegeneracyError,
     ParameterError,
     ZeroCountError,
     asymptotic_rate,
@@ -279,6 +280,53 @@ class TestOptimizeParams:
         ch = ChannelModel()
         with pytest.raises(AllAbortError):
             optimize_params(400.0, 1e9, ch)
+
+    # which requests overflow, by their number mod 3, and the first that does
+    @pytest.mark.parametrize("overflows_at,first", [(set(), None), ({0}, 3), ({0, 1, 2}, 1)],
+                             ids=["none", "every-third", "all"])
+    def test_an_overflow_with_no_key_raises_it(self, monkeypatch, overflows_at, first):
+        # every point fails; the overflows are interleaved with scored-zero aborts
+        requests = []
+
+        def failing_evaluator(*args):
+            def evaluate(mu, px):
+                requests.append((mu, px))
+                if len(requests) % 3 in overflows_at:
+                    raise NumericalDegeneracyError(f"overflow {len(requests)}")
+                raise ZeroCountError("no Y event")
+            return evaluate
+
+        monkeypatch.setattr(rates, "_rate_evaluator", failing_evaluator)
+        expected = NumericalDegeneracyError if first else AllAbortError
+        with pytest.raises(expected) as info:
+            optimize_params(10.0, 1e10, ChannelModel())
+        assert str(info.value).startswith("no positive key rate found at L=10.0 km")
+        if first:
+            assert str(info.value).endswith(f": overflow {first}")
+
+    def test_an_overflow_beside_a_key_scores_zero(self, monkeypatch):
+        build = rates._rate_evaluator
+
+        def overflowing_evaluator(*args):
+            evaluate = build(*args)
+
+            def partly_overflowing(mu, px):
+                if px > 0.95:
+                    raise NumericalDegeneracyError("overflow")
+                return evaluate(mu, px)
+            return partly_overflowing
+
+        monkeypatch.setattr(rates, "_rate_evaluator", overflowing_evaluator)
+        result = optimize_params(50.0, 1e10, ChannelModel())
+        assert result.best.ell > 0
+        assert result.best.px <= 0.95
+
+    def test_huge_pulse_count_is_not_reported_as_no_key(self):
+        # the Kato closed form overflows once the trial count passes about 1e77
+        with pytest.raises(NumericalDegeneracyError):
+            optimize_params(0.0, 1e150, ChannelModel())
+        with pytest.raises(NumericalDegeneracyError):
+            sweep_distance([0.0, 50.0, 100.0], 1e100, ChannelModel())
 
 
 class TestSweeps:
