@@ -340,7 +340,10 @@ def distance_grid(lmin: float, lmax: float, step: float) -> list[float]:
         raise ParameterError("Lmin, Lmax and step must be finite")
     if step <= 0 or not 0 <= lmin <= lmax:
         raise ParameterError("need step > 0 and 0 <= Lmin <= Lmax")
-    span = (lmax - lmin) / step
+    # counted with a small relative tolerance, so that a span a rounding
+    # error below a whole number, as (0.3 - 0) / 0.1 = 2.9999999999999996,
+    # still ends on lmax
+    span = (lmax - lmin) / step * (1.0 + 1e-9)
     # compare before converting: the span can overflow to inf
     if not span < MAX_GRID_POINTS:
         raise ParameterError(f"grid exceeds {MAX_GRID_POINTS} distances; raise step")

@@ -468,8 +468,91 @@ def _key_length_raw(n_x: float, ep_bar: float, lam_ec: float, budget: EpsilonBud
 
 
 def _key_length(n_x: float, ep_bar: float, lam_ec: float, budget: EpsilonBudget) -> int:
-    """Float core of :func:`key_length`, given the leak ``lam_ec``; unchecked."""
-    return max(0, math.floor(_key_length_raw(n_x, ep_bar, lam_ec, budget)))
+    """Float core of :func:`key_length`, given the leak ``lam_ec``; unchecked.
+
+    A raw length that is not positive gives 0: an overflowing leak leaves it
+    ``-inf``, or NaN where ``n_x f`` overflows and ``H(eb_x) = 0``.
+    """
+    raw = _key_length_raw(n_x, ep_bar, lam_ec, budget)
+    return math.floor(raw) if raw > 0.0 else 0
+
+
+def _key_length_kernel(
+    n_x: float,
+    n_y: float,
+    m_y: float,
+    delta: float,
+    h_eb_x: float,
+    ec_efficiency: float,
+    budget: EpsilonBudget,
+) -> tuple[int, float]:
+    """``(ell, ep_bar)`` from one Y-set tally, in one straight-line body.
+
+    The same float operations, checks and errors, in the same order, as
+    ``_phase_error_chain(n_x, n_y, m_y, delta, budget)`` followed by
+    ``_key_length(n_x, ep_bar, _ec_leak(n_x, h_eb_x, ec_efficiency), budget)``,
+    which stay the reference; the rate evaluator calls this once per request.
+    ``h_eb_x = H(eb_x)`` and ``ec_efficiency`` are unchecked.
+    """
+    # _phase_error_chain: the count checks
+    if not (0 < n_x < math.inf and 0 < n_y < math.inf):
+        raise ParameterError("detection counts must be positive and finite")
+    if not 0 <= m_y <= n_y:
+        raise ParameterError("error count must lie in [0, n_y]")
+
+    # step 1, _upper_coeffs(m_y, n_y, ln(eps_a)): a from _a_opt_upper
+    t = budget._log_eps_a
+    sk = math.sqrt(n_y)
+    g = 9.0 * m_y * (n_y - m_y) - 2.0 * n_y * t
+    inner = -(n_y * n_y) * t * g
+    if inner < 0.0:
+        raise NumericalDegeneracyError("negative discriminant in coefficient formula")
+    num = 3.0 * (
+        72.0 * sk * m_y * (n_y - m_y) * t
+        - 16.0 * n_y * sk * t * t
+        + 9.0 * _SQRT2 * (n_y - 2.0 * m_y) * math.sqrt(inner)
+    )
+    a = num / (4.0 * (9.0 * n_y - 8.0 * t) * g)
+    # b from _b_from_constraint(a, n_y, sk, t, +1.0)
+    arg = 18.0 * a * a * n_y - (16.0 * a * a + 24.0 * a * sk + 9.0 * n_y) * t
+    if not arg < math.inf:
+        raise NumericalDegeneracyError(
+            "failure-probability constraint overflows at this number of trials")
+    if arg < 0.0:
+        raise NumericalDegeneracyError("no real b solves the failure-probability constraint")
+    b = math.sqrt(arg) / (3.0 * math.sqrt(2.0 * n_y))
+    # the clamped deviation of _deviation(a, b, m_y, n_y, sk)
+    dev = (b + a * (2.0 * m_y / n_y - 1.0)) * sk
+    m_y_expected = m_y + (dev if dev > 0.0 else 0.0)
+    # each min(v, 1.0) of the reference as a comparison: v unless 1.0 < v
+    eb_y = m_y_expected / n_y
+    if eb_y > 1.0:
+        eb_y = 1.0
+
+    # step 2, optics.phase_error_terms; eb_y lies in [0, 1] by construction
+    if not 0 <= delta <= 0.5:
+        raise ParameterError("coin imbalance must be in [0, 1/2]")
+    ep_expected = math.fsum((
+        eb_y,
+        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y),
+        4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y)),
+    ))
+    if ep_expected > 1.0:
+        ep_expected = 1.0
+
+    # step 3, the upper bound of _phase_error_chain with _zero_coeff_deviation
+    m_p_observed = ep_expected * n_x + math.sqrt(0.5 * n_x * budget._log_inv_eps_b)
+    ep_bar = m_p_observed / n_x
+    if ep_bar > 1.0:
+        ep_bar = 1.0
+
+    # optics.binary_entropy (H(0) = 0) of min(ep_bar, 0.5), which lies in [0, 1/2]
+    x = 0.5 if ep_bar > 0.5 else ep_bar
+    h = 0.0 if x == 0.0 else -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    # _key_length_raw with the leak of _ec_leak, floored as _key_length
+    raw = (n_x * (1.0 - h) - n_x * ec_efficiency * h_eb_x
+           - budget._cost_c - budget._cost_pa)
+    return (math.floor(raw) if raw > 0.0 else 0), ep_bar
 
 
 def _check_ec_efficiency(ec_efficiency: float) -> None:

@@ -151,6 +151,13 @@ class TestAnalyze:
             assert mus == sorted(mus, reverse=True)
         assert rows[0][2] == "0.95" and rows[0][3] == "1.16"
 
+    def test_huge_ec_efficiency_aborts(self, capsys):
+        # the leak overflows to inf: no key, reported as an abort
+        code, out, _ = run(capsys, ["analyze", TABLE_A9, "--fe", "1e308"])
+        assert code == EXIT_ABORT
+        body = parse_kv(out)
+        assert (body["lambda_ec"], body["ell"], body["abort"]) == ("inf", "0", "true")
+
     def test_filename_inference_failure_exits_3(self, capsys, tmp_path):
         anon = tmp_path / "counts.csv"
         anon.write_text((FIXTURES / "tableIIIa_mu9e-4.csv").read_text())
@@ -497,6 +504,27 @@ class TestSweep:
         rows = "".join(l + "\n" for l in out.splitlines() if not l.startswith("#"))
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
+    # the leak overflows to inf at every working point: no key anywhere
+    def test_huge_ec_efficiency_gives_abort_rows(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--N", "1e10", "--Lmin", "0", "--Lmax", "0",
+                                    "--step", "1", "--fe", "1e308"])
+        assert code == EXIT_OK
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rows == ["0,nan,nan,0,0,nan,nan,1e+10"]
+
+    # (0.3 - 0) / 0.1 and (0.7 - 0.1) / 0.2 round to just below 3
+    @pytest.mark.parametrize("n_pulses", ["inf", "1e10"])
+    @pytest.mark.parametrize("lmin,lmax,step,lengths", [
+        ("0", "0.3", "0.1", ["0", "0.1", "0.2", "0.3"]),
+        ("0.1", "0.7", "0.2", ["0.1", "0.3", "0.5", "0.7"]),
+    ])
+    def test_grid_ends_on_lmax(self, capsys, n_pulses, lmin, lmax, step, lengths):
+        code, out, _ = run(capsys, ["sweep", "--N", n_pulses, "--Lmin", lmin,
+                                    "--Lmax", lmax, "--step", step])
+        assert code == EXIT_OK
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [row.split(",")[0] for row in rows] == lengths
+
     def test_length_is_not_echoed(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--N", "inf", "--Lmax", "0"])
         assert code == EXIT_OK
@@ -520,6 +548,23 @@ class TestDistanceGrid:
 
     def test_largest_grid_allowed(self):
         assert len(distance_grid(0.0, float(MAX_GRID_POINTS - 1), 1.0)) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("lmin,lmax,step,count,last", [
+        (0.0, 0.3, 0.1, 4, 0.3),
+        (0.1, 0.7, 0.2, 4, 0.7),
+        (0.0, 260.0, 5.0, 53, 260.0),
+        (0.0, 0.0, 1.0, 1, 0.0),
+        (0.0, 0.35, 0.1, 4, 0.3),
+    ])
+    def test_span_a_rounding_error_short_reaches_lmax(self, lmin, lmax, step, count, last):
+        grid = distance_grid(lmin, lmax, step)
+        assert len(grid) == count
+        assert grid[-1] == pytest.approx(last, rel=1e-12)
+
+    def test_span_a_rounding_error_short_of_the_cap_is_rejected(self):
+        # counted with the tolerance it is one point over the cap
+        with pytest.raises(ParameterError):
+            distance_grid(0.0, MAX_GRID_POINTS - 1e-6, 1.0)
 
 
 class TestParserBehavior:

@@ -2,10 +2,13 @@
 
 An evaluator keeps the terms of the last ``mu`` and of the last ``px`` it
 was given.  Whatever order the requests come in, each must give exactly
-what the public functions give step by step, or raise the same error.
+what the public functions give step by step, or raise the same error.  Its
+straight-line kernel is also checked directly against the layered chain it
+inlines, and that chain against the public steps.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 from hypothesis import example, given, settings
@@ -13,14 +16,24 @@ from hypothesis import strategies as st
 
 from triqss import ChannelModel, EpsilonBudget, ParameterError, ZeroCountError
 from triqss import rates
-from triqss.finitekey import EC_EFFICIENCY, key_length, phase_error_upper_bound
-from triqss.optics import bit_error_x, gain, transmittance
+from triqss.finitekey import (
+    EC_EFFICIENCY,
+    _ec_leak,
+    _key_length,
+    _key_length_kernel,
+    _phase_error_chain,
+    expected_to_observed,
+    key_length,
+    observed_to_expected,
+    phase_error_upper_bound,
+)
+from triqss.optics import bit_error_x, gain, phase_error_from_y, transmittance
 from triqss.roundtable import set_shares
 
 BUDGET = EpsilonBudget()
 
 
-def public_chain(length_km, n_pulses, channel, mu, px):
+def public_chain(length_km, n_pulses, channel, mu, px, ec_efficiency=EC_EFFICIENCY):
     """``(rate_per_pulse, ell, ep_bar, eb_x)`` through the public functions."""
     if not 0 < px < 1:
         raise ParameterError("px must be in (0, 1)")
@@ -34,7 +47,7 @@ def public_chain(length_km, n_pulses, channel, mu, px):
             f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"
         )
     bound = phase_error_upper_bound(n_x, n_y, ebx * n_y, mu, q, BUDGET)
-    ell = key_length(n_x, bound.ep_bar, ebx, EC_EFFICIENCY, BUDGET)
+    ell = key_length(n_x, bound.ep_bar, ebx, ec_efficiency, BUDGET)
     return ell / n_pulses, ell, bound.ep_bar, ebx
 
 
@@ -67,7 +80,7 @@ WALK = [(3, 0), (0, 0), (1, 0), (2, 0), (3, 0), (3, 3), (3, 1), (3, 2), (3, 3), 
 @settings(**SETTINGS)
 @given(
     length_km=st.floats(0.0, 300.0),
-    n_pulses=st.sampled_from([1e4, 1e10, 1e14]),
+    n_pulses=st.sampled_from([1e4, 1e10, 1e14, 1e78, 1e90]),
     dark=st.sampled_from([0.0, 2e-8, 1e-4]),
     mus=st.lists(MU, min_size=4, max_size=4),
     pxs=st.lists(PX, min_size=4, max_size=4),
@@ -79,6 +92,8 @@ WALK = [(3, 0), (0, 0), (1, 0), (2, 0), (3, 0), (3, 3), (3, 1), (3, 2), (3, 3), 
          mus=SPECIAL_MUS, pxs=SPECIAL_PXS, requests=WALK)
 @example(length_km=100.0, n_pulses=1e10, dark=2e-8,
          mus=[1e-3, 0.5, math.inf, 2e-3], pxs=[0.9, 0.999999, 0.7, 1.0], requests=WALK)
+@example(length_km=0.0, n_pulses=1e90, dark=2e-8,
+         mus=SPECIAL_MUS, pxs=SPECIAL_PXS, requests=WALK)
 def test_every_request_matches_the_public_chain(length_km, n_pulses, dark, mus, pxs, requests):
     channel = ChannelModel(dark_count=dark)
     evaluate = rates._rate_evaluator(length_km, n_pulses, channel, EC_EFFICIENCY, BUDGET)
@@ -106,3 +121,108 @@ def test_interleaved_evaluators_share_no_state(lengths, mus, pxs, requests):
         for length, n, evaluate in sides:
             expected = outcome(public_chain, length, n, channel, mus[i], pxs[j])
             assert outcome(evaluate, mus[i], pxs[j]) == expected, (length, mus[i], pxs[j])
+
+
+# past about 1e308 / n_x the leak overflows to inf, and to NaN where
+# H(eb_x) = 0 (no dark counts, no misalignment): both give no key
+@settings(**SETTINGS)
+@given(
+    length_km=st.floats(0.0, 300.0),
+    n_pulses=st.sampled_from([1e4, 1e10, 1e14]),
+    ideal=st.booleans(),
+    ec_efficiency=st.one_of(
+        st.floats(1.0, 1e308),
+        st.sampled_from([1.0, EC_EFFICIENCY, 1e290, 1e300, 1e308, sys.float_info.max]),
+    ),
+    mus=st.lists(MU, min_size=4, max_size=4),
+    pxs=st.lists(PX, min_size=4, max_size=4),
+    requests=REQUESTS,
+)
+@example(length_km=0.0, n_pulses=1e14, ideal=True, ec_efficiency=1e308,
+         mus=SPECIAL_MUS, pxs=SPECIAL_PXS, requests=WALK)
+def test_every_efficiency_matches_the_public_chain(length_km, n_pulses, ideal, ec_efficiency,
+                                                   mus, pxs, requests):
+    channel = ChannelModel(dark_count=0.0, misalignment=0.0) if ideal else ChannelModel()
+    evaluate = rates._rate_evaluator(length_km, n_pulses, channel, ec_efficiency, BUDGET)
+    for i, j in requests:
+        mu, px = mus[i], pxs[j]
+        expected = outcome(public_chain, length_km, n_pulses, channel, mu, px, ec_efficiency)
+        assert outcome(evaluate, mu, px) == expected, (mu, px)
+
+
+def public_steps(n_x, n_y, m_y, delta, budget):
+    """The phase error chain's intermediates through the public steps."""
+    m_y_expected = observed_to_expected(m_y, n_y, budget.eps_a, "upper")
+    eb_y_expected = min(m_y_expected / n_y, 1.0)
+    ep_expected = phase_error_from_y(eb_y_expected, delta)
+    m_p_observed = expected_to_observed(ep_expected * n_x, n_x, budget.eps_b, "upper")
+    return (m_y_expected, eb_y_expected, ep_expected, m_p_observed,
+            min(m_p_observed / n_x, 1.0))
+
+
+def chain_steps(n_x, n_y, m_y, delta, budget):
+    """The same intermediates of ``_phase_error_chain``."""
+    (m_y_expected, eb_y_expected, _, ep_expected,
+     _, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, delta, budget)
+    return m_y_expected, eb_y_expected, ep_expected, m_p_observed, ep_bar
+
+
+COUNTS = st.one_of(st.floats(1.0, 1e90), st.sampled_from([1.0, 1e4, 1e10, 1e76, 1e78, 1e90]))
+EPS = st.sampled_from([1e-10, 1e-3, 0.5, 1e-30, 1e-300])
+
+
+# the counts are valid here: the chain checks them once, up front, with
+# its own text; the deltas out of [0, 1/2] and the overflow of the Kato
+# closed form past about 1e77 trials raise the same errors in both
+@settings(**SETTINGS)
+@given(
+    n_x=COUNTS,
+    n_y=COUNTS,
+    error_share=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+    delta=st.one_of(st.floats(0.0, 0.5),
+                    st.sampled_from([0.0, 0.5, -0.0, -1e-3, 0.6, math.nan])),
+    eps_a=EPS,
+    eps_b=EPS,
+)
+@example(n_x=1e10, n_y=1e90, error_share=0.015, delta=0.02, eps_a=1e-10, eps_b=1e-10)
+@example(n_x=1e10, n_y=1e9, error_share=1.0, delta=0.5, eps_a=0.5, eps_b=1e-300)
+def test_phase_error_chain_matches_the_public_steps(n_x, n_y, error_share, delta,
+                                                    eps_a, eps_b):
+    budget = EpsilonBudget(eps_a=eps_a, eps_b=eps_b)
+    m_y = n_y * error_share
+    assert (outcome(chain_steps, n_x, n_y, m_y, delta, budget)
+            == outcome(public_steps, n_x, n_y, m_y, delta, budget))
+
+
+def layered_chain(n_x, n_y, m_y, delta, h_eb_x, ec_efficiency, budget):
+    """``(ell, ep_bar)`` through the layered chain the kernel inlines."""
+    ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[-1]
+    return _key_length(n_x, ep_bar, _ec_leak(n_x, h_eb_x, ec_efficiency), budget), ep_bar
+
+
+# the rate evaluator only reaches the kernel with counts it built and a
+# delta in [0, 1/2]; called directly, the kernel must check its inputs as
+# the chain does, and an error share of 1 makes the step-1 deviation a
+# rounding residue below 0, clamped at 0
+@settings(**SETTINGS)
+@given(
+    n_x=st.one_of(COUNTS, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+    n_y=st.one_of(COUNTS, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+    error_share=st.one_of(st.floats(0.0, 1.0),
+                          st.sampled_from([0.0, 1.0, 1.0, -0.1, 1.5, math.nan])),
+    delta=st.one_of(st.floats(0.0, 0.5),
+                    st.sampled_from([0.0, 0.5, -0.0, -1e-3, 0.6, math.nan])),
+    h_eb_x=st.one_of(st.floats(0.0, 1.0), st.just(0.0)),
+    ec_efficiency=st.sampled_from([1.0, EC_EFFICIENCY, 1e308]),
+    eps_a=EPS,
+    eps_b=EPS,
+)
+@example(n_x=1.0, n_y=1.0, error_share=1.0, delta=0.0, h_eb_x=0.0,
+         ec_efficiency=1.0, eps_a=1e-10, eps_b=1e-10)
+@example(n_x=1e10, n_y=1e6, error_share=0.015, delta=0.6, h_eb_x=0.1,
+         ec_efficiency=EC_EFFICIENCY, eps_a=1e-10, eps_b=1e-10)
+def test_kernel_matches_the_layered_chain(n_x, n_y, error_share, delta, h_eb_x,
+                                          ec_efficiency, eps_a, eps_b):
+    budget = EpsilonBudget(eps_a=eps_a, eps_b=eps_b)
+    args = (n_x, n_y, n_y * error_share, delta, h_eb_x, ec_efficiency, budget)
+    assert outcome(_key_length_kernel, *args) == outcome(layered_chain, *args)
