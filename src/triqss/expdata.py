@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
-from .finitekey import _checked_ec_leak, _key_length, _phase_error_bound
+from .finitekey import _checked_key_length, _phase_error_bound
 from .optics import ChannelModel, SourceParams, coin_imbalance, gain, transmittance
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
@@ -259,8 +259,8 @@ def experiment_skr(
     worst = bound_bc if bound_bc.ep_bar >= bound_ac.ep_bar else bound_ac
 
     # the leak that the key length subtracts is the one reported
-    lam_ec = _checked_ec_leak(summary.n_x, summary.eb_x, ec_efficiency)
-    ell = _key_length(summary.n_x, worst.ep_bar, lam_ec, budget)
+    ell, _, lam_ec = _checked_key_length(summary.n_x, worst.ep_bar, summary.eb_x,
+                                         ec_efficiency, budget)
     return KeyRateReport(
         n_pulses=n_pulses,
         n_x=summary.n_x,

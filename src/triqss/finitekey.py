@@ -16,6 +16,16 @@ Each step consumes failure probability from an :class:`EpsilonBudget`.  The
 final key length applies privacy amplification and error-correction costs to
 the X-basis detection count.
 
+The chain has one body, ``_phase_error_chain``: the three steps inlined in
+straight-line code, which :func:`phase_error_upper_bound`, the rate
+evaluator of :mod:`triqss.rates` and :func:`triqss.expdata.experiment_skr`
+all run.  The key length has one body, ``_key_length``, which also holds the
+error-correction leak; :func:`key_length` and :func:`key_length_raw` check
+their arguments and call it.  The tests pin the chain, bit for bit, to the
+public steps it inlines (``observed_to_expected``, ``phase_error_from_y``,
+``expected_to_observed``), and the key length to its formula written from
+``optics.binary_entropy``.
+
 The coefficient-optimized bound states that for indicators ``xi_i`` with
 partial sums ``L_k``, and any ``b >= |a|``,
 
@@ -34,7 +44,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import NumericalDegeneracyError, ParameterError
-from .optics import binary_entropy, coin_imbalance, phase_error_terms
+from .optics import binary_entropy, coin_imbalance
 
 __all__ = [
     "EC_EFFICIENCY",
@@ -177,14 +187,6 @@ def _deviation(a: float, b: float, lam: float, k: float, sk: float) -> float:
     return dev if dev > 0.0 else 0.0
 
 
-def _upper_coeffs(lam: float, k: float, t: float) -> tuple[float, float, float]:
-    """``(a, b, deviation)`` of the upper tail, unchecked; t = ln(eps)."""
-    sk = math.sqrt(k)
-    a = _a_opt_upper(lam, k, sk, t)
-    b = _b_from_constraint(a, k, sk, t, +1.0)
-    return a, b, _deviation(a, b, lam, k, sk)
-
-
 def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
     """Optimal coefficients bounding the expectation from above.
 
@@ -199,8 +201,10 @@ def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
         Allowed failure probability of the bound.
     """
     _validate_kato_args(lam, k, eps)
-    a, b, dev = _upper_coeffs(lam, k, math.log(eps))
-    return KatoCoefficients(a=a, b=b, deviation=dev, epsilon=eps)
+    t, sk = math.log(eps), math.sqrt(k)
+    a = _a_opt_upper(lam, k, sk, t)
+    b = _b_from_constraint(a, k, sk, t, +1.0)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
 
 
 def kato_lower_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
@@ -280,11 +284,6 @@ def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> fl
     raise ParameterError("direction must be 'upper' or 'lower'")
 
 
-def _zero_coeff_deviation(k: float, log_inv_eps: float) -> float:
-    """Deviation ``sqrt(k ln(1/eps) / 2)`` of the zero-coefficient bound."""
-    return math.sqrt(0.5 * k * log_inv_eps)
-
-
 def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) -> float:
     """Bound the observed sum given its expectation.
 
@@ -297,7 +296,7 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
         raise ParameterError("expected sum must be nonnegative")
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
-    delta = _zero_coeff_deviation(k, -math.log(eps))
+    delta = math.sqrt(0.5 * k * -math.log(eps))
     if direction == "upper":
         return lam_star + delta
     if direction == "lower":
@@ -401,106 +400,18 @@ def _phase_error_chain(
     Reads the budget's derived ``ln(eps_a)`` and ``-ln(eps_b)`` and returns
     the intermediates ``(m_y_expected, eb_y_expected, ep_raw, ep_expected,
     m_p_expected, m_p_observed, ep_bar)``, ``ep_raw`` being the unclamped
-    phase error rate.  Checks the counts once, here, for what the public
-    steps check; the budget is checked when it is built, and ``delta`` by
-    :func:`~triqss.optics.phase_error_terms`.
+    phase error rate.  One straight-line body with no helper calls: each
+    step is the public function it names, inlined, with the same float
+    operations, checks and errors in the same order.  The counts are
+    checked once, up front; the budget is checked when it is built.
     """
     if not (0 < n_x < math.inf and 0 < n_y < math.inf):
         raise ParameterError("detection counts must be positive and finite")
     if not 0 <= m_y <= n_y:
         raise ParameterError("error count must lie in [0, n_y]")
 
-    # step 1: observed Y errors -> expected, as observed_to_expected(upper)
-    m_y_expected = m_y + _upper_coeffs(m_y, n_y, budget._log_eps_a)[2]
-    eb_y_expected = min(m_y_expected / n_y, 1.0)
-
-    # step 2: expected Y error rate -> expected phase error rate
-    ep_raw = math.fsum(phase_error_terms(eb_y_expected, delta))
-    ep_expected = min(ep_raw, 1.0)
-
-    # step 3: expected phase errors -> observed, as expected_to_observed(upper);
-    # ep_expected >= 0, a convex mix of eb_y and 1 - eb_y plus a third term >= 0
-    m_p_expected = ep_expected * n_x
-    m_p_observed = m_p_expected + _zero_coeff_deviation(n_x, budget._log_inv_eps_b)
-    ep_bar = min(m_p_observed / n_x, 1.0)
-    return (m_y_expected, eb_y_expected, ep_raw, ep_expected,
-            m_p_expected, m_p_observed, ep_bar)
-
-
-def key_length_raw(
-    n_x: float,
-    ep_bar: float,
-    eb_x: float,
-    ec_efficiency: float,
-    budget: EpsilonBudget,
-) -> float:
-    """Real-valued extractable key length before flooring.
-
-    ``n_x (1 - H(ep_bar)) - lambda_EC - log2(2 / eps_c) - log2(1 / (4 eps_pa^2))``
-    with ``lambda_EC = n_x * f * H(eb_x)``.  May be negative.
-
-    The privacy-amplification term treats any phase error rate at or above
-    one half as total leakage.  The symmetric dip of H above 1/2 is an
-    artifact of the entropy function, not recovered secrecy; without the cap
-    the expression would grow again as ep_bar -> 1 and break monotonicity.
-    """
-    return _key_length_raw(n_x, ep_bar, _checked_ec_leak(n_x, eb_x, ec_efficiency), budget)
-
-
-def _ec_leak(n_x: float, h_eb_x: float, ec_efficiency: float) -> float:
-    """The error-correction leak ``lambda_EC = n_x f H(eb_x)``, given
-    ``h_eb_x = H(eb_x)``; unchecked.  Every key length subtracts this."""
-    return n_x * ec_efficiency * h_eb_x
-
-
-def _checked_ec_leak(n_x: float, eb_x: float, ec_efficiency: float) -> float:
-    """:func:`_ec_leak` after the checks of :func:`key_length_raw`."""
-    if n_x <= 0:
-        raise ParameterError("key-set detection count must be positive")
-    _check_ec_efficiency(ec_efficiency)
-    return _ec_leak(n_x, binary_entropy(eb_x), ec_efficiency)
-
-
-def _key_length_raw(n_x: float, ep_bar: float, lam_ec: float, budget: EpsilonBudget) -> float:
-    """Float core of :func:`key_length_raw`, given the leak ``lam_ec``; unchecked."""
-    return (n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec
-            - budget._cost_c - budget._cost_pa)
-
-
-def _key_length(n_x: float, ep_bar: float, lam_ec: float, budget: EpsilonBudget) -> int:
-    """Float core of :func:`key_length`, given the leak ``lam_ec``; unchecked.
-
-    A raw length that is not positive gives 0: an overflowing leak leaves it
-    ``-inf``, or NaN where ``n_x f`` overflows and ``H(eb_x) = 0``.
-    """
-    raw = _key_length_raw(n_x, ep_bar, lam_ec, budget)
-    return math.floor(raw) if raw > 0.0 else 0
-
-
-def _key_length_kernel(
-    n_x: float,
-    n_y: float,
-    m_y: float,
-    delta: float,
-    h_eb_x: float,
-    ec_efficiency: float,
-    budget: EpsilonBudget,
-) -> tuple[int, float]:
-    """``(ell, ep_bar)`` from one Y-set tally, in one straight-line body.
-
-    The same float operations, checks and errors, in the same order, as
-    ``_phase_error_chain(n_x, n_y, m_y, delta, budget)`` followed by
-    ``_key_length(n_x, ep_bar, _ec_leak(n_x, h_eb_x, ec_efficiency), budget)``,
-    which stay the reference; the rate evaluator calls this once per request.
-    ``h_eb_x = H(eb_x)`` and ``ec_efficiency`` are unchecked.
-    """
-    # _phase_error_chain: the count checks
-    if not (0 < n_x < math.inf and 0 < n_y < math.inf):
-        raise ParameterError("detection counts must be positive and finite")
-    if not 0 <= m_y <= n_y:
-        raise ParameterError("error count must lie in [0, n_y]")
-
-    # step 1, _upper_coeffs(m_y, n_y, ln(eps_a)): a from _a_opt_upper
+    # step 1: observed Y errors -> expected, as observed_to_expected(upper);
+    # a from _a_opt_upper(m_y, n_y, sqrt(n_y), ln(eps_a))
     t = budget._log_eps_a
     sk = math.sqrt(n_y)
     g = 9.0 * m_y * (n_y - m_y) - 2.0 * n_y * t
@@ -521,43 +432,101 @@ def _key_length_kernel(
     if arg < 0.0:
         raise NumericalDegeneracyError("no real b solves the failure-probability constraint")
     b = math.sqrt(arg) / (3.0 * math.sqrt(2.0 * n_y))
-    # the clamped deviation of _deviation(a, b, m_y, n_y, sk)
+    # the clamped deviation of _deviation(a, b, m_y, n_y, sk); each min(v, 1.0)
+    # of the public steps is written as a comparison: v unless 1.0 < v
     dev = (b + a * (2.0 * m_y / n_y - 1.0)) * sk
     m_y_expected = m_y + (dev if dev > 0.0 else 0.0)
-    # each min(v, 1.0) of the reference as a comparison: v unless 1.0 < v
-    eb_y = m_y_expected / n_y
-    if eb_y > 1.0:
-        eb_y = 1.0
+    eb_y_expected = m_y_expected / n_y
+    if eb_y_expected > 1.0:
+        eb_y_expected = 1.0
 
-    # step 2, optics.phase_error_terms; eb_y lies in [0, 1] by construction
+    # step 2: expected Y error rate -> expected phase error rate, the fsum of
+    # optics.phase_error_terms; eb_y_expected lies in [0, 1] by construction
     if not 0 <= delta <= 0.5:
         raise ParameterError("coin imbalance must be in [0, 1/2]")
-    ep_expected = math.fsum((
-        eb_y,
-        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y),
-        4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y)),
+    ep_raw = math.fsum((
+        eb_y_expected,
+        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y_expected),
+        4.0 * (1.0 - 2.0 * delta)
+        * math.sqrt(delta * (1.0 - delta) * eb_y_expected * (1.0 - eb_y_expected)),
     ))
-    if ep_expected > 1.0:
-        ep_expected = 1.0
+    ep_expected = 1.0 if ep_raw > 1.0 else ep_raw
 
-    # step 3, the upper bound of _phase_error_chain with _zero_coeff_deviation
-    m_p_observed = ep_expected * n_x + math.sqrt(0.5 * n_x * budget._log_inv_eps_b)
+    # step 3: expected phase errors -> observed, as expected_to_observed(upper);
+    # ep_expected >= 0, a convex mix of eb_y and 1 - eb_y plus a third term >= 0
+    m_p_expected = ep_expected * n_x
+    m_p_observed = m_p_expected + math.sqrt(0.5 * n_x * budget._log_inv_eps_b)
     ep_bar = m_p_observed / n_x
     if ep_bar > 1.0:
         ep_bar = 1.0
+    return (m_y_expected, eb_y_expected, ep_raw, ep_expected,
+            m_p_expected, m_p_observed, ep_bar)
 
+
+def _key_length(
+    n_x: float,
+    ep_bar: float,
+    h_eb_x: float,
+    ec_efficiency: float,
+    budget: EpsilonBudget,
+) -> tuple[int, float, float]:
+    """``(ell, raw, lambda_EC)`` given ``h_eb_x = H(eb_x)``; unchecked.
+
+    The one body of the key length and of the error-correction leak
+    ``lambda_EC = n_x f H(eb_x)``; :func:`key_length_raw` gives the formula.
+    A raw length that is not positive gives ``ell = 0``: an overflowing leak
+    leaves it ``-inf``.  ``ep_bar`` is a phase error rate, at least 0.
+    """
     # optics.binary_entropy (H(0) = 0) of min(ep_bar, 0.5), which lies in [0, 1/2]
     x = 0.5 if ep_bar > 0.5 else ep_bar
     h = 0.0 if x == 0.0 else -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-    # _key_length_raw with the leak of _ec_leak, floored as _key_length
-    raw = (n_x * (1.0 - h) - n_x * ec_efficiency * h_eb_x
-           - budget._cost_c - budget._cost_pa)
-    return (math.floor(raw) if raw > 0.0 else 0), ep_bar
+    # n_x f may overflow; where H(eb_x) = 0 the leak is 0, not inf * 0 = NaN
+    lam_ec = 0.0 if h_eb_x == 0.0 else n_x * ec_efficiency * h_eb_x
+    raw = n_x * (1.0 - h) - lam_ec - budget._cost_c - budget._cost_pa
+    return (math.floor(raw) if raw > 0.0 else 0), raw, lam_ec
 
 
 def _check_ec_efficiency(ec_efficiency: float) -> None:
     if not 1.0 <= ec_efficiency < math.inf:
         raise ParameterError("error-correction efficiency must be finite and at least 1")
+
+
+def _checked_key_length(
+    n_x: float,
+    ep_bar: float,
+    eb_x: float,
+    ec_efficiency: float,
+    budget: EpsilonBudget,
+) -> tuple[int, float, float]:
+    """:func:`_key_length` at ``H(eb_x)``, after the checks of :func:`key_length`."""
+    if n_x <= 0:
+        raise ParameterError("key-set detection count must be positive")
+    _check_ec_efficiency(ec_efficiency)
+    h_eb_x = binary_entropy(eb_x)
+    if not ep_bar >= 0.0:   # the domain check of binary_entropy(min(ep_bar, 0.5))
+        raise ParameterError("entropy argument must be in [0, 1]")
+    return _key_length(n_x, ep_bar, h_eb_x, ec_efficiency, budget)
+
+
+def key_length_raw(
+    n_x: float,
+    ep_bar: float,
+    eb_x: float,
+    ec_efficiency: float,
+    budget: EpsilonBudget,
+) -> float:
+    """Real-valued extractable key length before flooring.
+
+    ``n_x (1 - H(ep_bar)) - lambda_EC - log2(2 / eps_c) - log2(1 / (4 eps_pa^2))``
+    with ``lambda_EC = n_x * f * H(eb_x)``, which is 0 where ``H(eb_x) = 0``
+    however large ``n_x f``.  May be negative.
+
+    The privacy-amplification term treats any phase error rate at or above
+    one half as total leakage.  The symmetric dip of H above 1/2 is an
+    artifact of the entropy function, not recovered secrecy; without the cap
+    the expression would grow again as ep_bar -> 1 and break monotonicity.
+    """
+    return _checked_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget)[1]
 
 
 def key_length(
@@ -567,8 +536,8 @@ def key_length(
     ec_efficiency: float,
     budget: EpsilonBudget,
 ) -> int:
-    """Secure key length in bits: floored and clamped at zero."""
-    return _key_length(n_x, ep_bar, _checked_ec_leak(n_x, eb_x, ec_efficiency), budget)
+    """Secure key length in bits: :func:`key_length_raw` floored, 0 where it is not positive."""
+    return _checked_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget)[0]
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,12 @@ Each of the last two stages is a one-entry cache local to the evaluator:
 it is recomputed only when its argument differs from the previous call's.
 A ``px`` line search holds ``mu`` fixed and a ``mu`` line search holds
 ``px`` fixed, so every request of the optimizer reuses one of them.  What
-is left per request is the pair's counts and one call of the straight-line
-kernel ``finitekey._key_length_kernel``: the phase error chain and the
-floored key length in one body, with no helper calls.  Its reference is the
-layered chain it inlines, ``finitekey._phase_error_chain`` then
-``finitekey._key_length`` of ``finitekey._ec_leak``: the same float
-operations, checks and errors, in the same order.  The results, and the
-error a failing point raises, are those of the public functions step by
-step.  ``finite_rate`` is that evaluator plus the ``RatePoint`` wrap.
+is left per request is the pair's counts and the two straight-line bodies
+of :mod:`triqss.finitekey` that every other path runs too: the phase error
+chain ``_phase_error_chain``, then the floored key length ``_key_length``.
+The results, and the error a failing point raises, are those of the public
+functions step by step.  ``finite_rate`` is that evaluator plus the
+``RatePoint`` wrap.
 
 An error in a per-distance argument raises :class:`ParameterError` from
 every entry point: ``finite_rate``, ``optimize_params`` and
@@ -72,7 +70,7 @@ from .errors import (
     ZeroCountError,
 )
 from .finitekey import EC_EFFICIENCY, EpsilonBudget
-from .finitekey import _check_ec_efficiency, _key_length_kernel
+from .finitekey import _check_ec_efficiency, _key_length, _phase_error_chain
 from .optics import (
     ChannelModel,
     _gain_and_bit_error,
@@ -242,7 +240,8 @@ def _rate_evaluator(
             coin_imbalance(mu, q)   # raises the error caught above
         m_y = ebx * n_y
 
-        ell, ep_bar = _key_length_kernel(n_x, n_y, m_y, delta, h_ebx, ec_efficiency, budget)
+        ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[6]
+        ell = _key_length(n_x, ep_bar, h_ebx, ec_efficiency, budget)[0]
         return ell / n_pulses, ell, ep_bar, ebx
 
     return evaluate

@@ -512,6 +512,19 @@ class TestSweep:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert rows == ["0,nan,nan,0,0,nan,nan,1e+10"]
 
+    # with no dark counts and no misalignment H(EbX) = 0, so there is no
+    # leak to overflow: any efficiency gives the key of --fe 1
+    def test_huge_ec_efficiency_without_bit_errors_keeps_the_key(self, capsys):
+        sweep = ["sweep", "--N", "1e10", "--Lmin", "0", "--Lmax", "0", "--step", "1",
+                 "--dark", "0", "--ed", "0", "--fe"]
+        rows = []
+        for fe in ("1", "1e308"):
+            code, out, _ = run(capsys, sweep + [fe])
+            assert code == EXIT_OK
+            rows.append([l for l in out.splitlines() if not l.startswith("#")])
+        assert rows[1] == rows[0]
+        assert int(rows[0][1].split(",")[4]) > 0
+
     # (0.3 - 0) / 0.1 and (0.7 - 0.1) / 0.2 round to just below 3
     @pytest.mark.parametrize("n_pulses", ["inf", "1e10"])
     @pytest.mark.parametrize("lmin,lmax,step,lengths", [

@@ -1,6 +1,7 @@
 """Count table ingestion, classification, tallies, measured key rates."""
 
 import io
+import math
 
 import pytest
 
@@ -17,7 +18,7 @@ from triqss import (
     parse_counts,
     tally_sets,
 )
-from triqss.finitekey import _key_length
+from triqss.optics import binary_entropy
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
 # frozen per-set tallies of the bundled tables:
@@ -207,7 +208,10 @@ class TestExperimentSkr:
     def test_reported_leak_is_the_one_subtracted(self, fixtures_dir, table, mu):
         r = experiment_skr(self.load(fixtures_dir, table, mu), 5e10, ec_efficiency=1.3)
         assert r.ell > 0
-        assert _key_length(r.n_x, r.ep_bar, r.lambda_ec, r.budget) == r.ell
+        assert r.lambda_ec == r.n_x * 1.3 * binary_entropy(r.eb_x)
+        raw = (r.n_x * (1.0 - binary_entropy(min(r.ep_bar, 0.5))) - r.lambda_ec
+               - (1.0 - math.log2(r.budget.eps_c)) - (-2.0 - 2.0 * math.log2(r.budget.eps_pa)))
+        assert math.floor(raw) == r.ell
 
     def test_worst_y_set_drives_the_bound(self, fixtures_dir):
         s = self.load(fixtures_dir)

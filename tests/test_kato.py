@@ -279,13 +279,19 @@ class TestKeyLength:
         assert raw == pytest.approx(key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget) - cost,
                                     abs=1e-3)
 
-    # a leak that overflows leaves the raw length -inf, or NaN where n_x f
-    # overflows and H(eb_x) = 0; either is no key, not an error
-    @pytest.mark.parametrize("n_x,eb_x", [(10 ** 6, 0.01), (1e300, 0.0)])
+    # a leak that overflows leaves the raw length -inf: no key, not an error
+    @pytest.mark.parametrize("n_x,eb_x", [(10 ** 6, 0.01)])
     def test_huge_efficiency_gives_no_key(self, budget, n_x, eb_x):
         raw = key_length_raw(n_x, 0.1, eb_x, 1e308, budget)
         assert not raw > 0.0
         assert key_length(n_x, 0.1, eb_x, 1e308, budget) == 0
+
+    # with H(eb_x) = 0 the leak is 0, though n_x f overflows
+    def test_huge_efficiency_without_bit_errors_keeps_the_key(self, budget):
+        assert key_length_raw(1e300, 0.1, 0.0, 1e308, budget) == \
+            key_length_raw(1e300, 0.1, 0.0, 1.0, budget)
+        assert key_length(1e300, 0.1, 0.0, 1e308, budget) == \
+            key_length(1e300, 0.1, 0.0, 1.0, budget) > 5e299
 
     def test_rejects_inefficient_correction(self, budget):
         for fe in (0.9, math.nan, math.inf):

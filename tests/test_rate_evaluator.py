@@ -2,39 +2,50 @@
 
 An evaluator keeps the terms of the last ``mu`` and of the last ``px`` it
 was given.  Whatever order the requests come in, each must give exactly
-what the public functions give step by step, or raise the same error.  Its
-straight-line kernel is also checked directly against the layered chain it
-inlines, and that chain against the public steps.
+what the public functions give step by step, or raise the same error.  The
+two straight-line bodies that every path runs are pinned directly: the
+phase error chain to the public steps it inlines, and the key length to its
+formula written here.  Last, the analysis of measured tallies and the rate
+evaluator agree on the same expected counts.
 """
 
 import math
 import sys
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triqss import ChannelModel, EpsilonBudget, ParameterError, ZeroCountError
 from triqss import rates
+from triqss.expdata import ExperimentSummary, experiment_skr
 from triqss.finitekey import (
     EC_EFFICIENCY,
-    _ec_leak,
     _key_length,
-    _key_length_kernel,
     _phase_error_chain,
     expected_to_observed,
     key_length,
+    key_length_raw,
     observed_to_expected,
-    phase_error_upper_bound,
 )
-from triqss.optics import bit_error_x, gain, phase_error_from_y, transmittance
+from triqss.optics import (
+    binary_entropy,
+    bit_error_x,
+    coin_imbalance,
+    gain,
+    phase_error_from_y,
+    transmittance,
+)
 from triqss.roundtable import set_shares
 
 BUDGET = EpsilonBudget()
 
 
 def public_chain(length_km, n_pulses, channel, mu, px, ec_efficiency=EC_EFFICIENCY):
-    """``(rate_per_pulse, ell, ep_bar, eb_x)`` through the public functions."""
+    """``(rate_per_pulse, ell, ep_bar, eb_x)`` through the public functions, one
+    step at a time: the phase error chain as ``public_steps`` and the key length
+    as ``key_length_formula``, so no body that the evaluator runs is on this side."""
     if not 0 < px < 1:
         raise ParameterError("px must be in (0, 1)")
     eta = transmittance(replace(channel, length_km=length_km))
@@ -46,9 +57,9 @@ def public_chain(length_km, n_pulses, channel, mu, px, ec_efficiency=EC_EFFICIEN
         raise ZeroCountError(
             f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"
         )
-    bound = phase_error_upper_bound(n_x, n_y, ebx * n_y, mu, q, BUDGET)
-    ell = key_length(n_x, bound.ep_bar, ebx, ec_efficiency, BUDGET)
-    return ell / n_pulses, ell, bound.ep_bar, ebx
+    ep_bar = public_steps(n_x, n_y, ebx * n_y, coin_imbalance(mu, q), BUDGET)[-1]
+    ell = key_length_formula(n_x, ep_bar, binary_entropy(ebx), ec_efficiency, BUDGET)[0]
+    return ell / n_pulses, ell, ep_bar, ebx
 
 
 def outcome(f, *args):
@@ -194,16 +205,25 @@ def test_phase_error_chain_matches_the_public_steps(n_x, n_y, error_share, delta
             == outcome(public_steps, n_x, n_y, m_y, delta, budget))
 
 
-def layered_chain(n_x, n_y, m_y, delta, h_eb_x, ec_efficiency, budget):
-    """``(ell, ep_bar)`` through the layered chain the kernel inlines."""
+def key_length_formula(n_x, ep_bar, h_eb_x, ec_efficiency, budget):
+    """``(ell, raw, lambda_EC)`` written from the formula: ``n_x (1 - H(min(ep_bar,
+    1/2))) - n_x f H(eb_x) - log2(2 / eps_c) - log2(1 / (4 eps_pa^2))``, with no
+    leak where ``H(eb_x) = 0``, however far ``n_x f`` overflows."""
+    lam_ec = 0.0 if h_eb_x == 0.0 else n_x * ec_efficiency * h_eb_x
+    raw = (n_x * (1.0 - binary_entropy(min(ep_bar, 0.5))) - lam_ec
+           - (1.0 - math.log2(budget.eps_c)) - (-2.0 - 2.0 * math.log2(budget.eps_pa)))
+    return (math.floor(raw) if raw > 0.0 else 0), raw, lam_ec
+
+
+def chain_then(key_length_of, n_x, n_y, m_y, delta, h_eb_x, ec_efficiency, budget):
+    """``ep_bar`` of the phase error chain, then the key length of it."""
     ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[-1]
-    return _key_length(n_x, ep_bar, _ec_leak(n_x, h_eb_x, ec_efficiency), budget), ep_bar
+    return (ep_bar, *key_length_of(n_x, ep_bar, h_eb_x, ec_efficiency, budget))
 
 
-# the rate evaluator only reaches the kernel with counts it built and a
-# delta in [0, 1/2]; called directly, the kernel must check its inputs as
-# the chain does, and an error share of 1 makes the step-1 deviation a
-# rounding residue below 0, clamped at 0
+# the key length of each ep_bar the chain reaches, above 1/2 included, with
+# and without a leak that overflows; bad counts and deltas raise in the
+# chain, before the key length, on both sides alike
 @settings(**SETTINGS)
 @given(
     n_x=st.one_of(COUNTS, st.sampled_from([0.0, -1.0, math.nan, math.inf])),
@@ -216,13 +236,68 @@ def layered_chain(n_x, n_y, m_y, delta, h_eb_x, ec_efficiency, budget):
     ec_efficiency=st.sampled_from([1.0, EC_EFFICIENCY, 1e308]),
     eps_a=EPS,
     eps_b=EPS,
+    eps_c=EPS,
+    eps_pa=EPS,
 )
 @example(n_x=1.0, n_y=1.0, error_share=1.0, delta=0.0, h_eb_x=0.0,
-         ec_efficiency=1.0, eps_a=1e-10, eps_b=1e-10)
+         ec_efficiency=1.0, eps_a=1e-10, eps_b=1e-10, eps_c=1e-10, eps_pa=1e-10)
 @example(n_x=1e10, n_y=1e6, error_share=0.015, delta=0.6, h_eb_x=0.1,
-         ec_efficiency=EC_EFFICIENCY, eps_a=1e-10, eps_b=1e-10)
-def test_kernel_matches_the_layered_chain(n_x, n_y, error_share, delta, h_eb_x,
-                                          ec_efficiency, eps_a, eps_b):
-    budget = EpsilonBudget(eps_a=eps_a, eps_b=eps_b)
+         ec_efficiency=EC_EFFICIENCY, eps_a=1e-10, eps_b=1e-10, eps_c=1e-10, eps_pa=1e-10)
+@example(n_x=1e10, n_y=1e9, error_share=0.0, delta=0.0, h_eb_x=0.0,
+         ec_efficiency=1e308, eps_a=1e-10, eps_b=1e-10, eps_c=1e-10, eps_pa=1e-10)
+@example(n_x=1e10, n_y=1e9, error_share=0.4, delta=0.3, h_eb_x=0.05,
+         ec_efficiency=1.0, eps_a=1e-10, eps_b=1e-10, eps_c=1e-10, eps_pa=1e-10)
+def test_key_length_matches_its_formula(n_x, n_y, error_share, delta, h_eb_x,
+                                        ec_efficiency, eps_a, eps_b, eps_c, eps_pa):
+    budget = EpsilonBudget(eps_c=eps_c, eps_pa=eps_pa, eps_a=eps_a, eps_b=eps_b)
     args = (n_x, n_y, n_y * error_share, delta, h_eb_x, ec_efficiency, budget)
-    assert outcome(_key_length_kernel, *args) == outcome(layered_chain, *args)
+    assert (outcome(chain_then, _key_length, *args)
+            == outcome(chain_then, key_length_formula, *args))
+
+
+def public_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget):
+    return (key_length(n_x, ep_bar, eb_x, ec_efficiency, budget),
+            key_length_raw(n_x, ep_bar, eb_x, ec_efficiency, budget))
+
+
+def formula_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget):
+    return key_length_formula(n_x, ep_bar, binary_entropy(eb_x), ec_efficiency, budget)[:2]
+
+
+# the public functions take any phase error rate: at or above 1/2 is no key,
+# and a negative or NaN rate fails the entropy's domain check, as a bit
+# error rate outside [0, 1] does
+@settings(**SETTINGS)
+@given(
+    n_x=st.one_of(COUNTS, st.sampled_from([1.0, 1e300])),
+    ep_bar=st.one_of(st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf, -1e-3, math.nan])),
+    eb_x=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, -0.1, 1.5, math.nan])),
+    ec_efficiency=st.sampled_from([1.0, EC_EFFICIENCY, 1e308]),
+)
+@example(n_x=1e300, ep_bar=0.1, eb_x=0.0, ec_efficiency=1e308)
+def test_public_key_length_matches_its_formula(n_x, ep_bar, eb_x, ec_efficiency):
+    args = (n_x, ep_bar, eb_x, ec_efficiency, BUDGET)
+    assert outcome(public_key_length, *args) == outcome(formula_key_length, *args)
+
+
+# analyze's path and sweep's path on the same counts: finite_rate's expected
+# tallies, given to experiment_skr with the model gain, give the same key
+@pytest.mark.parametrize("length_km", [0.0, 50.0, 100.0, 150.0, 200.0])
+@pytest.mark.parametrize("mu", [3e-4, 1e-3, 3e-3])
+@pytest.mark.parametrize("px", [0.7, 0.9])
+def test_analysis_of_the_expected_tallies_matches_finite_rate(length_km, mu, px):
+    n_pulses = 1e10
+    channel = ChannelModel(length_km=length_km)
+    point = rates.finite_rate(length_km, mu, px, n_pulses, channel)
+    q = gain(mu, transmittance(channel), channel.dark_count)
+    share_x, share_y = set_shares(px)
+    n_x, n_y = n_pulses * share_x * q, n_pulses * share_y * q
+    summary = ExperimentSummary(
+        n_x=n_x, m_x=point.eb_x * n_x,
+        n_ybc=n_y, m_ybc=point.eb_x * n_y,
+        n_yac=n_y, m_yac=point.eb_x * n_y,
+        mu=mu, px=px,
+    )
+    report = experiment_skr(summary, n_pulses, channel=channel)
+    assert (repr(report.ep_bar), report.ell) == (repr(point.ep_bar), point.ell)
