@@ -5,12 +5,8 @@ Four subcommands: ``simulate`` (round-level protocol simulation),
 (measured count tables to tallies and key rate), and ``kato`` (inspect one
 concentration bound, with a numeric self-check).
 
-A run registers only the flags of the subcommand named by its first
-argument, so argparse builds none of the other three.  With no argument, an
-unknown word or ``-h``/``--help`` first, all four are built, so ``triqss -h``
-and the usage errors list every subcommand.  ``main`` builds each of these
-parsers once per process and reuses it on later calls; ``build_parser``
-builds a new one on every call.
+``main`` builds one parser per process and reuses it on later calls;
+``build_parser`` builds a new one on every call.
 
 Settings resolve with precedence command-line flag, then config file
 (``--config``, flat ``key = value`` lines), then built-in default.  The
@@ -60,11 +56,6 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 MAX_GRID_POINTS = 100_000
-
-# the source settings of simulate; the channel and security settings default
-# to those of ChannelModel, EpsilonBudget and EC_EFFICIENCY
-DEFAULTS = {"mu": 9e-4, "px": 0.9}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems with exit code 3."""
@@ -140,23 +131,11 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``triqss`` parser.
-
-    When ``command`` names a subcommand, only that subcommand's flags are
-    registered; otherwise (``None``, an unknown word, an option) all four
-    subcommands are, so the top-level help and usage errors list them all.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``triqss`` parser, with all four subcommands."""
     parser = _Parser(prog="triqss", description=__doc__.splitlines()[0])
-    if command in _SUBCOMMANDS:
-        names = (command,)
-        # the usage line lists every subcommand, as the full parser's does
-        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
-    else:
-        names, metavar = tuple(_SUBCOMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, groups, flags = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, groups, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output path (default: stdout)")
@@ -168,15 +147,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """``build_parser(command)``, built once per process for ``main``.
-
-    Reuse is safe: ``parse_args`` keeps no state between calls, and help and
-    usage read the terminal width when they print.  ``command`` is a
-    subcommand name or ``None``, so at most five parsers are ever cached.
-    """
-    return build_parser(command)
+# built once per process for main; reuse is safe, as parse_args keeps no
+# state between calls and help and usage read the terminal width when they print
+_parser = functools.cache(build_parser)
 
 
 # namespace entries that a config key cannot set
@@ -216,7 +189,7 @@ class Settings:
     def get(self, name: str, conv=float, default=None):
         value = self.flag_or_config(name, conv)
         if value is None:
-            value = DEFAULTS.get(name, default)
+            value = default
         self.effective[name] = value
         return value
 
@@ -275,7 +248,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     from .protocol import SetThresholds, run_protocol
 
     settings = Settings(ns)
-    source = SourceParams(intensity=settings.get("mu"), px=settings.get("px"))
+    source = SourceParams(intensity=settings.get("mu", float, 9e-4),
+                          px=settings.get("px", float, 0.9))
     channel = settings.channel()
     seed = settings.get("seed", int, None)
     if seed is None:
@@ -502,10 +476,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    ns = _parser(command).parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
     except (NumericalDegeneracyError, DegenerateGainError) as exc:

@@ -27,16 +27,6 @@ from .finitekey import _checked_key_length, _phase_error_bound
 from .optics import ChannelModel, SourceParams, coin_imbalance, gain, transmittance
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
-__all__ = [
-    "CountRow",
-    "ExperimentSummary",
-    "parse_counts",
-    "classify_row",
-    "tally_sets",
-    "observed_sifted_gain",
-    "experiment_skr",
-]
-
 COUNT_HEADER = ["phase_a", "phase_b", "phase_c", "spd1", "spd2"]
 
 # pulse repetition rate that converts a per-pulse rate to bits per second;

@@ -46,24 +46,6 @@ from dataclasses import dataclass, fields
 from .errors import NumericalDegeneracyError, ParameterError
 from .optics import binary_entropy, coin_imbalance
 
-__all__ = [
-    "EC_EFFICIENCY",
-    "EpsilonBudget",
-    "KatoCoefficients",
-    "kato_upper_coeffs",
-    "kato_lower_coeffs",
-    "kato_coeffs_numeric",
-    "kato_failure_probability",
-    "observed_to_expected",
-    "expected_to_observed",
-    "azuma_deviation",
-    "PhaseErrorBound",
-    "phase_error_upper_bound",
-    "key_length",
-    "key_length_raw",
-    "KeyRateReport",
-]
-
 # error-correction efficiency f: the leak is f H(eb_x) per key-set bit; the
 # default of every rate function and of the command line's --fe
 EC_EFFICIENCY = 1.16
@@ -503,8 +485,8 @@ def _checked_key_length(
         raise ParameterError("key-set detection count must be positive")
     _check_ec_efficiency(ec_efficiency)
     h_eb_x = binary_entropy(eb_x)
-    if not ep_bar >= 0.0:   # the domain check of binary_entropy(min(ep_bar, 0.5))
-        raise ParameterError("entropy argument must be in [0, 1]")
+    if not ep_bar >= 0.0:
+        raise ParameterError("phase error rate ep_bar must be nonnegative")
     return _key_length(n_x, ep_bar, h_eb_x, ec_efficiency, budget)
 
 

@@ -19,19 +19,6 @@ from dataclasses import dataclass
 
 from .errors import DegenerateGainError, ParameterError
 
-__all__ = [
-    "ChannelModel",
-    "SourceParams",
-    "transmittance",
-    "gain",
-    "bit_error_x",
-    "basis_overlap",
-    "coin_imbalance",
-    "phase_error_terms",
-    "phase_error_from_y",
-    "binary_entropy",
-]
-
 
 @dataclass(frozen=True)
 class ChannelModel:

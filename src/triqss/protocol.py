@@ -75,19 +75,6 @@ from .errors import ParameterError, ProtocolAbortError
 from .optics import ChannelModel, SourceParams, gain, transmittance
 from .roundtable import SetCounts, SetTag, set_shares
 
-__all__ = [
-    "Outcome",
-    "SetThresholds",
-    "SiftedTallies",
-    "ProtocolRun",
-    "FIRST_CHUNK_DETECTIONS",
-    "CHUNK_DETECTIONS",
-    "MAX_ROUNDS",
-    "click_probabilities",
-    "run_protocol",
-    "verify_correlation",
-]
-
 # detections in the first chunk, and in each later one (see _chunk_detections);
 # a run at 30 dB with thresholds (200, 1, 1) keeps about 300
 FIRST_CHUNK_DETECTIONS = 512

@@ -82,18 +82,6 @@ from .optics import (
 from .report import fmt_value
 from .roundtable import set_shares
 
-__all__ = [
-    "RatePoint",
-    "OptimizationResult",
-    "golden_max",
-    "asymptotic_rate",
-    "finite_rate",
-    "optimize_params",
-    "sweep_distance",
-    "asymptotic_sweep",
-    "write_rate_csv",
-]
-
 RATE_CSV_COLUMNS = ["L_km", "mu", "px", "rate_per_pulse", "ell", "Ep_bar", "EbX", "N"]
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-__all__ = ["Basis", "SetTag", "SetCounts", "CELL_QUARTERS", "CELL_TAG", "CELL_BIT", "set_shares"]
-
 
 class Basis(IntEnum):
     X = 0

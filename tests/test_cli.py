@@ -580,7 +580,28 @@ class TestDistanceGrid:
             distance_grid(0.0, MAX_GRID_POINTS - 1e-6, 1.0)
 
 
+# usage errors, and a subcommand's help, with the exit code of each
+USAGE_EXITS = [
+    (["kato", "--k", "1", "--lam", "1", "extra"], EXIT_INPUT),
+    (["kato", "--k", "1e6"], EXIT_INPUT),
+    (["kato", "--k", "1", "--lam", "1", "--dir", "sideways"], EXIT_INPUT),
+    (["analyze"], EXIT_INPUT),
+    (["simulate", "--seed", "x"], EXIT_INPUT),
+    (["sweep", "--mu", "1"], EXIT_INPUT),
+    (["kato", "-h"], EXIT_OK),
+]
+
+
 class TestParserBehavior:
+    @pytest.mark.parametrize("argv,code", USAGE_EXITS)
+    def test_usage_errors_and_help(self, capsys, argv, code):
+        first = _main_outcome(argv, capsys)
+        assert first[0] == code
+        # help goes to stdout alone, a usage error to stderr alone
+        assert [bool(text) for text in first[1:]] == ([True, False] if code == EXIT_OK
+                                                      else [False, True])
+        assert _main_outcome(argv, capsys) == first
+
     def test_unknown_subcommand_exits_3(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -659,67 +680,6 @@ def _subcommand_parsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _parse_outcome(parser, argv, capsys):
-    """(namespace or exit code, stdout, stderr) of one parse."""
-    try:
-        result = parser.parse_args(argv)
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
-
-
-class TestParserParity:
-    """``build_parser(name)`` parses and reports as the full parser does."""
-
-    @pytest.mark.parametrize("name", list(VALID_ARGS))
-    def test_subcommand_help_is_unchanged(self, name):
-        alone = _subcommand_parsers(build_parser(name))
-        assert list(alone) == [name]
-        assert alone[name].format_help() == _subcommand_parsers(build_parser())[name].format_help()
-        assert build_parser(name).format_usage() == build_parser().format_usage()
-
-    @pytest.mark.parametrize("argv", _readme_commands()
-                             + [[name, *args] for name, args in VALID_ARGS.items()])
-    def test_same_namespace(self, argv):
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
-
-    @pytest.mark.parametrize("argv", [
-        ["kato", "--k", "1", "--lam", "1", "extra"],
-        ["kato", "--k", "1e6"],
-        ["kato", "--k", "1", "--lam", "1", "--dir", "sideways"],
-        ["analyze"],
-        ["simulate", "--seed", "x"],
-        ["sweep", "--mu", "1"],
-        ["kato", "-h"],
-    ])
-    def test_same_usage_errors_and_help(self, capsys, argv):
-        full = _parse_outcome(build_parser(), argv, capsys)
-        assert _parse_outcome(build_parser(argv[0]), argv, capsys) == full
-        assert isinstance(full[0], int)
-
-    def test_main_registers_only_the_named_subcommand(self, monkeypatch, capsys):
-        _parser.cache_clear()   # as in a fresh process
-        kato = _subcommand_parsers(build_parser())["kato"]
-        kato_flags = {opt for action in kato._actions for opt in action.option_strings}
-        registered = []
-        add_argument = argparse.ArgumentParser.add_argument
-
-        def spy(self, *args, **kwargs):
-            registered.extend(args)
-            return add_argument(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
-        assert run(capsys, ["kato", "--k", "1e6", "--lam", "5e5"])[0] == EXIT_OK
-        assert set(registered) == kato_flags
-
-
-def _parametrized_argvs(test):
-    """The ``argv`` values of a test's ``parametrize`` mark."""
-    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
-    return mark.args[1]
-
-
 def _main_outcome(argv, capsys):
     """(exit code, stdout, stderr) of one ``main`` call, usage exits included."""
     try:
@@ -731,10 +691,10 @@ def _main_outcome(argv, capsys):
 
 
 class TestParserReuse:
-    """``main`` builds each parser once per process; reuse changes no output."""
+    """``main`` builds one parser per process; reuse changes no output."""
 
     @pytest.mark.parametrize("argv", [[name, *args] for name, args in VALID_ARGS.items()]
-                             + _parametrized_argvs(TestParserParity.test_same_usage_errors_and_help))
+                             + [argv for argv, _ in USAGE_EXITS])
     def test_second_call_repeats_the_first(self, capsys, argv):
         _parser.cache_clear()
         first = _main_outcome(argv, capsys)
@@ -743,20 +703,21 @@ class TestParserReuse:
         assert _parser.cache_info().hits == 1
 
     def test_one_parser_per_subcommand_and_one_for_the_rest(self, capsys):
+        # one parser serves every subcommand and every other argv
         _parser.cache_clear()
         for i in range(20):
             assert _main_outcome([f"word{i}"], capsys)[0] == EXIT_INPUT
-        assert _parser.cache_info().currsize == 1
-        for argv in ([], ["-h"], *([name, *args] for name, args in VALID_ARGS.items())):
+        for argv in ([], ["-h"], *([name, *args] for name, args in VALID_ARGS.items()),
+                     *(argv for argv, _ in USAGE_EXITS)):
             _main_outcome(argv, capsys)
-        assert _parser.cache_info().currsize <= 5
+        assert _parser.cache_info().currsize == 1
 
     @pytest.mark.parametrize("command", [None, *VALID_ARGS])
     def test_reused_help_follows_the_terminal_width(self, monkeypatch, capsys, command):
         argv = [command, "--help"] if command else ["--help"]
 
         def fresh_help():
-            parser = build_parser(command)
+            parser = build_parser()
             return (_subcommand_parsers(parser)[command] if command else parser).format_help()
 
         _parser.cache_clear()

@@ -298,6 +298,12 @@ class TestKeyLength:
             with pytest.raises(ParameterError):
                 key_length(10 ** 6, 0.1, 0.01, fe, budget)
 
+    @pytest.mark.parametrize("ep_bar", [-1e-3, math.nan])
+    @pytest.mark.parametrize("length_of", [key_length, key_length_raw])
+    def test_rejects_a_negative_phase_error_rate(self, budget, length_of, ep_bar):
+        with pytest.raises(ParameterError, match=r"^phase error rate ep_bar must be nonnegative$"):
+            length_of(10 ** 6, ep_bar, 0.01, 1.16, budget)
+
 
 class TestEpsilonBudget:
     def test_defaults(self, budget):

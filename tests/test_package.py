@@ -38,6 +38,12 @@ class TestExports:
         assert protocol.run_protocol is triqss.run_protocol
         assert rates.sweep_distance is triqss.sweep_distance
 
+    # _EXPORTS is the one list of public names
+    @pytest.mark.parametrize("module", sorted(p.stem for p in (SRC / "triqss").glob("*.py")
+                                              if p.stem != "__init__"))
+    def test_no_submodule_lists_its_own_names(self, module):
+        assert not hasattr(importlib.import_module(f"triqss.{module}"), "__all__")
+
 
 # runs the scalar commands in one fresh interpreter, then simulate
 _NUMPY_PROBE = """

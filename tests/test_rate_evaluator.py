@@ -261,12 +261,15 @@ def public_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget):
 
 
 def formula_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget):
-    return key_length_formula(n_x, ep_bar, binary_entropy(eb_x), ec_efficiency, budget)[:2]
+    h_eb_x = binary_entropy(eb_x)
+    if not ep_bar >= 0.0:
+        raise ParameterError("phase error rate ep_bar must be nonnegative")
+    return key_length_formula(n_x, ep_bar, h_eb_x, ec_efficiency, budget)[:2]
 
 
-# the public functions take any phase error rate: at or above 1/2 is no key,
-# and a negative or NaN rate fails the entropy's domain check, as a bit
-# error rate outside [0, 1] does
+# the public functions take any phase error rate at or above 0: at or above
+# 1/2 is no key; a negative or NaN rate is a parameter error, as a bit error
+# rate outside [0, 1] is
 @settings(**SETTINGS)
 @given(
     n_x=st.one_of(COUNTS, st.sampled_from([1.0, 1e300])),
