@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
-from .finitekey import _checked_key_length, _phase_error_bound
-from .optics import ChannelModel, SourceParams, coin_imbalance, gain, transmittance
+from .finitekey import _checked_key_length, phase_error_upper_bound
+from .optics import ChannelModel, SourceParams, gain, transmittance
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
 COUNT_HEADER = ["phase_a", "phase_b", "phase_c", "spd1", "spd2"]
@@ -243,9 +243,8 @@ def experiment_skr(
     if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
         raise ParameterError("pulse intensity must be positive where clicks were counted")
 
-    delta = coin_imbalance(mu, q)
-    bound_bc = _phase_error_bound(summary.n_x, summary.n_ybc, summary.m_ybc, delta, budget)
-    bound_ac = _phase_error_bound(summary.n_x, summary.n_yac, summary.m_yac, delta, budget)
+    bound_bc = phase_error_upper_bound(summary.n_x, summary.n_ybc, summary.m_ybc, mu, q, budget)
+    bound_ac = phase_error_upper_bound(summary.n_x, summary.n_yac, summary.m_yac, mu, q, budget)
     worst = bound_bc if bound_bc.ep_bar >= bound_ac.ep_bar else bound_ac
 
     # the leak that the key length subtracts is the one reported

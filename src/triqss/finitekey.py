@@ -17,9 +17,10 @@ final key length applies privacy amplification and error-correction costs to
 the X-basis detection count.
 
 The chain has one body, ``_phase_error_chain``: the three steps inlined in
-straight-line code, which :func:`phase_error_upper_bound`, the rate
-evaluator of :mod:`triqss.rates` and :func:`triqss.expdata.experiment_skr`
-all run.  The key length has one body, ``_key_length``, which also holds the
+straight-line code, which the rate evaluator of :mod:`triqss.rates` runs
+and :func:`phase_error_upper_bound` wraps;
+:func:`triqss.expdata.experiment_skr` runs that public step once per Y set.
+The key length has one body, ``_key_length``, which also holds the
 error-correction leak; :func:`key_length` and :func:`key_length_raw` check
 their arguments and call it.  The tests pin the chain, bit for bit, to the
 public steps it inlines (``observed_to_expected``, ``phase_error_from_y``,
@@ -34,8 +35,12 @@ partial sums ``L_k``, and any ``b >= |a|``,
 
 with a mirrored variant (``a -> -a`` in the denominator) bounding the other
 tail.  For a target failure probability the optimal ``(a, b)`` minimizing
-the deviation has a closed form, implemented here and cross-checkable
-against a direct numerical minimization (``kato_coeffs_numeric``).
+the deviation has a closed form.  Both tails share one body,
+``_kato_coeffs``, the lower tail being the upper one at ``k - lam`` with
+``a -> -a``; a tail is named by ``direction`` (``"upper"`` or ``"lower"``),
+checked in one place.  The closed form is cross-checked against a direct
+numerical minimization (``kato_coeffs_numeric``), which runs the rate
+optimizer's line search, :func:`triqss.rates.golden_max`.
 """
 
 from __future__ import annotations
@@ -123,30 +128,28 @@ def _check_trials(k: float) -> None:
         raise ParameterError("number of trials k must be positive and finite")
 
 
-def _validate_kato_args(lam: float, k: float, eps: float) -> None:
-    _check_trials(k)
-    if not 0 <= lam <= k:
-        raise ParameterError("observed sum must lie in [0, k]")
+def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise ParameterError("failure probability must be in (0, 1)")
 
 
+def _sign(direction: str) -> float:
+    """+1 for the upper tail, -1 for the lower."""
+    if direction == "upper":
+        return 1.0
+    if direction == "lower":
+        return -1.0
+    raise ParameterError("direction must be 'upper' or 'lower'")
+
+
+def _validate_kato_args(lam: float, k: float, eps: float) -> None:
+    _check_trials(k)
+    if not 0 <= lam <= k:
+        raise ParameterError("observed sum must lie in [0, k]")
+    _check_eps(eps)
+
+
 _SQRT2 = math.sqrt(2.0)
-
-
-def _a_opt_upper(lam: float, k: float, sk: float, t: float) -> float:
-    """Closed-form minimizer of the upper-tail deviation; sk = sqrt(k), t = ln(eps) < 0."""
-    g = 9.0 * lam * (k - lam) - 2.0 * k * t
-    inner = -(k * k) * t * g
-    if inner < 0.0:
-        raise NumericalDegeneracyError("negative discriminant in coefficient formula")
-    num = 3.0 * (
-        72.0 * sk * lam * (k - lam) * t
-        - 16.0 * k * sk * t * t
-        + 9.0 * _SQRT2 * (k - 2.0 * lam) * math.sqrt(inner)
-    )
-    den = 4.0 * (9.0 * k - 8.0 * t) * g
-    return num / den
 
 
 def _b_from_constraint(a: float, k: float, sk: float, t: float, sign: float) -> float:
@@ -169,6 +172,30 @@ def _deviation(a: float, b: float, lam: float, k: float, sk: float) -> float:
     return dev if dev > 0.0 else 0.0
 
 
+def _kato_coeffs(lam: float, k: float, eps: float, sign: float) -> KatoCoefficients:
+    """Closed-form optimal coefficients of the tail ``sign`` picks (+1 upper, -1 lower).
+
+    The lower tail mirrors the upper: replacing every indicator by its
+    complement swaps the tails and maps ``(lam, a)`` to ``(k - lam, -a)``.
+    """
+    _validate_kato_args(lam, k, eps)
+    t, sk = math.log(eps), math.sqrt(k)
+    m = lam if sign > 0.0 else k - lam
+    # the upper-tail minimizer at observed sum m
+    g = 9.0 * m * (k - m) - 2.0 * k * t
+    inner = -(k * k) * t * g
+    if inner < 0.0:
+        raise NumericalDegeneracyError("negative discriminant in coefficient formula")
+    num = 3.0 * (
+        72.0 * sk * m * (k - m) * t
+        - 16.0 * k * sk * t * t
+        + 9.0 * _SQRT2 * (k - 2.0 * m) * math.sqrt(inner)
+    )
+    a = sign * (num / (4.0 * (9.0 * k - 8.0 * t) * g))
+    b = _b_from_constraint(a, k, sk, t, sign)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
+
+
 def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
     """Optimal coefficients bounding the expectation from above.
 
@@ -182,74 +209,49 @@ def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
     eps:
         Allowed failure probability of the bound.
     """
-    _validate_kato_args(lam, k, eps)
-    t, sk = math.log(eps), math.sqrt(k)
-    a = _a_opt_upper(lam, k, sk, t)
-    b = _b_from_constraint(a, k, sk, t, +1.0)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
+    return _kato_coeffs(lam, k, eps, 1.0)
 
 
 def kato_lower_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
-    """Optimal coefficients bounding the expectation from below.
-
-    Mirror of the upper tail: replacing every indicator by its complement
-    swaps the tails and maps ``(lam, a)`` to ``(k - lam, -a)``, so the
-    minimizer is ``-a_upper(k - lam)`` with the sign-flipped constraint.
-    """
-    _validate_kato_args(lam, k, eps)
-    t, sk = math.log(eps), math.sqrt(k)
-    a = -_a_opt_upper(k - lam, k, sk, t)
-    b = _b_from_constraint(a, k, sk, t, -1.0)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
+    """Optimal coefficients bounding the expectation from below: the upper
+    tail at ``k - lam`` with ``a -> -a`` and the sign-flipped constraint."""
+    return _kato_coeffs(lam, k, eps, -1.0)
 
 
 def kato_failure_probability(a: float, b: float, k: float, direction: str) -> float:
     """Failure probability of the stated bound for given coefficients."""
-    if direction not in ("upper", "lower"):
-        raise ParameterError("direction must be 'upper' or 'lower'")
-    if b < abs(a):
+    sign = _sign(direction)
+    if not b >= abs(a):
         raise ParameterError("coefficients require b >= |a|")
-    sign = 1.0 if direction == "upper" else -1.0
+    _check_trials(k)
     denom = 1.0 + sign * 4.0 * a / (3.0 * math.sqrt(k))
+    if denom == 0.0:
+        raise ParameterError("coefficient a makes the bound's denominator zero")
     return math.exp(-2.0 * (b * b - a * a) / (denom * denom))
 
 
 def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> KatoCoefficients:
     """Reference minimizer, independent of the closed forms.
 
-    Solves the same constrained problem by golden-section search on ``a``
-    with ``b`` eliminated through the failure-probability equality.  The
+    Solves the same constrained problem on ``a``, with ``b`` eliminated
+    through the failure-probability equality, by maximizing the negated
+    objective with :func:`triqss.rates.golden_max` run to its step cap.  The
     objective is convex (square root of an upward parabola plus a linear
-    term), so the search bracket only needs to contain the minimum.  Slow;
-    intended for self-checks.
+    term), so the search bracket ``[-3 sqrt(k), 3 sqrt(k)]`` only needs to
+    contain the minimum.  The deviation is that of the closed forms at the
+    found ``(a, b)``, clamped at 0 the same way.  Slow; intended for
+    self-checks.
     """
+    from .rates import golden_max   # deferred: rates imports this module
+
     _validate_kato_args(lam, k, eps)
-    if direction not in ("upper", "lower"):
-        raise ParameterError("direction must be 'upper' or 'lower'")
+    sign = _sign(direction)
     t, sk = math.log(eps), math.sqrt(k)
-    sign = 1.0 if direction == "upper" else -1.0
     c = 2.0 * lam / k - 1.0
-
-    def objective(a: float) -> float:
-        return _b_from_constraint(a, k, sk, t, sign) + a * c
-
-    lo, hi = -3.0 * sk, 3.0 * sk
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(220):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-    a = 0.5 * (lo + hi)
+    a, _ = golden_max(lambda a: -(_b_from_constraint(a, k, sk, t, sign) + a * c),
+                      -3.0 * sk, 3.0 * sk, tol=0.0)
     b = _b_from_constraint(a, k, sk, t, sign)
-    return KatoCoefficients(a=a, b=b, deviation=objective(a) * sk, epsilon=eps)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
 
 
 def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> float:
@@ -259,11 +261,9 @@ def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> fl
     ``max(lam - deviation, 0)`` since the expectation of nonnegative
     indicators cannot be negative.
     """
-    if direction == "upper":
-        return lam + kato_upper_coeffs(lam, k, eps).deviation
-    if direction == "lower":
-        return max(lam - kato_lower_coeffs(lam, k, eps).deviation, 0.0)
-    raise ParameterError("direction must be 'upper' or 'lower'")
+    sign = _sign(direction)
+    dev = _kato_coeffs(lam, k, eps, sign).deviation
+    return lam + dev if sign > 0.0 else max(lam - dev, 0.0)
 
 
 def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) -> float:
@@ -274,16 +274,11 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
     ``sqrt(k ln(1/eps) / 2)`` independent of the observation.
     """
     _check_trials(k)
-    if lam_star < 0:
+    if not lam_star >= 0:
         raise ParameterError("expected sum must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("failure probability must be in (0, 1)")
+    _check_eps(eps)
     delta = math.sqrt(0.5 * k * -math.log(eps))
-    if direction == "upper":
-        return lam_star + delta
-    if direction == "lower":
-        return max(lam_star - delta, 0.0)
-    raise ParameterError("direction must be 'upper' or 'lower'")
+    return lam_star + delta if _sign(direction) > 0.0 else max(lam_star - delta, 0.0)
 
 
 def azuma_deviation(k: float, eps: float) -> float:
@@ -293,8 +288,7 @@ def azuma_deviation(k: float, eps: float) -> float:
     :func:`expected_to_observed`, which is why the optimized bound wins.
     """
     _check_trials(k)
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("failure probability must be in (0, 1)")
+    _check_eps(eps)
     return math.sqrt(-2.0 * k * math.log(eps))
 
 
@@ -317,9 +311,6 @@ class PhaseErrorBound:
     eby_clamped: bool = False
     ep_clamped: bool = False
     epbar_clamped: bool = False
-
-    def as_report(self, prefix: str = "") -> dict:
-        return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def phase_error_upper_bound(
@@ -346,17 +337,7 @@ def phase_error_upper_bound(
     budget:
         Failure probabilities; consumes ``eps_a`` and ``eps_b``.
     """
-    return _phase_error_bound(n_x, n_y, m_y, coin_imbalance(mu, gain_value), budget)
-
-
-def _phase_error_bound(
-    n_x: float,
-    n_y: float,
-    m_y: float,
-    delta: float,
-    budget: EpsilonBudget,
-) -> PhaseErrorBound:
-    """:func:`phase_error_upper_bound` at a given coin imbalance ``delta``."""
+    delta = coin_imbalance(mu, gain_value)
     (m_y_expected, eb_y_expected, ep_raw, ep_expected,
      m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, delta, budget)
     return PhaseErrorBound(
@@ -393,7 +374,7 @@ def _phase_error_chain(
         raise ParameterError("error count must lie in [0, n_y]")
 
     # step 1: observed Y errors -> expected, as observed_to_expected(upper);
-    # a from _a_opt_upper(m_y, n_y, sqrt(n_y), ln(eps_a))
+    # a from _kato_coeffs(m_y, n_y, eps_a, +1.0)
     t = budget._log_eps_a
     sk = math.sqrt(n_y)
     g = 9.0 * m_y * (n_y - m_y) - 2.0 * n_y * t
@@ -549,7 +530,7 @@ class KeyRateReport:
             "rate_per_pulse": self.rate_per_pulse,
             "abort": self.abort,
             "rate_per_second": self.rate_per_second,
-            **self.phase.as_report(prefix="phase."),
+            **{"phase." + f.name: getattr(self.phase, f.name) for f in fields(PhaseErrorBound)},
             **{f.name: getattr(self.budget, f.name) for f in fields(EpsilonBudget)},
             "eps_phase": self.budget.eps_phase,
             "eps_secrecy": self.budget.eps_secrecy,

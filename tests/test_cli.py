@@ -747,6 +747,12 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_bytes()
 
+    def test_kato_lower_tail_reference(self):
+        proc = self.cli("kato", "--k", "1e6", "--lam", "2e5", "--eps", "1e-10", "--dir", "lower")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "9d09dafefb954182abdf5e41f459237036d2fbb977342e82652e796a4fa26b61")
+
     def test_nine_table_analyze_reference(self):
         # relative paths: the header echoes them, and mu and px come from the names
         tables = [str(Path(t).relative_to(ROOT)) for t in ALL_TABLES]

@@ -39,11 +39,19 @@ class TestClosedFormCoefficients:
         assert up.a == pytest.approx(-0.015350253106502735, rel=1e-12)
         assert up.deviation == pytest.approx(3393.0354890388417, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [1.0, 1e3, 1e6])
-    @pytest.mark.parametrize("coeffs", [kato_upper_coeffs, kato_lower_coeffs])
+    @pytest.mark.parametrize("k", [1.0, 1e3, 1e6, 1e24])
+    @pytest.mark.parametrize("coeffs", [
+        kato_upper_coeffs, kato_lower_coeffs,
+        pytest.param(lambda lam, k, eps: kato_coeffs_numeric(lam, k, eps, "upper"),
+                     id="numeric_upper"),
+        pytest.param(lambda lam, k, eps: kato_coeffs_numeric(lam, k, eps, "lower"),
+                     id="numeric_lower"),
+    ])
     def test_deviation_is_nonnegative_where_it_cancels(self, coeffs, k):
         # at lam = k (upper tail) and lam = 0 (lower) b + a(2 lam / k - 1)
-        # cancels to zero, and rounding once left -1.1e-16 at k = 1
+        # cancels to zero, and rounding once left -1.1e-16 at k = 1; the
+        # numeric search's a cancels at both end points in both tails, and
+        # once left -1.7e-15 at k = 1 and -6e4 at k = 1e24
         for lam in (0.0, k):
             assert coeffs(lam, k, 1e-10).deviation >= 0.0
 
@@ -175,6 +183,45 @@ class TestConversions:
                 if not lo <= k * p <= hi:
                     misses += int(np.sum(lams == lam))
             assert misses == 0, f"p={p}: {misses}/{trials} trials not covered"
+
+
+DIRECTION_CALLS = {
+    "kato_failure_probability": lambda d: kato_failure_probability(0.0, 1.0, 1e6, d),
+    "kato_coeffs_numeric": lambda d: kato_coeffs_numeric(5e5, 1e6, 1e-10, d),
+    "observed_to_expected": lambda d: observed_to_expected(5e5, 1e6, 1e-10, d),
+    "expected_to_observed": lambda d: expected_to_observed(5e5, 1e6, 1e-10, d),
+}
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("direction", ["sideways", None, "Upper"])
+    @pytest.mark.parametrize("function", list(DIRECTION_CALLS))
+    def test_rejects_an_unknown_direction(self, function, direction):
+        with pytest.raises(ParameterError) as info:
+            DIRECTION_CALLS[function](direction)
+        assert str(info.value) == "direction must be 'upper' or 'lower'"
+
+    def test_numeric_check_reports_the_observed_sum_before_the_direction(self):
+        with pytest.raises(ParameterError, match="observed sum"):
+            kato_coeffs_numeric(-1.0, 1e6, 1e-10, "sideways")
+
+    @pytest.mark.parametrize("a, b, k, direction", [
+        (0.0, 1.0, -1.0, "upper"),
+        (0.0, 1.0, 0.0, "upper"),
+        (0.0, 1.0, math.inf, "upper"),
+        (-750.0, 1000.0, 1e6, "upper"),   # a = -3 sqrt(k) / 4 zeroes the denominator
+        (750.0, 1000.0, 1e6, "lower"),
+        (math.nan, 1.0, 1e6, "upper"),
+        (0.0, math.nan, 1e6, "lower"),
+    ], ids=["k-negative", "k-zero", "k-inf", "upper-zero-denominator",
+            "lower-zero-denominator", "a-nan", "b-nan"])
+    def test_failure_probability_rejects_bad_input(self, a, b, k, direction):
+        with pytest.raises(ParameterError):
+            kato_failure_probability(a, b, k, direction)
+
+    def test_expected_to_observed_rejects_a_nan_expectation(self):
+        with pytest.raises(ParameterError, match="expected sum must be nonnegative"):
+            expected_to_observed(math.nan, 1e6, 1e-10, "upper")
 
 
 class TestPhaseErrorPipeline:
