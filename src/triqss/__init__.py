@@ -33,6 +33,7 @@ _EXPORTS = {
     "observed_sifted_gain": "expdata",
     "parse_counts": "expdata",
     "tally_sets": "expdata",
+    "tally_table": "expdata",
     "EpsilonBudget": "finitekey",
     "KatoCoefficients": "finitekey",
     "KeyRateReport": "finitekey",

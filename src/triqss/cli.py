@@ -402,13 +402,18 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             raise ParameterError(
                 f"{path}: cannot infer mu/px from the file name; pass --mu and --px"
             )
-        summary = expdata.tally_sets(expdata.parse_counts(path), mu=mu, px=px)
-        result = expdata.experiment_skr(
-            summary, n_pulses, budget,
-            ec_efficiency=fe,
-            channel=channel,
-            rep_rate_hz=rep_rate,
-        )
+        try:
+            summary = expdata.tally_table(path, mu=mu, px=px)
+            result = expdata.experiment_skr(
+                summary, n_pulses, budget,
+                ec_efficiency=fe,
+                channel=channel,
+                rep_rate_hz=rep_rate,
+            )
+        except QssError as exc:
+            # with several tables, the message must say which one failed
+            exc.args = (f"{path}: {exc}",)
+            raise
         results.append((path, summary, result))
 
     out = [_header("analyze", settings)]

@@ -17,6 +17,7 @@ pi.  Clicks in the unexpected port count as errors.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -68,46 +69,66 @@ class RowClass:
     expected_spd: int | None
 
 
-def parse_counts(source) -> list[CountRow]:
-    """Parse a count table from a path or an open text stream.
+def _checked_lines(source):
+    """Yield ``(triple, spd1, spd2)`` for each data line of a count table.
 
-    The header row must match ``phase_a,phase_b,phase_c,spd1,spd2``; an
-    entirely empty input parses to an empty list.  Repeated phase triples
-    and malformed lines are rejected with their line number.
+    The one per-line body of the reader: every check, with its line number,
+    runs here in this order: field count, integer fields, phase codes,
+    nonnegative counts, repeated triple.  A path is read as UTF-8.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
-            return parse_counts(fh)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # lines end in \n, \r\n or \r, as the csv reader splits them
+            head = data[:exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise CountTableError(f"not valid UTF-8: byte 0x{data[exc.start]:02x}",
+                                  line=line) from None
+        source = io.StringIO(text, newline="")
 
     reader = csv.reader(source)
-    rows: list[CountRow] = []
-    seen: dict[tuple, int] = {}
     header = next(reader, None)
     if header is None:
-        return rows
+        return
     if [h.strip() for h in header] != COUNT_HEADER:
         raise CountTableError(f"expected header {','.join(COUNT_HEADER)}", line=1)
+    seen: dict[tuple, int] = {}
     for lineno, rec in enumerate(reader, start=2):
         if not rec:
             continue
         if len(rec) != 5:
             raise CountTableError(f"expected 5 fields, got {len(rec)}", line=lineno)
         try:
-            values = [int(field.strip()) for field in rec]
+            a, b, c, spd1, spd2 = map(int, map(str.strip, rec))
         except ValueError:
             raise CountTableError(f"non-integer field in {rec!r}", line=lineno) from None
-        try:
-            row = CountRow(*values)
-        except CountTableError as exc:
-            raise CountTableError(str(exc), line=lineno) from None
-        if row.triple in seen:
+        triple = (a, b, c)
+        if triple not in _SLOT_OF_TRIPLE or spd1 < 0 or spd2 < 0:
+            try:   # the row type owns these messages, so it raises them
+                CountRow(a, b, c, spd1, spd2)
+            except CountTableError as exc:
+                raise CountTableError(str(exc), line=lineno) from None
+        if triple in seen:
             raise CountTableError(
-                f"duplicate phase triple {row.triple}, first seen on line {seen[row.triple]}",
+                f"duplicate phase triple {triple}, first seen on line {seen[triple]}",
                 line=lineno,
             )
-        seen[row.triple] = lineno
-        rows.append(row)
-    return rows
+        seen[triple] = lineno
+        yield triple, spd1, spd2
+
+
+def parse_counts(source) -> list[CountRow]:
+    """Parse a count table from a path or an open text stream.
+
+    The header row must match ``phase_a,phase_b,phase_c,spd1,spd2``; an
+    entirely empty input parses to an empty list.  Repeated phase triples
+    and malformed lines are rejected with their line number, and so is a
+    path that is not valid UTF-8.
+    """
+    return [CountRow(*triple, spd1, spd2) for triple, spd1, spd2 in _checked_lines(source)]
 
 
 def classify_row(row: CountRow) -> RowClass:
@@ -133,6 +154,9 @@ _CLASS_OF_TRIPLE = {
     for cell, (q_a, q_b, q_c) in enumerate(zip(*CELL_QUARTERS))
     for extra in (0, 1)
 }
+# the same as (set index, lit port), the form the tallies read
+_SLOT_OF_TRIPLE = {triple: (int(cls.set_tag), cls.expected_spd)
+                   for triple, cls in _CLASS_OF_TRIPLE.items()}
 
 
 @dataclass(frozen=True)
@@ -162,22 +186,20 @@ class ExperimentSummary(SetCounts):
         return out
 
 
-def tally_sets(rows, *, mu: float | None = None, px: float | None = None) -> ExperimentSummary:
-    """Accumulate per-set detection and error counts over table rows.
+def _tally(lines, mu: float | None, px: float | None) -> ExperimentSummary:
+    """Per-set sums over ``(triple, spd1, spd2)`` lines.
 
-    Discarded patterns contribute nothing.  All three sets must end up
-    nonempty, otherwise the table cannot support the analysis.
+    Discarded patterns add to a fourth slot that is dropped.  All three sets
+    must end up nonempty, otherwise the table cannot support the analysis.
     """
-    n = {SetTag.X_SET: 0, SetTag.YBC_SET: 0, SetTag.YAC_SET: 0}
-    m = {SetTag.X_SET: 0, SetTag.YBC_SET: 0, SetTag.YAC_SET: 0}
-    for row in rows:
-        cls = classify_row(row)
-        if cls.set_tag == SetTag.DISCARD:
-            continue
-        n[cls.set_tag] += row.spd1 + row.spd2
-        m[cls.set_tag] += row.spd2 if cls.expected_spd == 1 else row.spd1
-    for tag, total in n.items():
-        if total == 0:
+    n = [0, 0, 0, 0]   # indexed by SetTag
+    m = [0, 0, 0, 0]
+    for triple, spd1, spd2 in lines:
+        tag, lit = _SLOT_OF_TRIPLE[triple]
+        n[tag] += spd1 + spd2
+        m[tag] += spd2 if lit == 1 else spd1
+    for tag in (SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET):
+        if n[tag] == 0:
             raise CountTableError(f"no detections in required set {tag.name}")
     return ExperimentSummary(
         n_x=n[SetTag.X_SET], m_x=m[SetTag.X_SET],
@@ -185,6 +207,25 @@ def tally_sets(rows, *, mu: float | None = None, px: float | None = None) -> Exp
         n_yac=n[SetTag.YAC_SET], m_yac=m[SetTag.YAC_SET],
         mu=mu, px=px,
     )
+
+
+def tally_sets(rows, *, mu: float | None = None, px: float | None = None) -> ExperimentSummary:
+    """Accumulate per-set detection and error counts over table rows.
+
+    Discarded patterns contribute nothing.  All three sets must end up
+    nonempty, otherwise the table cannot support the analysis.
+    """
+    return _tally(((row.triple, row.spd1, row.spd2) for row in rows), mu, px)
+
+
+def tally_table(source, *, mu: float | None = None,
+                px: float | None = None) -> ExperimentSummary:
+    """``tally_sets(parse_counts(source), mu=mu, px=px)`` in one pass.
+
+    Each line goes straight into its set's sums, with the same checks and
+    errors as :func:`parse_counts` and :func:`tally_sets`.
+    """
+    return _tally(_checked_lines(source), mu, px)
 
 
 def observed_sifted_gain(summary: ExperimentSummary, n_pulses: float, px: float) -> float:

@@ -221,12 +221,14 @@ def kato_lower_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
 def kato_failure_probability(a: float, b: float, k: float, direction: str) -> float:
     """Failure probability of the stated bound for given coefficients."""
     sign = _sign(direction)
-    if not b >= abs(a):
-        raise ParameterError("coefficients require b >= |a|")
+    # written so that a NaN fails it; a finite b bounds a too
+    if not abs(a) <= b < math.inf:
+        raise ParameterError("coefficients require a finite b >= |a|")
     _check_trials(k)
     denom = 1.0 + sign * 4.0 * a / (3.0 * math.sqrt(k))
-    if denom == 0.0:
-        raise ParameterError("coefficient a makes the bound's denominator zero")
+    # Kato's inequality is stated for a positive denominator only
+    if not denom > 0.0:
+        raise ParameterError("coefficient a makes the bound's denominator nonpositive")
     return math.exp(-2.0 * (b * b - a * a) / (denom * denom))
 
 

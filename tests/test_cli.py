@@ -259,7 +259,38 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", TABLE_A9, "--analytic-gain",
                                     "--mu", "0", "--dark", "0"])
         assert code == EXIT_NUMERIC
-        assert "numerical degeneracy" in err
+        assert err == f"numerical degeneracy: {TABLE_A9}: zero detection gain: " \
+                      "coin imbalance undefined\n"
+
+    def test_table_error_names_the_table(self, capsys, tmp_path):
+        # the second of two tables repeats a triple
+        bad = tmp_path / "tableIIIb_mu8e-4.csv"
+        bad.write_text("phase_a,phase_b,phase_c,spd1,spd2\n0,0,0,1,2\n0,0,0,3,4\n")
+        code, out, err = run(capsys, ["analyze", TABLE_A9, str(bad)])
+        assert code == EXIT_INPUT
+        assert err == (f"input error: {bad}: line 3: duplicate phase triple (0, 0, 0), "
+                       "first seen on line 2\n")
+        assert out == ""
+
+    def test_rating_error_names_the_table(self, capsys):
+        # the sifted counts imply a gain above one per pulse
+        code, out, err = run(capsys, ["analyze", *ALL_TABLES, "--N", "10"])
+        assert code == EXIT_INPUT
+        assert err.startswith(f"input error: {ALL_TABLES[0]}: sifted counts imply a gain")
+        assert out == ""
+
+    @pytest.mark.parametrize("body,line,byte", [
+        (b"0,0,0,1\xff,2\n", 2, "ff"),
+        (b"0,0,0,1,2\r\n2,2,0,3,4\r\n\xfe", 4, "fe"),
+        (b"0,0,0,1,2\r2,2,0,3,4\r0,2,\x80", 4, "80"),
+    ], ids=["in-a-field", "after-crlf-lines", "after-cr-lines"])
+    def test_table_that_is_not_utf8_exits_3(self, capsys, tmp_path, body, line, byte):
+        bad = tmp_path / "tableIIIa_mu9e-4.csv"
+        bad.write_bytes(b"phase_a,phase_b,phase_c,spd1,spd2\n" + body)
+        code, out, err = run(capsys, ["analyze", str(bad)])
+        assert code == EXIT_INPUT
+        assert err == f"input error: {bad}: line {line}: not valid UTF-8: byte 0x{byte}\n"
+        assert out == ""
 
 
 class TestSimulate:

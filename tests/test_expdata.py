@@ -1,9 +1,12 @@
 """Count table ingestion, classification, tallies, measured key rates."""
 
+import csv
 import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triqss import (
     ChannelModel,
@@ -17,6 +20,7 @@ from triqss import (
     observed_sifted_gain,
     parse_counts,
     tally_sets,
+    tally_table,
 )
 from triqss.optics import binary_entropy
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
@@ -84,6 +88,17 @@ class TestParsing:
     def test_missing_file_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_counts(tmp_path / "nope.csv")
+        with pytest.raises(FileNotFoundError):
+            tally_table(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("read", [parse_counts, tally_table])
+    def test_path_that_is_not_utf8_rejected_with_line(self, tmp_path, read):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(f"{HEADER}\n0,0,0,10,1\n0,2,\xff,5,5\n".encode("latin-1"))
+        with pytest.raises(CountTableError) as info:
+            read(path)
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: not valid UTF-8: byte 0xff"
 
 
 class TestClassification:
@@ -162,11 +177,141 @@ class TestTallies:
         with pytest.raises(CountTableError):
             tally_sets(parse_counts(io.StringIO(text)))
 
+    @pytest.mark.parametrize("table,mu", list(EXPECTED_TALLIES))
+    def test_one_pass_equals_two_passes(self, fixtures_dir, table, mu):
+        path = table_path(fixtures_dir, table, mu)
+        two = tally_sets(parse_counts(path), mu=float(mu), px=TABLE_PX[table])
+        assert tally_table(path, mu=float(mu), px=TABLE_PX[table]) == two
+        assert tally_table(io.StringIO(path.read_text()), mu=float(mu),
+                           px=TABLE_PX[table]) == two
+
     def test_metadata_carried(self, fixtures_dir):
         s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")), mu=9e-4, px=0.9)
         assert s.mu == 9e-4 and s.px == 0.9
         report = s.as_report()
         assert report["n_x"] == 787407 and report["mu"] == 9e-4
+
+
+TRIPLES = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+COUNTS = st.integers(0, 10**6)
+# fields that int() or the csv reader treat unusually, valid or not
+ODD_FIELDS = st.sampled_from([
+    "", "x", "1.5", "-1", "4", "7", "+2", " 3 ", "\t0", "\x1c1", "1\x1f", "٣", "1_0",
+    "0x1", '"2"', '"1,2"',
+])
+# the sifted sets by the players' and the dealer's basis: even codes are X
+SET_OF_BASES = {(0, 0, 0): "X_SET", (0, 1, 1): "YBC_SET", (1, 0, 1): "YAC_SET"}
+
+
+def written_out_reader(text):
+    """What reading ``text`` must give, written out from the table format.
+
+    The six tallies, or the error's type, message and line.  The lit
+    detector is spd1 where ``phase_b + phase_c - phase_a`` is 0 mod 4.
+    """
+    def error(message, line=None):
+        return (CountTableError, message if line is None else f"line {line}: {message}", line)
+
+    sums = {name: [0, 0] for name in SET_OF_BASES.values()}
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is not None:
+        if [h.strip() for h in header] != HEADER.split(","):
+            return error(f"expected header {HEADER}", 1)
+        seen = {}
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != 5:
+                return error(f"expected 5 fields, got {len(rec)}", lineno)
+            try:
+                a, b, c, spd1, spd2 = (int(field.strip()) for field in rec)
+            except ValueError:
+                return error(f"non-integer field in {rec!r}", lineno)
+            for name, code in (("phase_a", a), ("phase_b", b), ("phase_c", c)):
+                if code not in range(4):
+                    return error(f"{name} must be a quarter-turn code 0..3", lineno)
+            if spd1 < 0 or spd2 < 0:
+                return error("detector counts must be nonnegative", lineno)
+            if (a, b, c) in seen:
+                return error(f"duplicate phase triple {(a, b, c)}, first seen on line "
+                             f"{seen[a, b, c]}", lineno)
+            seen[a, b, c] = lineno
+            name = SET_OF_BASES.get((a % 2, b % 2, c % 2))
+            if name is not None:
+                sums[name][0] += spd1 + spd2
+                sums[name][1] += spd2 if (b + c - a) % 4 == 0 else spd1
+    for name, (n, _) in sums.items():
+        if n == 0:
+            return error(f"no detections in required set {name}")
+    return tuple(v for n_m in sums.values() for v in n_m)
+
+
+def reader_outcome(read, text):
+    try:
+        s = read(io.StringIO(text))
+    except CountTableError as exc:
+        return (type(exc), str(exc), exc.line)
+    return (s.n_x, s.m_x, s.n_ybc, s.m_ybc, s.n_yac, s.m_yac)
+
+
+@st.composite
+def valid_tables(draw):
+    """Lines of a valid table: distinct triples in any order, padded fields, blank lines."""
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    lines = [HEADER]
+    for triple in draw(st.permutations(TRIPLES))[:draw(st.integers(0, 64))]:
+        values = (*triple, draw(COUNTS), draw(COUNTS))
+        lines.append(",".join(f"{pad}{v}" for v in values))
+        if draw(st.integers(0, 15)) == 0:
+            lines.append("")
+    return lines
+
+
+@st.composite
+def mutated_tables(draw):
+    """A valid table with one line changed."""
+    lines = draw(valid_tables())
+    i = len(lines) - 1 - draw(st.integers(0, len(lines) - 1))   # the header least often
+    fields = lines[i].split(",")
+    j = draw(st.integers(0, len(fields) - 1))
+    kind = draw(st.sampled_from(["odd", "phase", "count", "drop", "extra", "duplicate", "text"]))
+    if kind == "odd":
+        fields[j] = draw(ODD_FIELDS)
+    elif kind == "phase":
+        fields[j % 3] = str(draw(st.integers(-2, 6)))
+    elif kind == "count":
+        fields[-1 - j % 2] = str(draw(st.integers(-3, 3)))
+    elif kind == "drop":
+        del fields[j]
+    elif kind == "extra":
+        fields.append(str(draw(COUNTS)))
+    elif kind == "duplicate":
+        fields[:3] = lines[draw(st.integers(0, len(lines) - 1))].split(",")[:3]
+    else:
+        fields = [draw(st.text("0123-,x \t\"", max_size=12))]
+    lines[i] = ",".join(fields)
+    return lines
+
+
+class TestOnePassReader:
+    """``tally_table`` against ``tally_sets(parse_counts(...))`` and a written-out reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.one_of(valid_tables(), mutated_tables()),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    @example(lines=[HEADER, "0,0,0,1,2", "0,1,1,3,4", "1,0,1,5,6", "0,0,0,7,8"], newline="\n")
+    @example(lines=[HEADER, "0,0,0,1,2", "0,1,1,3,4", "1,0,1,5,6", "1,0,\x1c1,7,8"],
+             newline="\n")
+    def test_same_tallies_and_errors(self, lines, newline):
+        text = newline.join(lines) + newline
+        expected = written_out_reader(text)
+        assert reader_outcome(tally_table, text) == expected
+        assert reader_outcome(lambda src: tally_sets(parse_counts(src)), text) == expected
+
+    def test_written_out_reader_gives_the_frozen_tallies(self, fixtures_dir):
+        for (table, mu), expected in EXPECTED_TALLIES.items():
+            assert written_out_reader(table_path(fixtures_dir, table, mu).read_text()) == expected
 
 
 class TestObservedGain:

@@ -213,11 +213,23 @@ class TestArgumentChecks:
         (750.0, 1000.0, 1e6, "lower"),
         (math.nan, 1.0, 1e6, "upper"),
         (0.0, math.nan, 1e6, "lower"),
+        (math.inf, math.inf, 1e6, "upper"),   # was a NaN result
+        (-math.inf, math.inf, 1e6, "lower"),
+        (0.0, math.inf, 1e6, "upper"),
+        (-1000.0, 2000.0, 1e6, "upper"),   # denominator -1/3; was 0.0
+        (1000.0, 2000.0, 1e6, "lower"),
     ], ids=["k-negative", "k-zero", "k-inf", "upper-zero-denominator",
-            "lower-zero-denominator", "a-nan", "b-nan"])
+            "lower-zero-denominator", "a-nan", "b-nan", "a-b-inf-upper", "a-b-inf-lower",
+            "b-inf", "upper-negative-denominator", "lower-negative-denominator"])
     def test_failure_probability_rejects_bad_input(self, a, b, k, direction):
         with pytest.raises(ParameterError):
             kato_failure_probability(a, b, k, direction)
+
+    @pytest.mark.parametrize("a, direction", [(-749.0, "upper"), (749.0, "lower")])
+    def test_failure_probability_accepts_a_small_positive_denominator(self, a, direction):
+        # denominator 1/750: exp(-2 (1000^2 - 749^2) 750^2), which underflows to 0
+        assert kato_failure_probability(a, 1000.0, 1e6, direction) == 0.0
+        assert kato_failure_probability(a, abs(a), 1e6, direction) == 1.0
 
     def test_expected_to_observed_rejects_a_nan_expectation(self):
         with pytest.raises(ParameterError, match="expected sum must be nonnegative"):

@@ -323,6 +323,68 @@ class TestRunProtocol:
             assert int(r[7]) == int(r[1]) ^ int(r[2])
 
 
+def binomial_two_sided_p(m, n, p):
+    """Exact two-sided tail of ``m`` errors in ``n`` trials at error rate ``p``:
+    twice the smaller of ``P(X <= m)`` and ``P(X >= m)``, at most 1."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    head = math.lgamma(n + 1)
+
+    def pmf(k):
+        return math.exp(head - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + k * log_p + (n - k) * log_q)
+
+    lower = math.fsum(pmf(k) for k in range(m + 1))
+    upper = math.fsum(pmf(k) for k in range(m, n + 1))
+    return min(1.0, 2.0 * min(lower, upper))
+
+
+class TestYSetErrors:
+    """Simulated ``m_ybc`` and ``m_yac`` against the model's bit error rate.
+
+    Given its detections, a set's error count is binomial at the error rate
+    of one lone click, ``bit_error_x``, as long as double clicks (each an
+    error with chance 1/2) are negligible.  Seeds, settings and the bound
+    (exact two-sided tail at least 1e-3, per seed and pooled) were fixed
+    before the first run.
+    """
+
+    SEEDS = (311, 312, 313)
+    SETTINGS = {
+        "0km-ed2pct": (SourceParams(intensity=9e-4, px=0.5),
+                       ChannelModel(length_km=0.0, misalignment=0.02), 10 ** 8),
+        "30dB": (SourceParams(intensity=9e-4, px=0.7),
+                 ChannelModel(length_km=30.0 / 0.167), 5 * 10 ** 9),
+    }
+    MIN_TAIL = 1e-3
+
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    def test_y_errors_follow_the_model(self, setting):
+        source, channel, rounds = self.SETTINGS[setting]
+        eta = transmittance(channel)
+        e = bit_error_x(source.intensity, eta, channel.dark_count, channel.misalignment)
+        # a Y cell sits at relative phase 0 or pi; double clicks there need a
+        # dark count on the dark port
+        p = click_probabilities(0.0, 0.0, source.intensity, eta, channel.dark_count,
+                                channel.misalignment)
+        assert p.double / (p.only0 + p.only1) < 1e-6
+        pooled = {"ybc": [0, 0], "yac": [0, 0]}
+        for seed in self.SEEDS:
+            t = run_protocol(source, channel, seed=seed, max_rounds=rounds).tallies
+            for name, n, m in (("ybc", t.n_ybc, t.m_ybc), ("yac", t.n_yac, t.m_yac)):
+                assert n >= 6000, (seed, name, n)
+                assert binomial_two_sided_p(m, n, e) >= self.MIN_TAIL, (seed, name, m, n, e)
+                pooled[name][0] += n
+                pooled[name][1] += m
+        for name, (n, m) in pooled.items():
+            assert binomial_two_sided_p(m, n, e) >= self.MIN_TAIL, (name, m, n, e)
+
+    def test_tail_of_a_small_case(self):
+        # Binomial(4, 1/2): P(X <= 1) = 5/16, so the two-sided tail is 5/8
+        assert binomial_two_sided_p(1, 4, 0.5) == pytest.approx(0.625, rel=1e-12)
+        assert binomial_two_sided_p(2, 4, 0.5) == 1.0
+        assert binomial_two_sided_p(0, 10, 0.5) == pytest.approx(2.0 / 1024, rel=1e-12)
+
+
 class TestDetectionSampler:
     """The sampler draws only the rounds that click; it must agree with the
     per-round reference engine in ``per_round_engine``."""
