@@ -28,7 +28,6 @@ _EXPORTS = {
     "ZeroCountError": "errors",
     "CountRow": "expdata",
     "ExperimentSummary": "expdata",
-    "classify_row": "expdata",
     "experiment_skr": "expdata",
     "observed_sifted_gain": "expdata",
     "parse_counts": "expdata",
@@ -56,13 +55,11 @@ _EXPORTS = {
     "coin_imbalance": "optics",
     "gain": "optics",
     "phase_error_from_y": "optics",
-    "phase_error_terms": "optics",
     "transmittance": "optics",
     "Outcome": "protocol",
     "ProtocolRun": "protocol",
     "SetThresholds": "protocol",
     "SiftedTallies": "protocol",
-    "click_probabilities": "protocol",
     "run_protocol": "protocol",
     "verify_correlation": "protocol",
     "OptimizationResult": "rates",

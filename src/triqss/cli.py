@@ -122,8 +122,8 @@ _SUBCOMMANDS = {
                                       "instead of the observed sifted gain")),
     )),
     "kato": ("inspect one concentration bound", (), (
-        ("--k", dict(type=float, required=True, help="number of trials")),
-        ("--lam", dict(type=float, required=True, help="observed sum")),
+        ("--k", dict(type=float, help="number of trials (required)")),
+        ("--lam", dict(type=float, help="observed sum (required)")),
         ("--eps", dict(type=float, help="failure probability (default 1e-10)")),
         ("--dir", dict(choices=("upper", "lower"), dest="direction",
                        help="bound direction (default: upper)")),
@@ -167,8 +167,8 @@ class Settings:
         self._ns = ns
         self._config = {}
         if ns.config:
-            with open(ns.config) as fh:
-                self._config = report.parse_kv(fh.read())
+            self._config = report.parse_kv(report.read_utf8(
+                ns.config, lambda message, line: ParameterError(f"config line {line}: {message}")))
             unknown = sorted(set(self._config) - set(vars(ns)).difference(_NOT_CONFIGURABLE))
             if unknown:
                 raise ParameterError(
@@ -450,6 +450,8 @@ def cmd_kato(ns: argparse.Namespace) -> int:
     lam = settings.get("lam", float, None)
     eps = settings.get("eps", float, 1e-10)
     direction = settings.get("direction", str, "upper")
+    if k is None or lam is None:
+        raise ParameterError("kato needs --k and --lam, as flags or config keys")
 
     closed = (kato_upper_coeffs if direction == "upper" else kato_lower_coeffs)(lam, k, eps)
     numeric = kato_coeffs_numeric(lam, k, eps, direction)

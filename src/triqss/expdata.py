@@ -26,6 +26,7 @@ from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
 from .finitekey import _checked_key_length, phase_error_upper_bound
 from .optics import ChannelModel, SourceParams, gain, transmittance
+from .report import read_utf8
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
 COUNT_HEADER = ["phase_a", "phase_b", "phase_c", "spd1", "spd2"]
@@ -57,16 +58,15 @@ class CountRow:
         return (self.phase_a, self.phase_b, self.phase_c)
 
 
-@dataclass(frozen=True)
-class RowClass:
-    """Sifting classification of one phase triple.
-
-    ``expected_spd`` is 1 or 2 for rows belonging to a sifted set and None
-    for discarded patterns, whose expected port can be undefined.
-    """
-
-    set_tag: SetTag
-    expected_spd: int | None
+# every phase triple -> (set index, lit port): the triple is a round table
+# cell plus the dealer's extra pi, the cell gives the set, and its correct
+# raw bit, flipped by the extra pi, gives the lit port (1 or 2); discarded
+# patterns have no lit port
+_SLOT_OF_TRIPLE = {
+    (q_a, q_b, q_c + 2 * extra): (int(tag), None if tag == SetTag.DISCARD else 1 + (bit ^ extra))
+    for (q_a, q_b, q_c), tag, bit in zip(zip(*CELL_QUARTERS), CELL_TAG, CELL_BIT)
+    for extra in (0, 1)
+}
 
 
 def _checked_lines(source):
@@ -77,17 +77,7 @@ def _checked_lines(source):
     nonnegative counts, repeated triple.  A path is read as UTF-8.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # lines end in \n, \r\n or \r, as the csv reader splits them
-            head = data[:exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise CountTableError(f"not valid UTF-8: byte 0x{data[exc.start]:02x}",
-                                  line=line) from None
-        source = io.StringIO(text, newline="")
+        source = io.StringIO(read_utf8(source, CountTableError), newline="")
 
     reader = csv.reader(source)
     header = next(reader, None)
@@ -129,34 +119,6 @@ def parse_counts(source) -> list[CountRow]:
     path that is not valid UTF-8.
     """
     return [CountRow(*triple, spd1, spd2) for triple, spd1, spd2 in _checked_lines(source)]
-
-
-def classify_row(row: CountRow) -> RowClass:
-    """Assign a row to its sifted set and find the expected detector.
-
-    The triple is a round table cell plus the dealer's extra pi: the cell
-    gives the set, and its correct raw bit, flipped by the extra pi, gives
-    the lit port.  Patterns matching no set are ``DISCARD``.
-    """
-    return _CLASS_OF_TRIPLE[row.triple]
-
-
-def _row_class(cell: int, extra: int) -> RowClass:
-    tag = CELL_TAG[cell]
-    if tag == SetTag.DISCARD:
-        return RowClass(set_tag=tag, expected_spd=None)
-    return RowClass(set_tag=tag, expected_spd=1 + (CELL_BIT[cell] ^ extra))
-
-
-# every phase triple, encoded from the round table's quarter-turn codes
-_CLASS_OF_TRIPLE = {
-    (q_a, q_b, q_c + 2 * extra): _row_class(cell, extra)
-    for cell, (q_a, q_b, q_c) in enumerate(zip(*CELL_QUARTERS))
-    for extra in (0, 1)
-}
-# the same as (set index, lit port), the form the tallies read
-_SLOT_OF_TRIPLE = {triple: (int(cls.set_tag), cls.expected_spd)
-                   for triple, cls in _CLASS_OF_TRIPLE.items()}
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,6 @@ class KatoCoefficients:
     a: float
     b: float
     deviation: float
-    epsilon: float
 
 
 def _check_trials(k: float) -> None:
@@ -193,7 +192,7 @@ def _kato_coeffs(lam: float, k: float, eps: float, sign: float) -> KatoCoefficie
     )
     a = sign * (num / (4.0 * (9.0 * k - 8.0 * t) * g))
     b = _b_from_constraint(a, k, sk, t, sign)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk))
 
 
 def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
@@ -253,7 +252,7 @@ def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> Kat
     a, _ = golden_max(lambda a: -(_b_from_constraint(a, k, sk, t, sign) + a * c),
                       -3.0 * sk, 3.0 * sk, tol=0.0)
     b = _b_from_constraint(a, k, sk, t, sign)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk), epsilon=eps)
+    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk))
 
 
 def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> float:
@@ -406,7 +405,7 @@ def _phase_error_chain(
         eb_y_expected = 1.0
 
     # step 2: expected Y error rate -> expected phase error rate, the fsum of
-    # optics.phase_error_terms; eb_y_expected lies in [0, 1] by construction
+    # optics.phase_error_from_y; eb_y_expected lies in [0, 1] by construction
     if not 0 <= delta <= 0.5:
         raise ParameterError("coin imbalance must be in [0, 1/2]")
     ep_raw = math.fsum((

@@ -169,29 +169,24 @@ def coin_imbalance(mu: float, gain_value: float) -> float:
     return delta
 
 
-def phase_error_terms(eb_y: float, delta: float) -> tuple[float, float, float]:
-    """The three additive terms of the phase error bound, unclamped.
+def phase_error_from_y(eb_y: float, delta: float) -> float:
+    """X-basis phase error rate bound from the Y-basis error rate.
 
-    Separated out so callers can detect when the sum exceeds one.
+    The sum of three terms: ``eb_y``, ``4 delta (1 - delta)(1 - 2 eb_y)`` and
+    ``4 (1 - 2 delta) sqrt(delta (1 - delta) eb_y (1 - eb_y))``.  It equals
+    ``eb_y`` exactly when the coin is balanced (``delta == 0``) and grows
+    with the imbalance.  The sum can exceed one for large inputs; the
+    returned value is clamped to one since it bounds a probability.
     """
     if not 0 <= eb_y <= 1:
         raise ParameterError("Y-basis error rate must be in [0, 1]")
     if not 0 <= delta <= 0.5:
         raise ParameterError("coin imbalance must be in [0, 1/2]")
-    t1 = eb_y
-    t2 = 4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y)
-    t3 = 4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y))
-    return t1, t2, t3
-
-
-def phase_error_from_y(eb_y: float, delta: float) -> float:
-    """X-basis phase error rate bound from the Y-basis error rate.
-
-    Equals ``eb_y`` exactly when the coin is balanced (``delta == 0``) and
-    grows with the imbalance.  The formula can exceed one for large inputs;
-    the returned value is clamped to one since it bounds a probability.
-    """
-    return min(1.0, math.fsum(phase_error_terms(eb_y, delta)))
+    return min(1.0, math.fsum((
+        eb_y,
+        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y),
+        4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y)),
+    )))
 
 
 def binary_entropy(x: float) -> float:

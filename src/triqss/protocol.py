@@ -23,7 +23,7 @@ Everything a round does follows from the round table of
 :mod:`triqss.roundtable`: one row per setting cell, with the settings, the
 quarter-turn phase codes, the set tag and the dealer's correct raw bit
 (``s_a ^ s_b``, flipped on YAC cells, so the YAC flip is a column), held
-here as private arrays.  One :func:`click_probabilities` call over the 32
+here as private arrays.  One ``_cell_probabilities`` call over the 32
 cells adds the outcome probabilities for a source and channel.  The
 simulator, the trace writer and the count-table reader all read this table.
 
@@ -90,15 +90,6 @@ class Outcome(IntEnum):
     DOUBLE = 3
 
 
-class ClickProbabilities(NamedTuple):
-    """Distribution over registered round outcomes; sums to one."""
-
-    only0: float
-    only1: float
-    none: float
-    double: float
-
-
 @dataclass(frozen=True)
 class SetThresholds:
     """Target detection counts per sifted set for a threshold-driven run."""
@@ -153,52 +144,34 @@ _QUARTERS = np.array(roundtable.CELL_QUARTERS)
 _TAG = np.array(roundtable.CELL_TAG, np.uint8)
 _BIT = np.array(roundtable.CELL_BIT, np.uint8)
 
-# total arm phases; quarter-turn codes are in units of pi/2
+# phase on player b's arm (encoding plus dealer offset) less player a's;
+# quarter-turn codes are in units of pi/2
 _QUARTER_TURN = 0.5 * math.pi
-_CELL_PHASE_A = _QUARTERS[0] * _QUARTER_TURN
-_CELL_PHASE_B = _QUARTERS[1] * _QUARTER_TURN + _QUARTERS[2] * _QUARTER_TURN
+_CELL_DPHI = (_QUARTERS[1] * _QUARTER_TURN + _QUARTERS[2] * _QUARTER_TURN
+              - _QUARTERS[0] * _QUARTER_TURN)
 
 
-def click_probabilities(
-    phase_a,
-    phase_b,
-    mu: float,
-    eta: float,
-    dark: float,
-    misalignment: float,
-) -> ClickProbabilities:
-    """Outcome distribution for rounds at given total arm phases.
+def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> tuple:
+    """Outcome distribution of each of the 32 round table cells, in :class:`Outcome` order.
 
-    ``phase_b`` is the total phase on player b's arm (encoding plus dealer
-    offset); the phases may be floats or arrays.  The two output ports
-    receive mean photon numbers ``2 mu eta cos^2(dphi/2)`` and the rest of
-    ``2 mu eta``; each detector additionally fires independently with the
-    dark count probability, and a lone signal click is swapped to the other
-    detector with probability ``misalignment``.
+    The two output ports receive mean photon numbers ``2 mu eta cos^2(dphi/2)``
+    and the rest of ``2 mu eta``; each detector additionally fires
+    independently with the dark count probability, and a lone signal click is
+    swapped to the other detector with probability ``misalignment``.
     """
-    if mu < 0 or eta < 0 or not 0 <= dark < 1 or not 0 <= misalignment <= 0.5:
-        raise ParameterError("click model arguments out of range")
-    dphi = np.subtract(phase_b, phase_a)
-    mu_eta = 2.0 * mu * eta
-    i1 = mu_eta * np.cos(0.5 * dphi) ** 2
+    dark, misalignment = channel.dark_count, channel.misalignment
+    mu_eta = 2.0 * source.intensity * transmittance(channel)
+    i1 = mu_eta * np.cos(0.5 * _CELL_DPHI) ** 2
     i2 = mu_eta - i1
     quiet1 = (1.0 - dark) * np.exp(-i1)
     quiet2 = (1.0 - dark) * np.exp(-i2)
     raw0 = (1.0 - quiet1) * quiet2
     raw1 = (1.0 - quiet2) * quiet1
-    return ClickProbabilities(
-        only0=(1.0 - misalignment) * raw0 + misalignment * raw1,
-        only1=(1.0 - misalignment) * raw1 + misalignment * raw0,
-        none=quiet1 * quiet2,
-        double=(1.0 - quiet1) * (1.0 - quiet2),
-    )
-
-
-def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> ClickProbabilities:
-    """Outcome distribution of each of the 32 round table cells."""
-    return click_probabilities(
-        _CELL_PHASE_A, _CELL_PHASE_B, source.intensity, transmittance(channel),
-        channel.dark_count, channel.misalignment,
+    return (
+        (1.0 - misalignment) * raw0 + misalignment * raw1,
+        (1.0 - misalignment) * raw1 + misalignment * raw0,
+        quiet1 * quiet2,
+        (1.0 - quiet1) * (1.0 - quiet2),
     )
 
 
@@ -284,13 +257,13 @@ def _detection_tables(source: SourceParams, channel: ChannelModel) -> _Detection
     sits slightly above :func:`~triqss.optics.gain`, which counts single
     clicks only.
     """
-    p = _cell_probabilities(source, channel)
+    only0, only1, none, double = _cell_probabilities(source, channel)
     basis_p = np.array([source.px, 1.0 - source.px])
     p_cell = 0.25 * basis_p[_BASES[0]] * basis_p[_BASES[1]] * basis_p[_BASES[2]]
-    half_double = 0.5 * p.double
-    weights = (p_cell[:, None] * np.stack([p.only0, p.only1, half_double, half_double], 1)).ravel()
+    half_double = 0.5 * double
+    weights = (p_cell[:, None] * np.stack([only0, only1, half_double, half_double], 1)).ravel()
     p_det = min(1.0, float(weights.sum()))
-    cdf, none_cdf = _cdf(weights), _cdf(p_cell * p.none)
+    cdf, none_cdf = _cdf(weights), _cdf(p_cell * none)
     arrays = (cdf, none_cdf, _guide(cdf), _guide(none_cdf))
     for a in arrays:
         a.flags.writeable = False   # every caller shares the cached arrays

@@ -3,7 +3,8 @@
 Reports and config files share one line-oriented format: one ``key = value``
 pair per line, ``#`` starts a comment, blank lines are ignored.  Floats are
 rendered with ten significant digits so that re-parsing a report reproduces
-the numbers that were measured.
+the numbers that were measured.  Config files and count tables are read as
+UTF-8 by :func:`read_utf8`.
 """
 
 from __future__ import annotations
@@ -50,3 +51,19 @@ def parse_kv(text: str) -> dict[str, str]:
         first_line[key] = lineno
         out[key] = value.strip()
     return out
+
+
+def read_utf8(path, error) -> str:
+    """The text of the file at ``path``, read as UTF-8.
+
+    At the first byte that is not UTF-8 this raises ``error(message, line)``;
+    lines end in ``\\n``, ``\\r\\n`` or ``\\r``, as the count-table reader splits them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"not valid UTF-8: byte 0x{data[exc.start]:02x}", line) from None

@@ -33,10 +33,9 @@ def outcome_thresholds(source, channel) -> tuple:
     A round in cell ``c`` with outcome variate ``u`` registers outcome
     ``(u >= t0[c]) + (u >= t1[c]) + (u >= t2[c])`` in :class:`Outcome` order.
     """
-    p = protocol._cell_probabilities(source, channel)
-    t0 = p.only0
-    t1 = t0 + p.only1
-    return t0, t1, t1 + p.none
+    t0, only1, none, _ = protocol._cell_probabilities(source, channel)
+    t1 = t0 + only1
+    return t0, t1, t1 + none
 
 
 def simulate_block(source, channel, rng: np.random.Generator, n: int) -> Block:

@@ -74,10 +74,28 @@ class TestKato:
         assert body["direction"] == "lower"
         assert float(body["bound"]) < 5e5
 
-    def test_missing_required_flag_exits_3(self):
-        with pytest.raises(SystemExit) as info:
-            main(["kato", "--k", "1e6"])
-        assert info.value.code == EXIT_INPUT
+    def test_missing_required_flag_exits_3(self, capsys):
+        code, out, err = run(capsys, ["kato", "--k", "1e6"])
+        assert code == EXIT_INPUT
+        assert "--lam" in err
+        assert out == ""
+
+    def test_settings_from_a_config_file(self, capsys, tmp_path):
+        # k and lam were config keys that could never take effect, as the
+        # parser required both flags
+        cfg = tmp_path / "kato.cfg"
+        cfg.write_text("k = 1e6\nlam = 5e5\neps = 1e-10\n")
+        code, out, _ = run(capsys, ["kato", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert out == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_text()
+
+    def test_value_missing_after_the_config_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "kato.cfg"
+        cfg.write_text("k = 1e6\n")
+        code, out, err = run(capsys, ["kato", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert "--lam" in err
+        assert out == ""
 
     def test_deviation_at_the_upper_end_is_zero(self, capsys):
         # b + a(2 lam / k - 1) cancels at lam = k; its rounding residue once
@@ -674,6 +692,16 @@ class TestInputFiles:
         code, out, err = run(capsys, [command, "--config", str(cfg), *VALID_ARGS[command]])
         assert code == EXIT_INPUT
         assert key in err
+        assert out == ""
+
+    def test_config_that_is_not_utf8_exits_3_with_its_line(self, capsys, tmp_path):
+        # it was read in the locale encoding and died in a UnicodeDecodeError
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"k = 1e6\r\n# \xff\nlam = 5e5\n")
+        code, out, err = run(capsys, ["kato", "--k", "1e6", "--lam", "5e5",
+                                      "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert err == "input error: config line 2: not valid UTF-8: byte 0xff\n"
         assert out == ""
 
     def test_config_keys_are_flag_dests(self, capsys, tmp_path):

@@ -15,13 +15,13 @@ from triqss import (
     DegenerateGainError,
     ParameterError,
     SetTag,
-    classify_row,
     experiment_skr,
     observed_sifted_gain,
     parse_counts,
     tally_sets,
     tally_table,
 )
+from triqss.expdata import _SLOT_OF_TRIPLE
 from triqss.optics import binary_entropy
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
@@ -107,20 +107,20 @@ class TestClassification:
         for a in range(4):
             for b in range(4):
                 for c in range(4):
-                    cls = classify_row(CountRow(a, b, c, 0, 0))
-                    tags[cls.set_tag] += 1
-                    if cls.set_tag == SetTag.DISCARD:
-                        assert cls.expected_spd is None
+                    tag, lit = _SLOT_OF_TRIPLE[a, b, c]
+                    tags[tag] += 1
+                    if tag == SetTag.DISCARD:
+                        assert lit is None
                     else:
-                        assert cls.expected_spd in (1, 2)
                         # net phase difference decides the lit detector
                         dphi = (b + c - a) % 4
                         assert dphi in (0, 2)
-                        assert cls.expected_spd == (1 if dphi == 0 else 2)
+                        assert lit == (1 if dphi == 0 else 2)
         assert tags[SetTag.X_SET] == 8
         assert tags[SetTag.YBC_SET] == 8
         assert tags[SetTag.YAC_SET] == 8
         assert tags[SetTag.DISCARD] == 40
+        assert len(_SLOT_OF_TRIPLE) == 64
 
     def test_round_table_agrees_on_all_triples(self):
         # each triple is one round table cell plus the dealer's extra pi
@@ -130,17 +130,17 @@ class TestClassification:
             for extra in (0, 1):
                 triple = (q_a, q_b, q_c + 2 * extra)
                 triples.add(triple)
-                cls = classify_row(CountRow(*triple, 0, 0))
-                assert cls.set_tag == CELL_TAG[cell]
-                if cls.set_tag != SetTag.DISCARD:
-                    assert cls.expected_spd == 1 + (CELL_BIT[cell] ^ extra)
+                tag, lit = _SLOT_OF_TRIPLE[triple]
+                assert tag == CELL_TAG[cell]
+                if tag != SetTag.DISCARD:
+                    assert lit == 1 + (CELL_BIT[cell] ^ extra)
         assert len(triples) == 64
 
     def test_specific_patterns(self):
-        assert classify_row(CountRow(0, 0, 0, 0, 0)).set_tag == SetTag.X_SET
-        assert classify_row(CountRow(0, 1, 1, 0, 0)).set_tag == SetTag.YBC_SET
-        assert classify_row(CountRow(1, 0, 1, 0, 0)).set_tag == SetTag.YAC_SET
-        assert classify_row(CountRow(1, 1, 0, 0, 0)).set_tag == SetTag.DISCARD
+        assert _SLOT_OF_TRIPLE[0, 0, 0] == (SetTag.X_SET, 1)
+        assert _SLOT_OF_TRIPLE[0, 1, 1] == (SetTag.YBC_SET, 2)
+        assert _SLOT_OF_TRIPLE[1, 0, 1] == (SetTag.YAC_SET, 1)
+        assert _SLOT_OF_TRIPLE[1, 1, 0][0] == SetTag.DISCARD
 
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(CountTableError):

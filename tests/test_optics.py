@@ -16,7 +16,6 @@ from triqss import (
     coin_imbalance,
     gain,
     phase_error_from_y,
-    phase_error_terms,
     transmittance,
 )
 
@@ -158,12 +157,10 @@ class TestPhaseError:
         for eb in (0.0, 0.01, 0.3, 0.5):
             assert phase_error_from_y(eb, 0.0) == eb
 
-    def test_terms_decompose(self):
-        t1, t2, t3 = phase_error_terms(0.02, 0.02)
-        assert t1 == 0.02
-        assert t2 == pytest.approx(4 * 0.02 * 0.98 * (1 - 2 * 0.02), rel=1e-12)
-        assert t3 == pytest.approx(
-            4 * (1 - 2 * 0.02) * math.sqrt(0.02 * 0.98 * 0.02 * 0.98), rel=1e-12)
+    def test_three_term_closed_form(self):
+        t1 = 0.02
+        t2 = 4 * 0.02 * 0.98 * (1 - 2 * 0.02)
+        t3 = 4 * (1 - 2 * 0.02) * math.sqrt(0.02 * 0.98 * 0.02 * 0.98)
         assert phase_error_from_y(0.02, 0.02) == pytest.approx(t1 + t2 + t3, rel=1e-12)
 
     def test_angle_addition_closed_form(self):

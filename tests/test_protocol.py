@@ -22,7 +22,6 @@ from triqss import (
     SiftedTallies,
     SourceParams,
     bit_error_x,
-    click_probabilities,
     gain,
     run_protocol,
     transmittance,
@@ -70,10 +69,10 @@ def _small_chunks(monkeypatch, first, rest):
     return rule
 
 
-def _arm_phases(cell):
-    """Total phases on player a's and player b's arm, from the quarter-turn codes."""
-    q_a, q_b, q_c = (int(q[cell]) for q in CELL_QUARTERS)
-    return q_a * 0.5 * math.pi, q_b * 0.5 * math.pi + q_c * 0.5 * math.pi
+def _clean_cells(px=0.8):
+    """Outcome distribution of each cell at mu 0.01, eta 0.4, no dark counts, no misalignment."""
+    clean = ChannelModel(length_km=0.0, det_efficiency=0.4, dark_count=0.0, misalignment=0.0)
+    return protocol._cell_probabilities(SourceParams(intensity=0.01, px=px), clean)
 
 
 class TestEncodings:
@@ -92,38 +91,48 @@ class TestEncodings:
 
     def test_matched_x_settings_interfere_deterministically(self):
         # same bits -> detector 0 arm gets all the light; opposite bits -> detector 1
+        only0, only1, _, _ = _clean_cells()
         for s_a in (0, 1):
             for s_b in (0, 1):
                 cell = _cell(s_a, s_b, Basis.X, Basis.X, Basis.X)
-                probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 assert CELL_BIT[cell] == s_a ^ s_b
                 if s_a == s_b:
-                    assert probs.only1 == 0.0 and probs.only0 > 0.0
+                    assert only1[cell] == 0.0 and only0[cell] > 0.0
                 else:
-                    assert probs.only0 == 0.0 and probs.only1 > 0.0
+                    assert only0[cell] == 0.0 and only1[cell] > 0.0
 
     def test_y_set_correlations_need_the_flip(self):
         # b and c in Y: direct correlation; a and c in Y: inverted
+        _, only1, _, _ = _clean_cells()
         for s_a in (0, 1):
             for s_b in (0, 1):
                 cell = _cell(s_a, s_b, Basis.X, Basis.Y, Basis.Y)
-                probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 expected = s_a ^ s_b
-                assert (probs.only1 == 0.0) == (expected == 0)
+                assert (only1[cell] == 0.0) == (expected == 0)
                 assert CELL_BIT[cell] == expected
 
                 cell = _cell(s_a, s_b, Basis.Y, Basis.X, Basis.Y)
-                probs = click_probabilities(*_arm_phases(cell), 0.01, 0.4, 0.0, 0.0)
                 raw = s_a ^ s_b ^ 1
-                assert (probs.only1 == 0.0) == (raw == 0)
+                assert (only1[cell] == 0.0) == (raw == 0)
                 assert CELL_BIT[cell] == raw
 
-    def test_click_probabilities_sum_to_one(self):
-        for dphi in np.linspace(0.0, 2 * math.pi, 9):
-            for mu in (1e-4, 1e-2, 0.5):
-                p = click_probabilities(0.0, dphi, mu, 0.4, 2e-8, 0.015)
-                assert p.only0 + p.only1 + p.none + p.double == pytest.approx(1.0, abs=1e-14)
-                assert min(p) >= 0.0
+    @pytest.mark.parametrize("mu", [1e-4, 1e-2, 0.5])
+    def test_each_cell_distribution_sums_to_one(self, mu):
+        # over a grid of transmittance, dark count and misalignment; a sifted
+        # cell interferes ideally, so its lone clicks are the closed-form gain
+        sifted = np.array(CELL_TAG) != SetTag.DISCARD
+        for det_efficiency, length_km in ((0.4, 0.0), (1.0, 0.0), (0.4, 100.0)):
+            for dark in (0.0, 2e-8, 1e-3):
+                for ed in (0.0, 0.015, 0.5):
+                    channel = ChannelModel(length_km=length_km, det_efficiency=det_efficiency,
+                                           dark_count=dark, misalignment=ed)
+                    p = np.array(protocol._cell_probabilities(SourceParams(mu, 0.8), channel))
+                    assert p.shape == (4, 32)
+                    assert p.sum(axis=0) == pytest.approx(np.ones(32), abs=1e-14)
+                    assert p.min() >= 0.0
+                    q = gain(mu, transmittance(channel), dark)
+                    assert p[0, sifted] + p[1, sifted] == pytest.approx(np.full(12, q),
+                                                                        rel=1e-9)
 
 
 class TestRoundTable:
@@ -364,9 +373,9 @@ class TestYSetErrors:
         e = bit_error_x(source.intensity, eta, channel.dark_count, channel.misalignment)
         # a Y cell sits at relative phase 0 or pi; double clicks there need a
         # dark count on the dark port
-        p = click_probabilities(0.0, 0.0, source.intensity, eta, channel.dark_count,
-                                channel.misalignment)
-        assert p.double / (p.only0 + p.only1) < 1e-6
+        only0, only1, _, double = protocol._cell_probabilities(source, channel)
+        y_cells = np.isin(CELL_TAG, (SetTag.YBC_SET, SetTag.YAC_SET))
+        assert (double / (only0 + only1))[y_cells].max() < 1e-6
         pooled = {"ybc": [0, 0], "yac": [0, 0]}
         for seed in self.SEEDS:
             t = run_protocol(source, channel, seed=seed, max_rounds=rounds).tallies
