@@ -7,8 +7,11 @@ their conditional expectations:
 
 1. the observed Y-basis error count is lifted to an upper bound on its
    expectation (coefficient-optimized bound, ``kato_upper_coeffs``),
-2. the expected Y-basis error rate is mapped to an expected phase error
-   rate through the basis-coin imbalance (``optics.phase_error_from_y``),
+2. the expected Y-basis error rate ``E`` is mapped to an expected phase
+   error rate through the basis-coin imbalance ``delta``: the maximum of
+   ``optics.phase_error_from_y`` over ``[0, E]``.  That formula peaks at 1
+   at ``e* = (1 - 2 delta)^2`` and falls past it, so from ``e*`` on the
+   bound is 1,
 3. the expected phase error count in the key basis is pushed back to an
    observed count (zero-coefficient bound, ``expected_to_observed``).
 
@@ -16,16 +19,15 @@ Each step consumes failure probability from an :class:`EpsilonBudget`.  The
 final key length applies privacy amplification and error-correction costs to
 the X-basis detection count.
 
-The chain has one body, ``_phase_error_chain``: the three steps inlined in
-straight-line code, which the rate evaluator of :mod:`triqss.rates` runs
-and :func:`phase_error_upper_bound` wraps;
-:func:`triqss.expdata.experiment_skr` runs that public step once per Y set.
-The key length has one body, ``_key_length``, which also holds the
-error-correction leak; :func:`key_length` and :func:`key_length_raw` check
-their arguments and call it.  The tests pin the chain, bit for bit, to the
-public steps it inlines (``observed_to_expected``, ``phase_error_from_y``,
-``expected_to_observed``), and the key length to its formula written from
-``optics.binary_entropy``.
+Each formula has one scalar core, floats in and floats out, unchecked:
+the Kato closed form ``_kato_core``, the zero-coefficient deviation
+``_zero_coeff_deviation``, and in :mod:`triqss.optics` the three-term sum
+``_phase_error_sum`` and the entropy ``_entropy``.  A public function
+checks its arguments and wraps a core.  The chain ``_phase_error_chain``
+calls the cores; :mod:`triqss.rates` runs it, and
+:func:`phase_error_upper_bound` wraps it.  The key length ``_key_length``
+holds the error-correction leak; :func:`key_length` and
+:func:`key_length_raw` check their arguments and call it.
 
 The coefficient-optimized bound states that for indicators ``xi_i`` with
 partial sums ``L_k``, and any ``b >= |a|``,
@@ -35,12 +37,12 @@ partial sums ``L_k``, and any ``b >= |a|``,
 
 with a mirrored variant (``a -> -a`` in the denominator) bounding the other
 tail.  For a target failure probability the optimal ``(a, b)`` minimizing
-the deviation has a closed form.  Both tails share one body,
-``_kato_coeffs``, the lower tail being the upper one at ``k - lam`` with
-``a -> -a``; a tail is named by ``direction`` (``"upper"`` or ``"lower"``),
-checked in one place.  The closed form is cross-checked against a direct
-numerical minimization (``kato_coeffs_numeric``), which runs the rate
-optimizer's line search, :func:`triqss.rates.golden_max`.
+the deviation has a closed form.  Both tails share ``_kato_core``, the
+lower tail being the upper one at ``k - lam`` with ``a -> -a``; a tail is
+named by ``direction`` (``"upper"`` or ``"lower"``), checked in one place.
+The closed form is cross-checked against a direct numerical minimization
+(``kato_coeffs_numeric``), which runs the rate optimizer's line search,
+:func:`triqss.rates.golden_max`, over the same core at a given ``a``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import NumericalDegeneracyError, ParameterError
-from .optics import binary_entropy, coin_imbalance
+from .optics import _entropy, _phase_error_sum, binary_entropy, coin_imbalance
 
 # error-correction efficiency f: the leak is f H(eb_x) per key-set bit; the
 # default of every rate function and of the command line's --fe
@@ -151,8 +153,30 @@ def _validate_kato_args(lam: float, k: float, eps: float) -> None:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _b_from_constraint(a: float, k: float, sk: float, t: float, sign: float) -> float:
-    """Solve the failure-probability equality for b; sign picks the tail, sk = sqrt(k)."""
+def _kato_core(lam: float, k: float, t: float, sign: float,
+               a: float | None = None) -> tuple[float, float, float]:
+    """``(a, b, deviation)`` of the tail ``sign`` picks (+1 upper, -1 lower)
+    given ``t = ln(eps)``, ``a`` by default the closed-form optimum; unchecked.
+
+    ``b`` solves the failure-probability equality at ``a``.  The deviation
+    is nonnegative as ``b >= |a|``: a rounding residue where it cancels is
+    clamped at 0.  The lower tail mirrors the upper: complementing every
+    indicator swaps the tails and maps ``(lam, a)`` to ``(k - lam, -a)``.
+    """
+    sk = math.sqrt(k)
+    if a is None:
+        m = lam if sign > 0.0 else k - lam
+        # the upper-tail minimizer at observed sum m
+        g = 9.0 * m * (k - m) - 2.0 * k * t
+        inner = -(k * k) * t * g
+        if inner < 0.0:
+            raise NumericalDegeneracyError("negative discriminant in coefficient formula")
+        num = 3.0 * (
+            72.0 * sk * m * (k - m) * t
+            - 16.0 * k * sk * t * t
+            + 9.0 * _SQRT2 * (k - 2.0 * m) * math.sqrt(inner)
+        )
+        a = sign * (num / (4.0 * (9.0 * k - 8.0 * t) * g))
     arg = 18.0 * a * a * k - (16.0 * a * a + sign * 24.0 * a * sk + 9.0 * k) * t
     # every a reaches here: an overflow in it (k above about 1e76 for the
     # closed form) or in a * a * k leaves arg inf or nan
@@ -161,38 +185,15 @@ def _b_from_constraint(a: float, k: float, sk: float, t: float, sign: float) -> 
             "failure-probability constraint overflows at this number of trials")
     if arg < 0.0:
         raise NumericalDegeneracyError("no real b solves the failure-probability constraint")
-    return math.sqrt(arg) / (3.0 * math.sqrt(2.0 * k))
-
-
-def _deviation(a: float, b: float, lam: float, k: float, sk: float) -> float:
-    """Additive bound ``(b + a(2 lam / k - 1)) sqrt(k)`` at the observed sum ``lam``,
-    nonnegative as ``b >= |a|``: a rounding residue where it cancels is clamped at 0."""
+    b = math.sqrt(arg) / (3.0 * math.sqrt(2.0 * k))
     dev = (b + a * (2.0 * lam / k - 1.0)) * sk
-    return dev if dev > 0.0 else 0.0
+    return a, b, (dev if dev > 0.0 else 0.0)
 
 
 def _kato_coeffs(lam: float, k: float, eps: float, sign: float) -> KatoCoefficients:
-    """Closed-form optimal coefficients of the tail ``sign`` picks (+1 upper, -1 lower).
-
-    The lower tail mirrors the upper: replacing every indicator by its
-    complement swaps the tails and maps ``(lam, a)`` to ``(k - lam, -a)``.
-    """
+    """:func:`_kato_core` after the argument checks, as :class:`KatoCoefficients`."""
     _validate_kato_args(lam, k, eps)
-    t, sk = math.log(eps), math.sqrt(k)
-    m = lam if sign > 0.0 else k - lam
-    # the upper-tail minimizer at observed sum m
-    g = 9.0 * m * (k - m) - 2.0 * k * t
-    inner = -(k * k) * t * g
-    if inner < 0.0:
-        raise NumericalDegeneracyError("negative discriminant in coefficient formula")
-    num = 3.0 * (
-        72.0 * sk * m * (k - m) * t
-        - 16.0 * k * sk * t * t
-        + 9.0 * _SQRT2 * (k - 2.0 * m) * math.sqrt(inner)
-    )
-    a = sign * (num / (4.0 * (9.0 * k - 8.0 * t) * g))
-    b = _b_from_constraint(a, k, sk, t, sign)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk))
+    return KatoCoefficients(*_kato_core(lam, k, math.log(eps), sign))
 
 
 def kato_upper_coeffs(lam: float, k: float, eps: float) -> KatoCoefficients:
@@ -239,9 +240,9 @@ def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> Kat
     objective with :func:`triqss.rates.golden_max` run to its step cap.  The
     objective is convex (square root of an upward parabola plus a linear
     term), so the search bracket ``[-3 sqrt(k), 3 sqrt(k)]`` only needs to
-    contain the minimum.  The deviation is that of the closed forms at the
-    found ``(a, b)``, clamped at 0 the same way.  Slow; intended for
-    self-checks.
+    contain the minimum.  ``b`` and the deviation are those of
+    ``_kato_core`` at the found ``a``, which skips the closed-form
+    minimizer.  Slow; intended for self-checks.
     """
     from .rates import golden_max   # deferred: rates imports this module
 
@@ -249,10 +250,9 @@ def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> Kat
     sign = _sign(direction)
     t, sk = math.log(eps), math.sqrt(k)
     c = 2.0 * lam / k - 1.0
-    a, _ = golden_max(lambda a: -(_b_from_constraint(a, k, sk, t, sign) + a * c),
+    a, _ = golden_max(lambda a: -(_kato_core(lam, k, t, sign, a)[1] + a * c),
                       -3.0 * sk, 3.0 * sk, tol=0.0)
-    b = _b_from_constraint(a, k, sk, t, sign)
-    return KatoCoefficients(a=a, b=b, deviation=_deviation(a, b, lam, k, sk))
+    return KatoCoefficients(*_kato_core(lam, k, t, sign, a))
 
 
 def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> float:
@@ -267,6 +267,11 @@ def observed_to_expected(lam: float, k: float, eps: float, direction: str) -> fl
     return lam + dev if sign > 0.0 else max(lam - dev, 0.0)
 
 
+def _zero_coeff_deviation(k: float, log_inv_eps: float) -> float:
+    """The zero-``a`` deviation ``sqrt(k ln(1/eps) / 2)``, given ``ln(1/eps)``; unchecked."""
+    return math.sqrt(0.5 * k * log_inv_eps)
+
+
 def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) -> float:
     """Bound the observed sum given its expectation.
 
@@ -278,7 +283,7 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
     if not lam_star >= 0:
         raise ParameterError("expected sum must be nonnegative")
     _check_eps(eps)
-    delta = math.sqrt(0.5 * k * -math.log(eps))
+    delta = _zero_coeff_deviation(k, -math.log(eps))
     return lam_star + delta if _sign(direction) > 0.0 else max(lam_star - delta, 0.0)
 
 
@@ -295,7 +300,8 @@ def azuma_deviation(k: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseErrorBound:
-    """All intermediates of the phase error estimation chain for one Y set."""
+    """All intermediates of the phase error estimation chain for one Y set;
+    ``ep_clamped`` marks an ``ep_expected`` set to 1, past the peak or above 1."""
 
     n_x: float
     n_y: float
@@ -339,7 +345,7 @@ def phase_error_upper_bound(
         Failure probabilities; consumes ``eps_a`` and ``eps_b``.
     """
     delta = coin_imbalance(mu, gain_value)
-    (m_y_expected, eb_y_expected, ep_raw, ep_expected,
+    (m_y_expected, eb_y_expected, ep_clamped, ep_expected,
      m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, delta, budget)
     return PhaseErrorBound(
         n_x=n_x, n_y=n_y, m_y=m_y,
@@ -347,7 +353,7 @@ def phase_error_upper_bound(
         ep_expected=ep_expected, m_p_expected=m_p_expected,
         m_p_observed=m_p_observed, ep_bar=ep_bar,
         eps_a=budget.eps_a, eps_b=budget.eps_b,
-        eby_clamped=m_y_expected > n_y, ep_clamped=ep_raw > 1.0,
+        eby_clamped=m_y_expected > n_y, ep_clamped=ep_clamped,
         epbar_clamped=m_p_observed > n_x,
     )
 
@@ -361,69 +367,38 @@ def _phase_error_chain(
 ) -> tuple:
     """Float core of :func:`phase_error_upper_bound`, given the coin imbalance.
 
-    Reads the budget's derived ``ln(eps_a)`` and ``-ln(eps_b)`` and returns
-    the intermediates ``(m_y_expected, eb_y_expected, ep_raw, ep_expected,
-    m_p_expected, m_p_observed, ep_bar)``, ``ep_raw`` being the unclamped
-    phase error rate.  One straight-line body with no helper calls: each
-    step is the public function it names, inlined, with the same float
-    operations, checks and errors in the same order.  The counts are
-    checked once, up front; the budget is checked when it is built.
+    Returns ``(m_y_expected, eb_y_expected, ep_clamped, ep_expected,
+    m_p_expected, m_p_observed, ep_bar)``.  Each step calls the core that
+    its public function wraps, with the budget's derived ``ln(eps_a)`` and
+    ``-ln(eps_b)``.  The counts are checked once, up front.
     """
     if not (0 < n_x < math.inf and 0 < n_y < math.inf):
         raise ParameterError("detection counts must be positive and finite")
     if not 0 <= m_y <= n_y:
         raise ParameterError("error count must lie in [0, n_y]")
 
-    # step 1: observed Y errors -> expected, as observed_to_expected(upper);
-    # a from _kato_coeffs(m_y, n_y, eps_a, +1.0)
-    t = budget._log_eps_a
-    sk = math.sqrt(n_y)
-    g = 9.0 * m_y * (n_y - m_y) - 2.0 * n_y * t
-    inner = -(n_y * n_y) * t * g
-    if inner < 0.0:
-        raise NumericalDegeneracyError("negative discriminant in coefficient formula")
-    num = 3.0 * (
-        72.0 * sk * m_y * (n_y - m_y) * t
-        - 16.0 * n_y * sk * t * t
-        + 9.0 * _SQRT2 * (n_y - 2.0 * m_y) * math.sqrt(inner)
-    )
-    a = num / (4.0 * (9.0 * n_y - 8.0 * t) * g)
-    # b from _b_from_constraint(a, n_y, sk, t, +1.0)
-    arg = 18.0 * a * a * n_y - (16.0 * a * a + 24.0 * a * sk + 9.0 * n_y) * t
-    if not arg < math.inf:
-        raise NumericalDegeneracyError(
-            "failure-probability constraint overflows at this number of trials")
-    if arg < 0.0:
-        raise NumericalDegeneracyError("no real b solves the failure-probability constraint")
-    b = math.sqrt(arg) / (3.0 * math.sqrt(2.0 * n_y))
-    # the clamped deviation of _deviation(a, b, m_y, n_y, sk); each min(v, 1.0)
-    # of the public steps is written as a comparison: v unless 1.0 < v
-    dev = (b + a * (2.0 * m_y / n_y - 1.0)) * sk
-    m_y_expected = m_y + (dev if dev > 0.0 else 0.0)
+    # step 1: observed Y errors -> expected, as observed_to_expected(upper)
+    m_y_expected = m_y + _kato_core(m_y, n_y, budget._log_eps_a, 1.0)[2]
     eb_y_expected = m_y_expected / n_y
     if eb_y_expected > 1.0:
         eb_y_expected = 1.0
 
-    # step 2: expected Y error rate -> expected phase error rate, the fsum of
-    # optics.phase_error_from_y; eb_y_expected lies in [0, 1] by construction
+    # step 2: expected Y error rate E -> expected phase error rate, the
+    # maximum of the three-term sum over [0, E]: 1 from its peak e* on
     if not 0 <= delta <= 0.5:
         raise ParameterError("coin imbalance must be in [0, 1/2]")
-    ep_raw = math.fsum((
-        eb_y_expected,
-        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y_expected),
-        4.0 * (1.0 - 2.0 * delta)
-        * math.sqrt(delta * (1.0 - delta) * eb_y_expected * (1.0 - eb_y_expected)),
-    ))
-    ep_expected = 1.0 if ep_raw > 1.0 else ep_raw
+    past_peak = eb_y_expected >= (1.0 - 2.0 * delta) ** 2
+    ep_raw = 1.0 if past_peak else _phase_error_sum(eb_y_expected, delta)
+    ep_clamped = past_peak or ep_raw > 1.0
+    ep_expected = 1.0 if ep_clamped else ep_raw
 
-    # step 3: expected phase errors -> observed, as expected_to_observed(upper);
-    # ep_expected >= 0, a convex mix of eb_y and 1 - eb_y plus a third term >= 0
+    # step 3: expected phase errors -> observed, as expected_to_observed(upper)
     m_p_expected = ep_expected * n_x
-    m_p_observed = m_p_expected + math.sqrt(0.5 * n_x * budget._log_inv_eps_b)
+    m_p_observed = m_p_expected + _zero_coeff_deviation(n_x, budget._log_inv_eps_b)
     ep_bar = m_p_observed / n_x
     if ep_bar > 1.0:
         ep_bar = 1.0
-    return (m_y_expected, eb_y_expected, ep_raw, ep_expected,
+    return (m_y_expected, eb_y_expected, ep_clamped, ep_expected,
             m_p_expected, m_p_observed, ep_bar)
 
 
@@ -441,9 +416,7 @@ def _key_length(
     A raw length that is not positive gives ``ell = 0``: an overflowing leak
     leaves it ``-inf``.  ``ep_bar`` is a phase error rate, at least 0.
     """
-    # optics.binary_entropy (H(0) = 0) of min(ep_bar, 0.5), which lies in [0, 1/2]
-    x = 0.5 if ep_bar > 0.5 else ep_bar
-    h = 0.0 if x == 0.0 else -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    h = _entropy(0.5 if ep_bar > 0.5 else ep_bar)
     # n_x f may overflow; where H(eb_x) = 0 the leak is 0, not inf * 0 = NaN
     lam_ec = 0.0 if h_eb_x == 0.0 else n_x * ec_efficiency * h_eb_x
     raw = n_x * (1.0 - h) - lam_ec - budget._cost_c - budget._cost_pa

@@ -169,6 +169,15 @@ def coin_imbalance(mu: float, gain_value: float) -> float:
     return delta
 
 
+def _phase_error_sum(eb_y: float, delta: float) -> float:
+    """The unclamped sum of the three terms of :func:`phase_error_from_y`; unchecked."""
+    return math.fsum((
+        eb_y,
+        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y),
+        4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y)),
+    ))
+
+
 def phase_error_from_y(eb_y: float, delta: float) -> float:
     """X-basis phase error rate bound from the Y-basis error rate.
 
@@ -176,23 +185,27 @@ def phase_error_from_y(eb_y: float, delta: float) -> float:
     ``4 (1 - 2 delta) sqrt(delta (1 - delta) eb_y (1 - eb_y))``.  It equals
     ``eb_y`` exactly when the coin is balanced (``delta == 0``) and grows
     with the imbalance.  The sum can exceed one for large inputs; the
-    returned value is clamped to one since it bounds a probability.
+    returned value is clamped to one since it bounds a probability.  In
+    ``eb_y`` the sum rises to 1 at ``(1 - 2 delta)^2`` and falls past it;
+    the value here is pointwise, and the finite-key chain bounds step 2 by
+    its maximum over ``[0, E]``.
     """
     if not 0 <= eb_y <= 1:
         raise ParameterError("Y-basis error rate must be in [0, 1]")
     if not 0 <= delta <= 0.5:
         raise ParameterError("coin imbalance must be in [0, 1/2]")
-    return min(1.0, math.fsum((
-        eb_y,
-        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y),
-        4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y)),
-    )))
+    return min(1.0, _phase_error_sum(eb_y, delta))
+
+
+def _entropy(x: float) -> float:
+    """:func:`binary_entropy` of ``x`` in [0, 1]; unchecked."""
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy ``H(x)`` in bits, with ``H(0) = H(1) = 0``."""
     if not 0 <= x <= 1:
         raise ParameterError("entropy argument must be in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _entropy(x)

@@ -24,12 +24,16 @@ Each of the last two stages is a one-entry cache local to the evaluator:
 it is recomputed only when its argument differs from the previous call's.
 A ``px`` line search holds ``mu`` fixed and a ``mu`` line search holds
 ``px`` fixed, so every request of the optimizer reuses one of them.  What
-is left per request is the pair's counts and the two straight-line bodies
-of :mod:`triqss.finitekey` that every other path runs too: the phase error
-chain ``_phase_error_chain``, then the floored key length ``_key_length``.
-The results, and the error a failing point raises, are those of the public
-functions step by step.  ``finite_rate`` is that evaluator plus the
-``RatePoint`` wrap.
+is left per request is the pair's counts and the two bodies of
+:mod:`triqss.finitekey` that every other path runs too: the phase error
+chain ``_phase_error_chain``, then the floored key length ``_key_length``,
+both built from the scalar cores that the public functions wrap.  The
+results, and the error a failing point raises, are those of the public
+functions step by step, step 2 being the maximum of
+``optics.phase_error_from_y`` over ``[0, E]``.  ``finite_rate`` is that
+evaluator plus the ``RatePoint`` wrap.  The asymptotic rate takes that
+formula at ``EbX`` itself: there ``EbX <= 1/2``, and past the formula's
+peak its value is at least 1/2, which leaves no key either way.
 
 An error in a per-distance argument raises :class:`ParameterError` from
 every entry point: ``finite_rate``, ``optimize_params`` and

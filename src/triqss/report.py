@@ -32,10 +32,13 @@ def parse_kv(text: str) -> dict[str, str]:
 
     Values keep their textual form; callers convert types themselves.  A
     key given twice is an error, since either value could be the one meant.
+    Lines end in ``\\n``, ``\\r\\n`` or ``\\r`` and are numbered as
+    :func:`read_utf8` numbers them.
     """
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -54,7 +57,8 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def read_utf8(path, error) -> str:
-    """The text of the file at ``path``, read as UTF-8.
+    """The text of the file at ``path``, read as UTF-8, without a leading
+    byte-order mark.
 
     At the first byte that is not UTF-8 this raises ``error(message, line)``;
     lines end in ``\\n``, ``\\r\\n`` or ``\\r``, as the count-table reader splits them.
@@ -62,7 +66,7 @@ def read_utf8(path, error) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1

@@ -310,6 +310,13 @@ class TestAnalyze:
         assert err == f"input error: {bad}: line {line}: not valid UTF-8: byte 0x{byte}\n"
         assert out == ""
 
+    def test_table_with_a_byte_order_mark(self, capsys, tmp_path):
+        # the mark stayed on the header, which then did not match
+        table = tmp_path / "tableIIIa_mu9e-4.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + Path(TABLE_A9).read_bytes())
+        code, out, _ = run(capsys, ["analyze", str(table)])
+        assert (code, out.replace(str(table), TABLE_A9)) == run(capsys, ["analyze", TABLE_A9])[:2]
+
 
 class TestSimulate:
     BASE = ["simulate", "--seed", "7", "--rounds", "20000", "--mu", "0.01", "--px", "0.7"]
@@ -702,6 +709,29 @@ class TestInputFiles:
                                       "--config", str(cfg)])
         assert code == EXIT_INPUT
         assert err == "input error: config line 2: not valid UTF-8: byte 0xff\n"
+        assert out == ""
+
+    def test_config_with_a_byte_order_mark(self, capsys, tmp_path):
+        # the mark stayed on the first key, which was then not a setting
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfk = 1e6\nlam = 5e5\neps = 1e-10\n")
+        code, out, _ = run(capsys, ["kato", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert out == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_text()
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize("line3,message", [
+        (b"not a pair", "expected 'key = value', got 'not a pair'"),
+        (b"# \xff", "not valid UTF-8: byte 0xff"),
+    ], ids=["bad-pair", "bad-byte"])
+    def test_config_lines_are_numbered_alike_by_both_readers(self, capsys, tmp_path,
+                                                             sep, line3, message):
+        # only \n, \r\n and \r end a line; the pair parser also broke at sep
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"eps = 1e-10{sep}\r\nk = 1e6\r".encode() + line3 + b"\n")
+        code, out, err = run(capsys, ["kato", "--lam", "5e5", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert err == f"input error: config line 3: {message}\n"
         assert out == ""
 
     def test_config_keys_are_flag_dests(self, capsys, tmp_path):

@@ -3,10 +3,10 @@
 An evaluator keeps the terms of the last ``mu`` and of the last ``px`` it
 was given.  Whatever order the requests come in, each must give exactly
 what the public functions give step by step, or raise the same error.  The
-two straight-line bodies that every path runs are pinned directly: the
-phase error chain to the public steps it inlines, and the key length to its
-formula written here.  Last, the analysis of measured tallies and the rate
-evaluator agree on the same expected counts.
+two bodies that every path runs are pinned directly: the phase error chain
+to the public steps, with step 2 as their maximum over ``[0, E]``, and the
+key length to its formula written here.  Last, the analysis of measured
+tallies and the rate evaluator agree on the same expected counts.
 """
 
 import math
@@ -162,10 +162,15 @@ def test_every_efficiency_matches_the_public_chain(length_km, n_pulses, ideal, e
 
 
 def public_steps(n_x, n_y, m_y, delta, budget):
-    """The phase error chain's intermediates through the public steps."""
+    """The phase error chain's intermediates through the public steps.
+
+    Step 2 is the maximum of ``phase_error_from_y`` over ``[0, E]``: the
+    pointwise value up to its peak at ``(1 - 2 delta)^2``, 1 from there on."""
     m_y_expected = observed_to_expected(m_y, n_y, budget.eps_a, "upper")
     eb_y_expected = min(m_y_expected / n_y, 1.0)
     ep_expected = phase_error_from_y(eb_y_expected, delta)
+    if eb_y_expected >= (1.0 - 2.0 * delta) ** 2:
+        ep_expected = 1.0
     m_p_observed = expected_to_observed(ep_expected * n_x, n_x, budget.eps_b, "upper")
     return (m_y_expected, eb_y_expected, ep_expected, m_p_observed,
             min(m_p_observed / n_x, 1.0))
