@@ -21,6 +21,7 @@ conditions), 3 input error, 4 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import math
@@ -227,9 +228,20 @@ class Settings:
                                 for f in fields(EpsilonBudget)})
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Name ``path`` on an OSError raised without a file name, as by a failed write or close."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
 def _emit(ns: argparse.Namespace, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w") as fh:
+        with _naming(ns.out), open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -274,12 +286,13 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
     abort_exc = None
     try:
-        run = run_protocol(
-            source, channel, seed=seed,
-            thresholds=thresholds,
-            max_rounds=rounds if rounds is not None else max_rounds,
-            trace_path=trace,
-        )
+        with _naming(trace):
+            run = run_protocol(
+                source, channel, seed=seed,
+                thresholds=thresholds,
+                max_rounds=rounds if rounds is not None else max_rounds,
+                trace_path=trace,
+            )
     except ProtocolAbortError as exc:
         if exc.partial is None:
             raise
@@ -497,7 +510,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         # only a path the user named (config, table, --out, --trace) carries
-        # a file name; other OS errors are not input errors
+        # a file name, and _naming gives it to a failed write or close; other
+        # OS errors are not input errors
         if exc.filename is None:
             raise
         print(f"input error: {exc}", file=sys.stderr)

@@ -53,9 +53,12 @@ at a time from each, would give.
 The result is defined by the seed alone: a trace never changes it, and a
 run stopped early is a prefix of a longer run with the same seed.  The
 tests check the sampler against a per-round reference engine built on the
-same table.  The trace writer gathers each row's bytes by key from a
-256-row table, and draws the no-click cells a few thousand rows at a time,
-as it writes them.
+same table.  The trace writer draws the no-click cells a few thousand rows
+at a time, as it writes them.  It builds each chunk as if no round clicked:
+one fixed-width block, every row its index and then its cell's 26-byte
+no-click text, gathered from a 32-entry table of rows of that index width.
+A chunk without detections is written straight from the block; in a chunk
+with detections each detection row's text is spliced in after its index.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ _CAT_SC = (_CATS & 1).astype(np.uint8)
 _CAT_TAG = _TAG[_CAT_CELL]
 _CAT_ERR = _CAT_SC != _BIT[_CAT_CELL]
 _CAT_OUTCOME = np.array([Outcome.ZERO, Outcome.ONE, Outcome.DOUBLE, Outcome.DOUBLE])[_CATS & 3]
-_CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key into _ROW_BYTES
+_CAT_ROW = _CAT_CELL | _CAT_OUTCOME << 5 | _CAT_SC << 7   # key of _row_text
 # per category: its set tag one-hot, then the same again if its bit is an
 # error; the category counts of a chunk times this table are its detections
 # and then its errors per set tag
@@ -359,10 +362,13 @@ def _row_text(key: int) -> bytes:
             f"{bit},{_TAG_NAMES[tag]}\r\n").encode()
 
 
-# each key's row text from its comma on, zero-padded to 32 bytes, whole words
-# that the gather copies fastest; no byte of a row is zero
-_ROW_BYTES = np.frombuffer(b"".join(_row_text(key).ljust(32, b"\0") for key in range(256)),
-                           "V32")
+# each cell's row text after the index with no click: one-character fields,
+# outcome "none", no bit and set tag DISCARD, so 26 bytes whatever the cell
+# (rows of unequal length would fail to make the array)
+_NONE_TEXT = np.array([list(_row_text(cell | Outcome.NONE << 5)) for cell in range(32)],
+                      np.uint8)
+# each detected category's row text after the index
+_CAT_TEXT = np.array([_row_text(key) for key in _CAT_ROW.tolist()], object)
 # "0000" to "9999", the last four digits of a row index, as one uint32 each
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
 _LAST_DIGITS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), -1).view(np.uint32).ravel()
@@ -372,18 +378,55 @@ _CHUNK_ROWS = 2500
 _NO_DETECTIONS = np.empty(0, np.intp)
 
 
-def _rows(start: int, keys: np.ndarray) -> np.ndarray:
-    """Row bytes from round ``start`` on; the indices differ only in their last four digits."""
-    digits = len(str(start + keys.size - 1))
-    lead = max(digits, 4)
-    rows = np.empty((keys.size, lead + _ROW_BYTES.itemsize), np.uint8)
-    rows[:, lead - 4:lead].view(np.uint32)[:, 0] = _LAST_DIGITS[start % 10_000:][:keys.size]
-    # the digits above the last four, or zero bytes before a short index
-    high = str(start // 10_000).encode() if digits > 4 else bytes(4 - digits)
-    rows[:, :len(high)] = np.frombuffer(high, np.uint8)
-    # keys are below 256; a mode other than "raise" lets take fill out unbuffered
-    np.take(_ROW_BYTES, keys, out=rows[:, lead:].view(_ROW_BYTES.dtype)[:, 0], mode="clip")
-    return rows[rows != 0]
+@lru_cache(maxsize=None)   # one entry per index width, at most 16
+def _no_click_rows(digits: int) -> np.ndarray:
+    """Each cell's no-click row with an index of ``digits`` digits, the index left blank."""
+    rows = np.zeros((32, digits + _NONE_TEXT.shape[1]), np.uint8)
+    rows[:, digits:] = _NONE_TEXT
+    rows = rows.view(f"V{rows.shape[1]}")[:, 0]
+    rows.flags.writeable = False   # every chunk of this width shares it
+    return rows
+
+
+def _no_click_block(start: int, cells: np.ndarray) -> np.ndarray:
+    """Rows from round ``start`` on as if none clicked, one fixed-width row each.
+
+    The indices have one width, so they differ only in their last four digits.
+    """
+    digits = len(str(start + cells.size - 1))
+    rows = _no_click_rows(digits)
+    block = np.empty((cells.size, rows.itemsize), np.uint8)
+    # whole rows into contiguous memory; cells are below 32, and a mode other
+    # than "raise" lets take fill out unbuffered
+    np.take(rows, cells, out=block.view(rows.dtype)[:, 0], mode="clip")
+    last = _LAST_DIGITS[start % 10_000:][:cells.size]
+    if digits < 4:
+        block[:, :digits] = last.view(np.uint8).reshape(-1, 4)[:, 4 - digits:]
+    else:   # one uint32 per row copies fastest
+        block[:, digits - 4:digits].view(np.uint32)[:, 0] = last
+    if digits > 4:
+        block[:, :digits - 4] = np.frombuffer(str(start // 10_000).encode(), np.uint8)
+    return block
+
+
+def _splice(block: np.ndarray, rows: np.ndarray, cat: np.ndarray) -> bytes:
+    """``block``'s bytes with detected category ``cat[i]``'s text on row ``rows[i]``.
+
+    Each detection row keeps its index from the block; ``rows`` is sorted.
+    """
+    width = block.shape[1]
+    flat = memoryview(block.reshape(-1))
+    # the block's bytes between detections: up to the end of each detection
+    # row's index, and on from the start of the row after it
+    row_start = rows * width
+    ends = (row_start + (width - _NONE_TEXT.shape[1])).tolist()
+    ends.append(flat.nbytes)
+    starts = (row_start + width).tolist()
+    starts.insert(0, 0)
+    pieces = [None] * (2 * rows.size + 1)
+    pieces[::2] = [flat[a:b] for a, b in zip(starts, ends)]
+    pieces[1::2] = _CAT_TEXT[cat].tolist()
+    return b"".join(pieces)
 
 
 class _TraceWriter:
@@ -393,6 +436,9 @@ class _TraceWriter:
     rounds of one index width.  The cells of rounds with no click are drawn
     by guide table from the no-click distribution, in round order from
     ``rng``, the trace's generator of the stream layout (module docstring).
+    Each chunk is first a fixed-width block of its rows as if none clicked
+    (:func:`_no_click_block`); the text of each detection row is then
+    spliced into the block's bytes after that row's index (:func:`_splice`).
     """
 
     def __init__(self, fh, rng: np.random.Generator, none_cdf: np.ndarray,
@@ -408,11 +454,10 @@ class _TraceWriter:
         while self.written < end:
             start = self.written
             stop = min(end, start - start % _CHUNK_ROWS + _CHUNK_ROWS, 10 ** len(str(start)))
-            keys = _draw(self._none_cdf, self._none_guide, self._rng.random(stop - start))
-            keys |= Outcome.NONE << 5
+            cells = _draw(self._none_cdf, self._none_guide, self._rng.random(stop - start))
+            block = _no_click_block(start, cells)
             lo, hi = np.searchsorted(pos, (start, stop))
-            keys[pos[lo:hi] - start] = _CAT_ROW[cat[lo:hi]]
-            self._fh.write(_rows(start, keys))
+            self._fh.write(block if lo == hi else _splice(block, pos[lo:hi] - start, cat[lo:hi]))
             self.written = stop
 
 

@@ -688,6 +688,22 @@ class TestInputFiles:
         assert str(tmp_path) in err
         assert out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "7", "--rounds", "20000", "--length-km", "0",
+         "--trace", "/dev/full"],
+        ["kato", "--k", "1e6", "--lam", "5e5", "--out", "/dev/full"],
+        ["sweep", "--N", "inf", "--Lmax", "0", "--out", "/dev/full"],
+        ["analyze", TABLE_A9, "--out", "/dev/full"],
+    ], ids=["simulate-trace", "kato-out", "sweep-out", "analyze-out"])
+    def test_failed_write_exits_3_with_its_path(self, capsys, argv):
+        # a failed write or close raises an OSError without a file name,
+        # which once ended in a traceback and exit 1
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: ") and "'/dev/full'" in err
+        assert out == ""
+
     # a misspelt key, a setting of another subcommand, and an output path
     @pytest.mark.parametrize("command,key", [
         ("simulate", "dakr"), ("sweep", "mu"), ("sweep", "length_km"),

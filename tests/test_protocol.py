@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import math
 import os
 import tracemalloc
@@ -711,6 +712,30 @@ class TestTraceBytes:
         for text in (b",zero,0,", b",one,1,", b",none,,", b",double,0,", b",double,1,"):
             assert text in data
 
+    def test_splice_edges_against_the_per_row_writer(self):
+        # detections where the index gains a digit or a chunk starts or ends,
+        # on two adjacent rows, on every row of chunk 12500-14999 and on no
+        # row of chunk 15000-17499, handed over in pieces as run_protocol does
+        edges = [0, 9, 10, 99, 100, 999, 1000, 2499, 2500, 5000, 5001, 9999, 10_000]
+        pos = np.array(edges + list(range(12_500, 15_000)) + [99_999, 100_000])
+        cat = np.arange(pos.size) % 128
+        tables = protocol._detection_tables(SourceParams(0.05, 0.7), LOCAL)
+        files = []
+        for writer in (protocol._TraceWriter, PerRowTraceWriter):
+            fh = io.BytesIO()
+            trace = writer(fh, protocol._generator(4, 1, 0), tables.none_cdf, tables.none_guide)
+            for end in (11, 2501, 10_001, 15_000, 17_500, 100_001, 100_003):
+                lo, hi = np.searchsorted(pos, (trace.written, end))
+                trace.write(end, pos[lo:hi], cat[lo:hi])
+            files.append(fh.getvalue())
+        data, ref = files
+        assert data == ref
+        rows = data.splitlines()[1:]
+        assert len(rows) == 100_003
+        for i in pos.tolist():
+            assert rows[i].startswith(b"%d," % i) and b",none," not in rows[i]
+        assert all(b",none," in row for row in rows[15_000:17_500])
+
     def test_readme_trace_is_pinned(self, tmp_path):
         path = tmp_path / "rounds.csv"
         assert main(["simulate", "--seed", "7", "--rounds", "20000", "--length-km", "0",
@@ -720,15 +745,16 @@ class TestTraceBytes:
 
     def test_memory_is_bounded_by_the_chunk(self):
         # a writer holding a whole million-round block of keys and uniforms
-        # peaked at about 25 MB
-        tracemalloc.start()
-        try:
-            run_protocol(SourceParams(9e-4, 0.9), LOCAL, seed=5, max_rounds=2_000_000,
-                         trace_path=os.devnull)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        # peaked at about 25 MB; at mu 0.3 about a fifth of the rounds click,
+        # and the splice holds a piece per detection of a chunk
+        for source in (SourceParams(9e-4, 0.9), SourceParams(0.3, 0.7)):
+            tracemalloc.start()
+            try:
+                run_protocol(source, LOCAL, seed=5, max_rounds=2_000_000, trace_path=os.devnull)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, source
 
 
 class TestValidation:
