@@ -64,7 +64,6 @@ _EXPORTS = {
     "verify_correlation": "protocol",
     "OptimizationResult": "rates",
     "RatePoint": "rates",
-    "asymptotic_rate": "rates",
     "asymptotic_sweep": "rates",
     "finite_rate": "rates",
     "golden_max": "rates",

@@ -243,8 +243,17 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
     if ns.out:
         with _naming(ns.out), open(ns.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    try:
+        with _naming("<stdout>"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError:
+        # the text that failed stays buffered; point stdout at the null
+        # device, so the flush at exit does not fail on it again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
 
 
 def _header(command: str, settings: Settings) -> str:
@@ -509,9 +518,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        # only a path the user named (config, table, --out, --trace) carries
-        # a file name, and _naming gives it to a failed write or close; other
-        # OS errors are not input errors
+        # only a path the user named (config, table, --out, --trace) or
+        # stdout carries a file name, and _naming gives it to a failed write
+        # or close; other OS errors are not input errors
         if exc.filename is None:
             raise
         print(f"input error: {exc}", file=sys.stderr)

@@ -7,9 +7,11 @@ the per-round detection gain, the X-basis bit error rate, and the quantities
 entering the phase-error estimate: the overlap between the two basis state
 families and the resulting imbalance of the virtual basis-choice coin.
 
-All formulas treat detector dark counts as independent per-detector events
-and fold misalignment in as a probability ``e_d`` that a single click lands
-in the wrong detector.
+``_port_clicks`` is the one click model, with dark counts as independent
+per-detector events: the gain here reads it with all the light on one
+detector, and the simulator at every cell's port split.  Each caller folds
+misalignment in as a probability ``e_d`` that a lone click lands in the
+wrong detector.
 """
 
 from __future__ import annotations
@@ -85,15 +87,23 @@ def transmittance(channel: ChannelModel) -> float:
     return channel.det_efficiency * 10.0 ** (-channel.alpha_db_per_km * channel.length_km / 20.0)
 
 
-def _gain_terms(mu: float, eta: float, dark: float) -> tuple[float, float, float]:
-    """The gain with ``1 - exp(-x)`` and ``exp(-x)`` for ``x = 2 mu eta``."""
+def _port_clicks(x1: float, x2: float, dark: float) -> tuple[float, float, float, float]:
+    """``(lone1, lone2, none, double)`` when detectors 1 and 2 receive ``x1``
+    and ``x2`` photons on average, each also firing on a dark count; unchecked."""
+    quiet1, quiet2 = math.exp(-x1), math.exp(-x2)
+    # -expm1 keeps 1 - exp(-x) accurate when x is far below 1e-8
+    click1, click2 = -math.expm1(-x1) + dark * quiet1, -math.expm1(-x2) + dark * quiet2
+    quiet1, quiet2 = (1.0 - dark) * quiet1, (1.0 - dark) * quiet2
+    return click1 * quiet2, click2 * quiet1, quiet1 * quiet2, click1 * click2
+
+
+def _lone_clicks(mu: float, eta: float, dark: float) -> tuple[float, float]:
+    """Lone clicks on the lit and on the unlit detector when both pulses'
+    light, ``2 mu eta``, reaches one detector."""
     # written so that a NaN fails it
     if not (mu >= 0 and eta >= 0 and 0 <= dark < 1):
         raise ParameterError("gain arguments out of range")
-    x = 2.0 * mu * eta
-    # -expm1 keeps 1 - exp(-x) accurate when x is far below 1e-8
-    signal, quiet = -math.expm1(-x), math.exp(-x)
-    return (1.0 - dark) * (signal + 2.0 * dark * quiet), signal, quiet
+    return _port_clicks(2.0 * mu * eta, 0.0, dark)[:2]
 
 
 def gain(mu: float, eta: float, dark: float) -> float:
@@ -112,7 +122,8 @@ def gain(mu: float, eta: float, dark: float) -> float:
     dark:
         Dark count probability per detector per gate.
     """
-    return _gain_terms(mu, eta, dark)[0]
+    lit, unlit = _lone_clicks(mu, eta, dark)
+    return lit + unlit
 
 
 def bit_error_x(mu: float, eta: float, dark: float, misalignment: float) -> float:
@@ -129,14 +140,14 @@ def bit_error_x(mu: float, eta: float, dark: float, misalignment: float) -> floa
 
 def _gain_and_bit_error(mu: float, eta: float, dark: float,
                         misalignment: float) -> tuple[float, float]:
-    """``(gain, bit_error_x)`` from one evaluation of the gain terms;
-    ``misalignment`` unchecked."""
-    q, signal, quiet = _gain_terms(mu, eta, dark)
+    """``(gain, bit_error_x)`` from one evaluation of the lone clicks;
+    ``misalignment`` unchecked.  A misaligned lit click, or an aligned unlit
+    one, lands in the wrong detector."""
+    lit, unlit = _lone_clicks(mu, eta, dark)
+    q = lit + unlit
     if q <= 0.0:
         raise DegenerateGainError("zero detection gain: bit error rate undefined")
-    wrong = misalignment * (1.0 - dark) * (signal + dark * quiet)
-    wrong += (1.0 - misalignment) * dark * (1.0 - dark) * quiet
-    return q, wrong / q
+    return q, (misalignment * lit + (1.0 - misalignment) * unlit) / q
 
 
 def basis_overlap(mu: float) -> float:

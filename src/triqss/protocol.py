@@ -21,10 +21,11 @@ XOR of the players' bits; disagreements are tallied as errors.
 
 Everything a round does follows from the round table of
 :mod:`triqss.roundtable`: one row per setting cell, with the settings, the
-quarter-turn phase codes, the set tag and the dealer's correct raw bit
-(``s_a ^ s_b``, flipped on YAC cells, so the YAC flip is a column), held
-here as private arrays.  One ``_cell_probabilities`` call over the 32
-cells adds the outcome probabilities for a source and channel.  The
+quarter-turn phase codes and their net turns, the set tag and the dealer's
+correct raw bit (``s_a ^ s_b``, flipped on YAC cells, so the YAC flip is a
+column), held here as private arrays.  ``_cell_probabilities`` evaluates
+the click model of :mod:`triqss.optics` at the four port splits and
+gathers the cells' outcome probabilities by their net quarter turns.  The
 simulator, the trace writer and the count-table reader all read this table.
 
 ``run_protocol`` draws only the rounds that click.  Rounds are i.i.d., so
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import roundtable
 from .errors import ParameterError, ProtocolAbortError
-from .optics import ChannelModel, SourceParams, gain, transmittance
+from .optics import ChannelModel, SourceParams, _port_clicks, gain, transmittance
 from .roundtable import SetCounts, SetTag, set_shares
 
 # detections in the first chunk, and in each later one (see _chunk_detections);
@@ -143,39 +144,26 @@ class ProtocolRun:
 
 # the round table's columns, one entry per cell, as arrays
 _S_A, _S_B, *_BASES = np.array(roundtable._SETTINGS, np.uint8)
-_QUARTERS = np.array(roundtable.CELL_QUARTERS)
+_TURNS = np.array(roundtable.CELL_TURNS)
 _TAG = np.array(roundtable.CELL_TAG, np.uint8)
 _BIT = np.array(roundtable.CELL_BIT, np.uint8)
-
-# phase on player b's arm (encoding plus dealer offset) less player a's;
-# quarter-turn codes are in units of pi/2
-_QUARTER_TURN = 0.5 * math.pi
-_CELL_DPHI = (_QUARTERS[1] * _QUARTER_TURN + _QUARTERS[2] * _QUARTER_TURN
-              - _QUARTERS[0] * _QUARTER_TURN)
 
 
 def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> tuple:
     """Outcome distribution of each of the 32 round table cells, in :class:`Outcome` order.
 
-    The two output ports receive mean photon numbers ``2 mu eta cos^2(dphi/2)``
-    and the rest of ``2 mu eta``; each detector additionally fires
-    independently with the dark count probability, and a lone signal click is
-    swapped to the other detector with probability ``misalignment``.
+    At 0, 1, 2 or 3 net quarter turns detector 1 receives all, half, none or
+    half of the ``2 mu eta`` photons and detector 2 the rest; each cell
+    gathers :func:`~triqss.optics._port_clicks` at its split, and a lone
+    click is swapped to the other detector with probability ``misalignment``.
     """
     dark, misalignment = channel.dark_count, channel.misalignment
-    mu_eta = 2.0 * source.intensity * transmittance(channel)
-    i1 = mu_eta * np.cos(0.5 * _CELL_DPHI) ** 2
-    i2 = mu_eta - i1
-    quiet1 = (1.0 - dark) * np.exp(-i1)
-    quiet2 = (1.0 - dark) * np.exp(-i2)
-    raw0 = (1.0 - quiet1) * quiet2
-    raw1 = (1.0 - quiet2) * quiet1
-    return (
-        (1.0 - misalignment) * raw0 + misalignment * raw1,
-        (1.0 - misalignment) * raw1 + misalignment * raw0,
-        quiet1 * quiet2,
-        (1.0 - quiet1) * (1.0 - quiet2),
-    )
+    x = 2.0 * source.intensity * transmittance(channel)
+    splits = ((x, 0.0), (0.5 * x, 0.5 * x), (0.0, x), (0.5 * x, 0.5 * x))
+    clicks = np.array([_port_clicks(x1, x2, dark) for x1, x2 in splits])
+    lone1, lone2, none, double = clicks[_TURNS].T
+    return ((1.0 - misalignment) * lone1 + misalignment * lone2,
+            (1.0 - misalignment) * lone2 + misalignment * lone1, none, double)
 
 
 def _tallies(n: np.ndarray, m: np.ndarray, rounds: int) -> SiftedTallies:

@@ -38,17 +38,17 @@ peak its value is at least 1/2, which leaves no key either way.
 An error in a per-distance argument raises :class:`ParameterError` from
 every entry point: ``finite_rate``, ``optimize_params`` and
 ``sweep_distance`` for the pulse count, the length and the efficiency, and
-``asymptotic_rate`` and ``asymptotic_sweep`` for the length and the
-efficiency.  Only a working point ``(mu, px)`` that fails scores zero in
-the optimizer, so bad input never comes back as an abort row or an
-``AllAbortError``.  The errors that score zero (``_SCORED_ZERO``) are
-:class:`ProtocolAbortError` (an expected Y set below one event),
-:class:`ParameterError` (a point outside the model's domain),
-:class:`DegenerateGainError` and :class:`NumericalDegeneracyError`.  The
-last is an overflow of the Kato closed form, which sets in once a trial
-count passes about 1e77: when no point at a distance yields a key and one
-of them overflowed, the optimizer raises that error instead of
-``AllAbortError``, so a huge pulse count is not reported as "no key".
+``asymptotic_sweep`` for the length and the efficiency.  Only a working
+point ``(mu, px)`` that fails scores zero in the optimizer, so bad input
+never comes back as an abort row or an ``AllAbortError``.  The errors that
+score zero (``_SCORED_ZERO``) are :class:`ProtocolAbortError` (an expected
+Y set below one event), :class:`ParameterError` (a point outside the
+model's domain), :class:`DegenerateGainError` and
+:class:`NumericalDegeneracyError`.  The last is an overflow of the Kato
+closed form, which sets in once a trial count passes about 1e77: when no
+point at a distance yields a key and one of them overflowed, the optimizer
+raises that error instead of ``AllAbortError``, so a huge pulse count is
+not reported as "no key".
 
 ``optimize_params`` maximizes the finite rate over the pulse intensity and
 the basis probability by coordinate descent with golden-section line
@@ -156,7 +156,9 @@ def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
 
 
 def _asymptotic_point(mu: float, channel: ChannelModel, ec_efficiency: float):
-    """``(rate, eb_x, ep)`` of :func:`asymptotic_rate`, ``ep`` uncapped at 1/2;
+    """``(rate, eb_x, ep)`` per pulse in the infinite-key limit at full sifting:
+    ``R = Q (1 - f H(EbX) - H(Ep))``, clamped at zero, with the Y-basis error
+    rate modeled by the X-basis value; ``ep`` uncapped at 1/2 and
     ``ec_efficiency`` unchecked."""
     q, ebx = _gain_and_bit_error(mu, transmittance(channel), channel.dark_count,
                                  channel.misalignment)
@@ -165,17 +167,6 @@ def _asymptotic_point(mu: float, channel: ChannelModel, ec_efficiency: float):
     # H's symmetric dip above 1/2 must not resurrect the rate
     rate = q * (1.0 - ec_efficiency * binary_entropy(ebx) - binary_entropy(min(ep, 0.5)))
     return max(rate, 0.0), ebx, ep
-
-
-def asymptotic_rate(mu: float, channel: ChannelModel,
-                    ec_efficiency: float = EC_EFFICIENCY) -> float:
-    """Per-pulse key rate in the infinite-key limit at full sifting.
-
-    ``R = Q (1 - f H(EbX) - H(Ep))`` with the Y-basis error rate modeled by
-    the X-basis value, clamped at zero.
-    """
-    _check_ec_efficiency(ec_efficiency)
-    return _asymptotic_point(mu, channel, ec_efficiency)[0]
 
 
 def _rate_evaluator(

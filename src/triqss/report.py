@@ -4,12 +4,21 @@ Reports and config files share one line-oriented format: one ``key = value``
 pair per line, ``#`` starts a comment, blank lines are ignored.  Floats are
 rendered with ten significant digits so that re-parsing a report reproduces
 the numbers that were measured.  Config files and count tables are read as
-UTF-8 by :func:`read_utf8`.
+UTF-8 by :func:`read_utf8`, up to ``MAX_INPUT_BYTES`` each.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+
 from .errors import ParameterError
+
+# the most bytes read from one config file or count table; a count table
+# holds at most 128 phase triples, in about 400 bytes for each Table III
+# table.  The read allocates the limit, which past about 128 KiB made reading
+# a small file several times slower
+MAX_INPUT_BYTES = 2 ** 16
 
 
 def fmt_value(value) -> str:
@@ -62,9 +71,14 @@ def read_utf8(path, error) -> str:
 
     At the first byte that is not UTF-8 this raises ``error(message, line)``;
     lines end in ``\\n``, ``\\r\\n`` or ``\\r``, as the count-table reader splits them.
+    A file of more than ``MAX_INPUT_BYTES`` bytes raises ``OSError`` (``EFBIG``)
+    naming ``path``, after reading one byte past the limit.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise OSError(errno.EFBIG, f"more than the {MAX_INPUT_BYTES}-byte input limit",
+                      os.fspath(path))
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:

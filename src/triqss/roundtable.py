@@ -3,11 +3,13 @@
 A round's settings form one of 32 cells
 ``s_a | s_b << 1 | basis_a << 2 | basis_b << 3 | basis_c << 4``; this is the
 only module that knows that layout.  Each column below holds one value per
-cell: the quarter-turn phase codes, the set the announced bases sift the
-round into, and the dealer's correct raw bit.  The simulator turns these
-columns into arrays; the count-table reader reads them as they are.  Both
-reduce their clicks to the same :class:`SetCounts`.  Nothing here needs
-numpy, so the analysis commands start without it.
+cell: the quarter-turn phase codes (``CELL_QUARTERS``), the net quarter
+turns between the arms, which split the light between the detectors
+(``CELL_TURNS``), the set the announced bases sift the round into
+(``CELL_TAG``), and the dealer's correct raw bit (``CELL_BIT``).  The
+simulator turns these columns into arrays; the count-table reader reads
+them as they are.  Both reduce their clicks to the same :class:`SetCounts`.
+Nothing here needs numpy, so the analysis commands start without it.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ CELL_QUARTERS = (
     _BASES[2],
 )
 CELL_TAG = tuple(_SET_OF_BASES.get(bases, SetTag.DISCARD) for bases in zip(*_BASES))
+# net quarter turns, b's phase plus the dealer's less a's: detector 1 gets
+# all the light at 0, none at 2 and half at 1 or 3
+CELL_TURNS = tuple((q_b + q_c - q_a) % 4 for q_a, q_b, q_c in zip(*CELL_QUARTERS))
 # the bit a sifted round registers on clean hardware: its net quarter turns
 # are even, 0 -> bit 0 and 2 -> bit 1; this is s_a ^ s_b, flipped on YAC cells
-CELL_BIT = tuple((q_b + q_c - q_a) % 4 >> 1 for q_a, q_b, q_c in zip(*CELL_QUARTERS))
+CELL_BIT = tuple(turns >> 1 for turns in CELL_TURNS)
 
 
 def set_shares(px: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from triqss.cli import (
     distance_grid,
     main,
 )
-from triqss.report import parse_kv
+from triqss.report import MAX_INPUT_BYTES, parse_kv
 
 from conftest import FIXTURES
 
@@ -550,8 +550,8 @@ class TestSweep:
 
     # digests of the data rows, taken before overflows with no key raised
     @pytest.mark.parametrize("n_pulses,digest", [
-        ("1e77", "57dc1aebd1a7a4ccb741c51c671b23591fc57f0de74ff388559beaea0897f345"),
-        ("1e80", "d2dca598efb8164af8aefc674ff8ba0c54b2a2039b04a1affc7f1b7d364198c2"),
+        ("1e77", "8d59fed0d31257da1f082d3aeee46858c56a30102d3f4f40355a2ff8b2ace602"),
+        ("1e80", "fe26be2a9b0e4106e0450ec9870892182b4bdaaad9e1416f118e5350f29424c6"),
     ])
     def test_pulse_count_below_the_overflow_keeps_its_rows(self, capsys, n_pulses, digest):
         code, out, _ = run(capsys, ["sweep", "--N", n_pulses,
@@ -735,6 +735,39 @@ class TestInputFiles:
         assert code == EXIT_OK
         assert out == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_text()
 
+    def test_config_at_the_input_limit_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        head = b"k = 1e6\nlam = 5e5\neps = 1e-10\n#"
+        cfg.write_bytes(head + b" " * (MAX_INPUT_BYTES - len(head)))
+        code, out, _ = run(capsys, ["kato", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert out == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["kato", "--k", "1e6", "--lam", "5e5", "--config", "{path}"],
+        ["analyze", "{path}", "--mu", "9e-4", "--px", "0.9"],
+    ], ids=["config", "table"])
+    def test_file_past_the_input_limit_exits_3(self, capsys, tmp_path, argv):
+        # a file was read whole, so /dev/zero allocated until the process died
+        big = tmp_path / "big.txt"
+        big.write_bytes(b"#" * (MAX_INPUT_BYTES + 1))
+        code, out, err = run(capsys, [arg.format(path=big) for arg in argv])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: ") and f"{MAX_INPUT_BYTES}-byte input limit" in err
+        assert err.endswith(f"'{big}'\n")
+        assert out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "/dev/zero"],
+        ["analyze", "/dev/zero", "--mu", "9e-4", "--px", "0.9"],
+    ], ids=["config", "table"])
+    def test_endless_file_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: ") and err.endswith("'/dev/zero'\n")
+        assert out == ""
+
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
     @pytest.mark.parametrize("line3,message", [
         (b"not a pair", "expected 'key = value', got 'not a pair'"),
@@ -840,12 +873,27 @@ class TestModuleEntryPoint:
     """``python -m triqss.cli``, which reaches ``main`` with ``argv=None``."""
 
     @staticmethod
-    def cli(*args):
+    def cli(*args, stdout=subprocess.PIPE):
         env = dict(os.environ, COLUMNS="80")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "triqss.cli", *args], cwd=ROOT, env=env,
-                              capture_output=True, timeout=60)
+                              stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        ("kato", "--k", "1e6", "--lam", "5e5"),
+        ("sweep", "--N", "inf", "--Lmax", "300", "--step", "0.5"),
+    ], ids=["flush-fails", "write-fails"])
+    def test_failed_write_to_stdout_exits_3(self, args):
+        # a short report fails when flushed, a long one (42 kB) when written;
+        # the flush at exit once ended in a traceback and exit 1
+        with open("/dev/full", "w") as full:
+            proc = self.cli(*args, stdout=full)
+        assert proc.returncode == EXIT_INPUT
+        err = proc.stderr.decode()
+        assert err.startswith("input error: ") and err.endswith("'<stdout>'\n")
+        assert err.count("\n") == 1
 
     def test_kato_reference(self):
         proc = self.cli("kato", "--k", "1e6", "--lam", "5e5", "--eps", "1e-10")

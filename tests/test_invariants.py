@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from triqss import ChannelModel, EpsilonBudget
 from triqss.cli import main
 from triqss.expdata import _SLOT_OF_TRIPLE
-from triqss.finitekey import _phase_error_chain
+from triqss.finitekey import EC_EFFICIENCY, _phase_error_chain
 from triqss.optics import phase_error_from_y
-from triqss.rates import _SCORED_ZERO, asymptotic_rate, finite_rate, sweep_distance
+from triqss.rates import _SCORED_ZERO, _asymptotic_point, finite_rate, sweep_distance
 from triqss.report import parse_kv
 from triqss.roundtable import SetTag
 
@@ -138,7 +138,7 @@ def rate(length_km, mu, px, n_pulses):
 
 def asymptotic(length_km, mu):
     try:
-        return asymptotic_rate(mu, replace(CHANNEL, length_km=length_km))
+        return _asymptotic_point(mu, replace(CHANNEL, length_km=length_km), EC_EFFICIENCY)[0]
     except _SCORED_ZERO:
         return 0.0
 

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import tracemalloc
+from decimal import Decimal, localcontext
 from itertools import islice
 
 import numpy as np
@@ -134,6 +135,34 @@ class TestEncodings:
                     q = gain(mu, transmittance(channel), dark)
                     assert p[0, sifted] + p[1, sifted] == pytest.approx(np.full(12, q),
                                                                         rel=1e-9)
+
+
+    @pytest.mark.parametrize("dark", [0.0, 2e-8])
+    @pytest.mark.parametrize("ed", [0.0, 0.015])
+    def test_cells_match_a_decimal_oracle_at_small_mu_eta(self, dark, ed):
+        # at mu 1e-6 and 300 km, 2 mu eta is about 2.5e-9: a 1 - exp(-x)
+        # form cancels there, and a float phase misses the even split
+        channel = ChannelModel(length_km=300.0, dark_count=dark, misalignment=ed)
+        got = np.array(protocol._cell_probabilities(SourceParams(1e-6, 0.8), channel))
+        # detector 1's share of the light, cos^2 of half the net phase, by
+        # net quarter turns
+        share = (Decimal(1), Decimal("0.5"), Decimal(0), Decimal("0.5"))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            d, e = Decimal(dark), Decimal(ed)
+            loss_db = Decimal(channel.alpha_db_per_km) * Decimal(channel.length_km)
+            eta = Decimal(channel.det_efficiency) * Decimal(10) ** (-loss_db / 20)
+            x = 2 * Decimal(1e-6) * eta
+            for cell in range(32):
+                q_a, q_b, q_c = (q[cell] for q in CELL_QUARTERS)
+                x1 = x * share[(q_b + q_c - q_a) % 4]
+                quiet1, quiet2 = (1 - d) * (-x1).exp(), (1 - d) * (x1 - x).exp()
+                lone1, lone2 = (1 - quiet1) * quiet2, (1 - quiet2) * quiet1
+                exact = ((1 - e) * lone1 + e * lone2, (1 - e) * lone2 + e * lone1,
+                         quiet1 * quiet2, (1 - quiet1) * (1 - quiet2))
+                for outcome, p in enumerate(exact):
+                    error = abs(Decimal(float(got[outcome, cell])) - p)
+                    assert error <= Decimal("1e-13") * p, (cell, outcome, error / p)
 
 
 class TestRoundTable:

@@ -17,7 +17,6 @@ from triqss import (
     NumericalDegeneracyError,
     ParameterError,
     ZeroCountError,
-    asymptotic_rate,
     asymptotic_sweep,
     finite_rate,
     golden_max,
@@ -25,7 +24,7 @@ from triqss import (
     sweep_distance,
 )
 from triqss import rates
-from triqss.finitekey import key_length, key_length_raw, phase_error_upper_bound
+from triqss.finitekey import EC_EFFICIENCY, key_length, key_length_raw, phase_error_upper_bound
 from triqss.optics import bit_error_x, gain, transmittance
 from triqss.rates import write_rate_csv
 from triqss.roundtable import set_shares
@@ -72,21 +71,26 @@ class TestGoldenMax:
             golden_max(lambda x: x, 1.0, 0.0)
 
 
+def _asymptotic_rate(mu, channel):
+    """The infinite-key rate per pulse at intensity ``mu``."""
+    return rates._asymptotic_point(mu, channel, EC_EFFICIENCY)[0]
+
+
 class TestAsymptoticRate:
     def test_benchmark_value(self, bench_channel):
-        assert asymptotic_rate(9e-4, bench_channel) == pytest.approx(
+        assert _asymptotic_rate(9e-4, bench_channel) == pytest.approx(
             5.9644540120401865e-06, rel=1e-12)
 
     def test_clamped_at_zero_when_noisy(self, bench_channel):
         # intensity so high the imbalance penalty kills the rate entirely
-        assert asymptotic_rate(8e-3, bench_channel) == 0.0
+        assert _asymptotic_rate(8e-3, bench_channel) == 0.0
 
     def test_golden_search_agrees_with_grid(self):
         ch = ChannelModel(length_km=100.0)
         grid = np.geomspace(1e-5, 1e-2, 4000)
-        rates = [asymptotic_rate(mu, ch) for mu in grid]
+        rates = [_asymptotic_rate(mu, ch) for mu in grid]
         best = int(np.argmax(rates))
-        lx, _ = golden_max(lambda l: asymptotic_rate(10.0 ** l, ch), -5.0, -2.0, tol=1e-7)
+        lx, _ = golden_max(lambda l: _asymptotic_rate(10.0 ** l, ch), -5.0, -2.0, tol=1e-7)
         step = grid[1] / grid[0]
         assert grid[best] / step <= 10.0 ** lx <= grid[best] * step
 
@@ -101,7 +105,7 @@ class TestFiniteRate:
                               eps_a=1 - 1e-9, eps_b=1 - 1e-9)
         mu, px = 5e-4, 0.99
         point = finite_rate(50.0, mu, px, 1e14, ch, budget=loose)
-        target = px ** 3 * asymptotic_rate(mu, ch)
+        target = px ** 3 * _asymptotic_rate(mu, ch)
         assert point.rate_per_pulse == pytest.approx(target, rel=1e-2)
 
     def test_zero_counts_raise(self, bench_channel):
@@ -378,12 +382,11 @@ class TestSweeps:
 
 
 # each rate entry point as a function of (length_km, n_pulses, ec_efficiency);
-# the asymptotic pair takes no pulse count
+# asymptotic_sweep takes no pulse count
 _ENTRY_POINTS = {
     "finite_rate": lambda L, n, fe: finite_rate(L, 1e-3, 0.9, n, ChannelModel(), fe),
     "optimize_params": lambda L, n, fe: optimize_params(L, n, ChannelModel(), fe),
     "sweep_distance": lambda L, n, fe: sweep_distance([L], n, ChannelModel(), fe),
-    "asymptotic_rate": lambda L, n, fe: asymptotic_rate(1e-3, ChannelModel(length_km=L), fe),
     "asymptotic_sweep": lambda L, n, fe: asymptotic_sweep([L], ChannelModel(), fe),
 }
 _FINITE = ("finite_rate", "optimize_params", "sweep_distance")
