@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import math
@@ -244,6 +245,9 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
         with _naming(ns.out), open(ns.out, "w") as fh:
             fh.write(text)
         return
+    if sys.stdout is None:
+        # Python sets it to None when it starts with fd 1 closed, as by `>&-`
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
         with _naming("<stdout>"):
             sys.stdout.write(text)

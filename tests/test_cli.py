@@ -510,6 +510,18 @@ class TestSweep:
         assert data[1].split(",")[2] == "1"
         assert data[1].split(",")[7] == "inf"
 
+    def test_asymptotic_abort_rows_claim_no_key(self, capsys):
+        # past the asymptotic cutoff there is no key, so no key length and no
+        # working point, as in a finite abort row
+        code, out, _ = run(capsys, ["sweep", "--N", "inf", "--Lmin", "250",
+                                    "--Lmax", "280", "--step", "10"])
+        assert code == EXIT_OK
+        rows = {row.split(",")[0]: row for row in out.splitlines()
+                if row and not row.startswith("#")}
+        assert rows["260"].split(",")[4] == "inf"
+        assert rows["270"] == "270,nan,nan,0,0,nan,nan,inf"
+        assert rows["280"] == "280,nan,nan,0,0,nan,nan,inf"
+
     def test_bad_grid_exits_3(self, capsys):
         code, _, err = run(capsys, ["sweep", "--Lmin", "10", "--Lmax", "0"])
         assert code == EXIT_INPUT
@@ -873,11 +885,15 @@ class TestModuleEntryPoint:
     """``python -m triqss.cli``, which reaches ``main`` with ``argv=None``."""
 
     @staticmethod
-    def cli(*args, stdout=subprocess.PIPE):
+    def cli(*args, stdout=subprocess.PIPE, close_stdout=False):
         env = dict(os.environ, COLUMNS="80")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "triqss.cli", *args], cwd=ROOT, env=env,
+        command = [sys.executable, "-m", "triqss.cli", *args]
+        if close_stdout:
+            # a shell closes fd 1 before Python starts
+            command = ["sh", "-c", '"$@" >&-', "sh", *command]
+        return subprocess.run(command, cwd=ROOT, env=env,
                               stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -894,6 +910,17 @@ class TestModuleEntryPoint:
         err = proc.stderr.decode()
         assert err.startswith("input error: ") and err.endswith("'<stdout>'\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("kato", "--k", "1e6", "--lam", "5e5"),
+        ("sweep", "--N", "inf", "--Lmax", "0"),
+    ], ids=["kato", "sweep"])
+    def test_closed_stdout_exits_3(self, args):
+        # Python sets sys.stdout to None when it starts with fd 1 closed
+        proc = self.cli(*args, close_stdout=True)
+        assert proc.returncode == EXIT_INPUT
+        err = proc.stderr.decode()
+        assert err == "input error: [Errno 9] Bad file descriptor: '<stdout>'\n"
 
     def test_kato_reference(self):
         proc = self.cli("kato", "--k", "1e6", "--lam", "5e5", "--eps", "1e-10")

@@ -1,14 +1,16 @@
 """The staged rate evaluator against the public chain, over request sequences.
 
-An evaluator keeps the terms of the last ``mu`` and of the last ``px`` it
-was given.  Whatever order the requests come in, each must give exactly
-what the public functions give step by step, or raise the same error.  The
+An evaluator keeps the terms of every ``mu`` and every ``px`` it was given
+in two tables, but not those of a ``mu`` whose stage raised.  Whatever order
+the requests come in, each must give exactly what the public functions give
+step by step, or raise the same error, and what a fresh evaluator gives.  The
 two bodies that every path runs are pinned directly: the phase error chain
 to the public steps, with step 2 as their maximum over ``[0, E]``, and the
 key length to its formula written here.  Last, the analysis of measured
 tallies and the rate evaluator agree on the same expected counts.
 """
 
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -112,6 +114,33 @@ def test_every_request_matches_the_public_chain(length_km, n_pulses, dark, mus, 
         mu, px = mus[i], pxs[j]
         expected = outcome(public_chain, length_km, n_pulses, channel, mu, px)
         assert outcome(evaluate, mu, px) == expected, (mu, px)
+
+
+# each request twice, in shuffled order; with no dark counts mu = 0 has no
+# gain, and NaN and -1e-4 leave the gain's domain, so their stage raises
+# each time they are requested
+@settings(**SETTINGS)
+@given(
+    length_km=st.floats(0.0, 300.0),
+    n_pulses=st.sampled_from([1e4, 1e10, 1e14, 1e90]),
+    dark=st.sampled_from([0.0, 2e-8, 1e-4]),
+    mus=st.lists(MU, min_size=4, max_size=4),
+    pxs=st.lists(PX, min_size=4, max_size=4),
+    requests=REQUESTS.flatmap(lambda r: st.permutations(r + r)),
+)
+@example(length_km=0.0, n_pulses=1e10, dark=0.0,
+         mus=[0.0, math.nan, -1e-4, 1e-3], pxs=SPECIAL_PXS, requests=WALK + WALK[::-1])
+@example(length_km=100.0, n_pulses=1e10, dark=2e-8,
+         mus=[1e-3, 0.5, math.inf, 2e-3], pxs=[0.9, 0.999999, 0.7, 1.0],
+         requests=WALK + WALK[::-1])
+def test_one_evaluator_answers_as_fresh_ones(length_km, n_pulses, dark, mus, pxs, requests):
+    channel = ChannelModel(dark_count=dark)
+    evaluator = functools.partial(rates._rate_evaluator, length_km, n_pulses, channel,
+                                  EC_EFFICIENCY, BUDGET)
+    evaluate = evaluator()
+    for i, j in requests:
+        mu, px = mus[i], pxs[j]
+        assert outcome(evaluate, mu, px) == outcome(evaluator(), mu, px), (mu, px)
 
 
 @settings(**SETTINGS)
