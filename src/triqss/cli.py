@@ -60,11 +60,20 @@ EXIT_NUMERIC = 4
 MAX_GRID_POINTS = 100_000
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems with exit code 3."""
+    """argparse variant that reports usage problems with exit code 3, and
+    writes its help to stdout as a subcommand writes its output."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse would send the help to stderr when sys.stdout is None, and
+        # ignore a failed write
+        if file is None:
+            _write_stdout(self.format_help())
+        else:
+            super().print_help(file)
 
 
 def _float_or_inf(text: str) -> float:
@@ -244,7 +253,12 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
     if ns.out:
         with _naming(ns.out), open(ns.out, "w") as fh:
             fh.write(text)
-        return
+    else:
+        _write_stdout(text)
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it; an OSError names ``<stdout>``."""
     if sys.stdout is None:
         # Python sets it to None when it starts with fd 1 closed, as by `>&-`
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
@@ -509,8 +523,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
     try:
+        # parsing writes the help, which may fail like any output
+        ns = _parser().parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except (NumericalDegeneracyError, DegenerateGainError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)

@@ -31,9 +31,10 @@ both built from the scalar cores that the public functions wrap.  The
 results, and the error a failing point raises, are those of the public
 functions step by step, step 2 being the maximum of
 ``optics.phase_error_from_y`` over ``[0, E]``.  ``finite_rate`` is that
-evaluator plus the ``RatePoint`` wrap.  The asymptotic rate takes that
-formula at ``EbX`` itself: there ``EbX <= 1/2``, and past the formula's
-peak its value is at least 1/2, which leaves no key either way.
+evaluator plus the ``RatePoint`` wrap that the optimizer's best point
+shares.  The asymptotic rate takes that formula at ``EbX`` itself: there
+``EbX <= 1/2``, and past the formula's peak its value is at least 1/2,
+which leaves no key either way.
 
 An error in a per-distance argument raises :class:`ParameterError` from
 every entry point: ``finite_rate``, ``optimize_params`` and
@@ -54,13 +55,14 @@ not reported as "no key".
 the basis probability by coordinate descent with golden-section line
 searches (the rate is smooth and single-peaked along each coordinate in the
 regimes of interest).  The search is fully deterministic: fixed restart
-points, no randomness.  It builds one evaluator per call and memoises its
-scores by ``(mu, px)`` for that call only.  A line search is a pure function
-of its fixed coordinate, and the last sweep of a restart repeats the
-previous one, as do restarts that converge to the same point; such a repeat
-is replayed from the trace instead of run again.  Over 0..260 km in 5 km
-steps at ``N = 1e10`` the optimizer runs 658 of the 1,028 line searches it
-asks for, and of the 24,363 points they request it evaluates 15,782.
+points, no randomness.  It builds one evaluator per call, which scores each
+request and then gives the best point.  A line search is a pure function of
+its fixed coordinate, and the last sweep of a restart repeats the previous
+one, as do restarts that converge to the same point; such a repeat is
+replayed from the trace instead of run again.  Over 0..260 km in 5 km steps
+at ``N = 1e10`` the sweep builds 53 evaluators, runs 658 of the 1,028 line
+searches it asks for, and evaluates 15,828 of the 24,363 points requested,
+plus 47 best points.
 """
 
 from __future__ import annotations
@@ -235,6 +237,14 @@ def _rate_evaluator(
     return evaluate
 
 
+def _rate_point(evaluate, length_km: float, mu: float, px: float,
+                n_pulses: float) -> RatePoint:
+    """The :class:`RatePoint` of ``evaluate(mu, px)``, for an evaluator at ``length_km``."""
+    rate, ell, ep_bar, ebx = evaluate(mu, px)
+    return RatePoint(length_km=length_km, mu=mu, px=px, rate_per_pulse=rate, ell=ell,
+                     ep_bar=ep_bar, eb_x=ebx, n_pulses=n_pulses, abort=ell == 0)
+
+
 def finite_rate(
     length_km: float,
     mu: float,
@@ -252,13 +262,7 @@ def finite_rate(
     (``px`` too close to one for the given ``n_pulses``).
     """
     evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
-    rate, ell, ep_bar, ebx = evaluate(mu, px)
-    return RatePoint(
-        length_km=length_km, mu=mu, px=px,
-        rate_per_pulse=rate, ell=ell,
-        ep_bar=ep_bar, eb_x=ebx, n_pulses=n_pulses,
-        abort=ell == 0,
-    )
+    return _rate_point(evaluate, length_km, mu, px, n_pulses)
 
 
 # errors that score a working point zero in the optimizer
@@ -288,30 +292,24 @@ def optimize_params(
     yields a key, raises :class:`NumericalDegeneracyError` if a point failed
     with one, else :class:`AllAbortError`.
 
-    Each distinct ``(mu, px)`` is evaluated once, on one per-distance
-    evaluator, and a repeat request reads a memo that lives for this call
-    only.  A line search repeated with the same fixed coordinate is not run
-    again: its requests are copied from the trace and its result is reused.
-    ``trace`` and ``n_evals`` record every request, repeats and replays
-    included, in the order a search without memo or replay makes them.
+    One per-distance evaluator scores every request and gives ``best``.  A
+    line search repeated with the same fixed coordinate is not run again:
+    its requests are copied from the trace and its result is reused.
+    ``trace`` and ``n_evals`` record every request, replays included, in the
+    order a search without replay makes them.
     """
     evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
     trace: list[tuple] = []
-    # local to the call: one that outlived it would answer repeated calls from memory
-    memo: dict[tuple[float, float], float] = {}
     overflow = None   # the first NumericalDegeneracyError a point raised
 
     def rate_at(mu: float, px: float) -> float:
         nonlocal overflow
-        r = memo.get((mu, px))
-        if r is None:
-            try:
-                r = evaluate(mu, px)[0]
-            except _SCORED_ZERO as exc:
-                if overflow is None and isinstance(exc, NumericalDegeneracyError):
-                    overflow = exc
-                r = 0.0
-            memo[mu, px] = r
+        try:
+            r = evaluate(mu, px)[0]
+        except _SCORED_ZERO as exc:
+            if overflow is None and isinstance(exc, NumericalDegeneracyError):
+                overflow = exc
+            r = 0.0
         trace.append((mu, px, r))
         return r
 
@@ -322,7 +320,7 @@ def optimize_params(
 
     def line_search(coordinate: str, fixed: float, f, bounds) -> tuple[float, float]:
         # a line search is a pure function of its fixed coordinate, so a
-        # repeat replays its requests, which would all read the memo
+        # repeat replays its requests, which would score as they did before
         key = (coordinate, fixed, math.copysign(1.0, fixed))
         done = searches.get(key)
         if done is not None:
@@ -356,7 +354,7 @@ def optimize_params(
         if overflow is not None:
             raise NumericalDegeneracyError(f"{message}: {overflow}") from overflow
         raise AllAbortError(message)
-    best = finite_rate(length_km, best_mu, best_px, n_pulses, channel, ec_efficiency, budget)
+    best = _rate_point(evaluate, length_km, best_mu, best_px, n_pulses)
     return OptimizationResult(best=best, trace=trace, n_evals=len(trace))
 
 
@@ -421,7 +419,7 @@ def asymptotic_sweep(
         def rate_at_log(l: float) -> float:
             try:
                 return _asymptotic_point(10.0 ** l, ch, ec_efficiency)[0]
-            except (ParameterError, DegenerateGainError):
+            except _SCORED_ZERO:
                 return 0.0
 
         lmu, rate = golden_max(rate_at_log, *_LOG_MU_BOUNDS, tol=1e-5)

@@ -900,7 +900,9 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("args", [
         ("kato", "--k", "1e6", "--lam", "5e5"),
         ("sweep", "--N", "inf", "--Lmax", "300", "--step", "0.5"),
-    ], ids=["flush-fails", "write-fails"])
+        ("-h",),
+        ("sweep", "-h"),
+    ], ids=["flush-fails", "write-fails", "help", "sweep-help"])
     def test_failed_write_to_stdout_exits_3(self, args):
         # a short report fails when flushed, a long one (42 kB) when written;
         # the flush at exit once ended in a traceback and exit 1
@@ -914,13 +916,23 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("args", [
         ("kato", "--k", "1e6", "--lam", "5e5"),
         ("sweep", "--N", "inf", "--Lmax", "0"),
-    ], ids=["kato", "sweep"])
+        ("-h",),
+        ("sweep", "-h"),
+    ], ids=["kato", "sweep", "help", "sweep-help"])
     def test_closed_stdout_exits_3(self, args):
-        # Python sets sys.stdout to None when it starts with fd 1 closed
+        # Python sets sys.stdout to None when it starts with fd 1 closed;
+        # argparse would then print the help to stderr and exit 0
         proc = self.cli(*args, close_stdout=True)
         assert proc.returncode == EXIT_INPUT
         err = proc.stderr.decode()
         assert err == "input error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+    def test_closed_stdout_is_no_error_when_nothing_goes_there(self, tmp_path):
+        out = tmp_path / "kato.txt"
+        proc = self.cli("kato", "--k", "1e6", "--lam", "5e5", "--out", str(out),
+                        close_stdout=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert out.read_bytes() == (ROOT / "bench" / "refs" / "kato_k1e6.txt").read_bytes()
 
     def test_kato_reference(self):
         proc = self.cli("kato", "--k", "1e6", "--lam", "5e5", "--eps", "1e-10")

@@ -6,7 +6,8 @@ on the Y error rate.  So the chain's ``ep_bar`` does not fall as the
 observed Y errors or the coin imbalance grow, a table whose Y sets are all
 errors gives no key, and a distance sweep has no key beyond its first
 abort row.  The finite rate stays in [0, 1] and below the asymptotic rate,
-does not rise with distance and does not fall as the pulse count grows.
+does not rise with distance, dark count or misalignment, and does not fall
+as the pulse count grows.
 """
 
 import csv
@@ -128,10 +129,10 @@ def test_a_sweep_has_no_key_beyond_its_first_abort_row(n_pulses, l_max):
     assert rates == sorted(rates, reverse=True)
 
 
-def rate(length_km, mu, px, n_pulses):
+def rate(length_km, mu, px, n_pulses, channel=CHANNEL):
     """The finite rate per pulse, 0 where the optimizer scores the point zero."""
     try:
-        return finite_rate(length_km, mu, px, n_pulses, CHANNEL).rate_per_pulse
+        return finite_rate(length_km, mu, px, n_pulses, channel).rate_per_pulse
     except _SCORED_ZERO:
         return 0.0
 
@@ -143,14 +144,20 @@ def asymptotic(length_km, mu):
         return 0.0
 
 
+DARK = st.one_of(st.just(0.0), st.floats(-10.0, -3.0).map(lambda x: 10.0 ** x))
+
+
 @seed(20241008)
 @settings(max_examples=150, deadline=None)
 @given(mu=st.floats(-6.0, -1.0).map(lambda x: 10.0 ** x), px=st.floats(0.5, 0.99),
        n_pulses=st.floats(4.0, 15.0).map(lambda x: 10.0 ** x),
-       lengths=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=2))
+       lengths=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=2),
+       darks=st.lists(DARK, min_size=2, max_size=2),
+       misalignments=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2))
 # a false key past the step-2 peak once rose with distance here
-@example(mu=0.003, px=0.95, n_pulses=1e8, lengths=[270.0, 280.0])
-def test_finite_rate_invariants(mu, px, n_pulses, lengths):
+@example(mu=0.003, px=0.95, n_pulses=1e8, lengths=[270.0, 280.0],
+         darks=[2e-8, 1e-6], misalignments=[0.015, 0.03])
+def test_finite_rate_invariants(mu, px, n_pulses, lengths, darks, misalignments):
     near, far = sorted(lengths)
     r_near, r_far = rate(near, mu, px, n_pulses), rate(far, mu, px, n_pulses)
     for length, r in ((near, r_near), (far, r_far)):
@@ -160,3 +167,11 @@ def test_finite_rate_invariants(mu, px, n_pulses, lengths):
     # the floor may cost the larger experiment one bit
     more = 10.0 * n_pulses
     assert rate(near, mu, px, more) >= r_near - 1.0 / more
+    # more dark counts or more misalignment buy no key, up to the same bit
+    (dark, darker), (e_d, worse) = sorted(darks), sorted(misalignments)
+    channel = replace(CHANNEL, dark_count=dark, misalignment=e_d)
+    r_clean = rate(near, mu, px, n_pulses, channel)
+    assert rate(near, mu, px, n_pulses, replace(channel, dark_count=darker)) <= (
+        r_clean + 1.0 / n_pulses)
+    assert rate(near, mu, px, n_pulses, replace(channel, misalignment=worse)) <= (
+        r_clean + 1.0 / n_pulses)

@@ -1,12 +1,12 @@
 """The optimizer's memoization is exact.
 
-``optimize_params`` keeps three kinds of state for one call: the evaluator's
-per-distance term tables, a memo of scores by ``(mu, px)``, and the line
-searches already run, replayed from the trace when repeated.  None of them
-may change what the optimizer returns.  The reference here runs the same
-restarts and coordinate descent with plain ``golden_max`` over
-``finite_rate`` scores, each point evaluated afresh, and must agree with it
-request for request, error for error.
+``optimize_params`` keeps two kinds of state for one call: the per-distance
+term tables of its one evaluator, which scores every request not replayed
+and then the best point, and the line searches already run, replayed from
+the trace when repeated.  Neither may change what the optimizer returns.
+The reference here runs the same restarts and coordinate descent with plain
+``golden_max`` over ``finite_rate`` scores, each point evaluated afresh, and
+must agree with it request for request, error for error.
 """
 
 import io
@@ -116,9 +116,9 @@ def test_overflows_match_the_reference(length_km, n_pulses, error):
 
 
 # a warm start as sweep_distance gives it; starts at restart points; starts
-# at -0.0 and 0.0, which the trace records apart although their line searches
-# read the same memo entries; and a start whose mu equals a px, so that a mu
-# search and a px search hold the same fixed value
+# at -0.0 and 0.0, which compare equal but which the trace records apart; and
+# a start whose mu equals a px, so that a mu search and a px search hold the
+# same fixed value
 @pytest.mark.parametrize("extra_starts", [
     ((2e-4, 0.7),),
     ((1e-3, 0.9), (3e-4, 0.8)),

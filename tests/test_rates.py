@@ -230,22 +230,25 @@ class TestKeyLengthMonotone:
 
 
 class TestOptimizeParams:
-    def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
+    def test_one_evaluator_scores_the_search_and_its_best_point(self, monkeypatch):
         calls = _spy_on_evaluators(monkeypatch)
         result = optimize_params(100.0, 1e10, ChannelModel())
         distinct = {(mu, px) for mu, px, _ in result.trace}
-        # one evaluator for the search, one in finite_rate for the best point
-        assert calls == [len(distinct), 1]
+        # 290 requests evaluated, the other 136 replayed, and then the best point
+        assert calls == [290 + 1]
         assert (result.n_evals, len(result.trace), len(distinct)) == (426, 426, 289)
-        # a repeat request reads the same score a fresh evaluation gives
+        # a request reads the score a fresh evaluation gives
         assert all(r == _score(100.0, mu, px, 1e10, ChannelModel())
                    for mu, px, r in result.trace)
+        assert result.best == finite_rate(100.0, result.best.mu, result.best.px, 1e10,
+                                          ChannelModel())
 
-    def test_a_memo_does_not_outlive_its_call(self, monkeypatch):
+    def test_replays_do_not_outlive_their_call(self, monkeypatch):
         calls = _spy_on_evaluators(monkeypatch)
         first = optimize_params(100.0, 1e10, ChannelModel())
         second = optimize_params(100.0, 1e10, ChannelModel())
-        assert calls[0] == calls[2] == 289
+        # a replay table kept across calls would spare the second all its searches
+        assert calls == [291, 291]
         assert first.trace == second.trace
 
     def test_beats_a_coarse_grid(self):
@@ -366,9 +369,9 @@ class TestSweeps:
         reference = [line for line in SWEEP_REFERENCE.read_text().splitlines()
                      if not line.startswith("#")]
         assert buf.getvalue().splitlines()[1:] == reference[1:]
-        # one evaluator per search (53) and one in finite_rate at each of the
-        # 47 distances with a key; 15,782 distinct points of 24,363 requested
-        assert (len(calls), sum(calls)) == (100, 15_782 + 47)
+        # one evaluator per distance; it evaluates 15,828 of the 24,363
+        # points requested, and the best point at each of the 47 with a key
+        assert (len(calls), sum(calls)) == (53, 15_828 + 47)
 
     def test_csv_rendering(self):
         ch = ChannelModel()
