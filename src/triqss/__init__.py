@@ -39,6 +39,7 @@ _EXPORTS = {
     "PhaseErrorBound": "finitekey",
     "azuma_deviation": "finitekey",
     "expected_to_observed": "finitekey",
+    "golden_max": "finitekey",
     "kato_coeffs_numeric": "finitekey",
     "kato_failure_probability": "finitekey",
     "kato_lower_coeffs": "finitekey",
@@ -66,10 +67,8 @@ _EXPORTS = {
     "RatePoint": "rates",
     "asymptotic_sweep": "rates",
     "finite_rate": "rates",
-    "golden_max": "rates",
     "optimize_params": "rates",
     "sweep_distance": "rates",
-    "write_rate_csv": "rates",
     "Basis": "roundtable",
     "SetCounts": "roundtable",
     "SetTag": "roundtable",

@@ -13,6 +13,8 @@ Settings resolve with precedence command-line flag, then config file
 effective configuration is echoed as ``#`` comment lines at the top of every
 output, so a result file records how it was produced.  Outputs contain no
 timestamps: rerunning a command with the same inputs gives identical bytes.
+This module is the one place that formats output: each subcommand renders
+the library's result records, which hold data only.
 
 Exit codes: 0 success, 2 protocol abort (no key under the requested
 conditions), 3 input error, 4 numerical degeneracy.
@@ -24,7 +26,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import io
 import math
 import os
 import re
@@ -282,6 +283,12 @@ def _header(command: str, settings: Settings) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _set_counts(t) -> dict:
+    """The detections and errors of a ``SetCounts`` record, then ``n_y``."""
+    return {"n_x": t.n_x, "m_x": t.m_x, "n_ybc": t.n_ybc, "m_ybc": t.m_ybc,
+            "n_yac": t.n_yac, "m_yac": t.m_yac, "n_y": t.n_y}
+
+
 def cmd_simulate(ns: argparse.Namespace) -> int:
     # the only subcommand that needs numpy, so the others start without it
     from .protocol import SetThresholds, run_protocol
@@ -328,10 +335,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     t = run.tallies
     body = {
         "rounds_used": t.rounds,
-        "n_x": t.n_x, "m_x": t.m_x,
-        "n_ybc": t.n_ybc, "m_ybc": t.m_ybc,
-        "n_yac": t.n_yac, "m_yac": t.m_yac,
-        "n_y": t.n_y,
+        **_set_counts(t),
         "key_bits": int(run.key_a.size),
         "abort": abort_exc is not None,
     }
@@ -382,10 +386,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     else:
         points = rates.sweep_distance(lengths, n_pulses, channel, fe, budget)
 
-    buf = io.StringIO()
-    buf.write(_header("sweep", settings))
-    rates.write_rate_csv(points, buf)
-    _emit(ns, buf.getvalue())
+    out = [_header("sweep", settings), "L_km,mu,px,rate_per_pulse,ell,Ep_bar,EbX,N\n"]
+    for p in points:
+        out.append(",".join(report.fmt_value(v) for v in (
+            p.length_km, p.mu, p.px, p.rate_per_pulse, p.ell, p.ep_bar, p.eb_x, p.n_pulses,
+        )) + "\n")
+    _emit(ns, "".join(out))
     return EXIT_OK
 
 
@@ -460,9 +466,20 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     out.append("# n_pulses counts every emitted pulse\n")
     if len(results) == 1:
         path, summary, result = results[0]
-        body = {"table": path}
-        body.update(summary.as_report())
-        body.update(result.as_report())
+        body = {
+            "table": path,
+            **_set_counts(summary),
+            "eb_x": summary.eb_x, "eb_ybc": summary.eb_ybc, "eb_yac": summary.eb_yac,
+            "eb_y_worst": summary.eb_y_worst,
+            "mu": summary.mu, "px": summary.px,
+            "n_pulses": result.n_pulses, "ep_bar": result.ep_bar, "lambda_ec": result.lambda_ec,
+            "ell": result.ell, "rate_per_pulse": result.rate_per_pulse, "abort": result.abort,
+            "rate_per_second": result.rate_per_second,
+            **{"phase." + f.name: getattr(result.phase, f.name) for f in fields(result.phase)},
+            **{f.name: getattr(result.budget, f.name) for f in fields(result.budget)},
+            "eps_phase": result.budget.eps_phase,
+            "eps_secrecy": result.budget.eps_secrecy,
+        }
         out.append(report.render_kv(body))
     else:
         # summary table, one row per input, ordered by px then mu descending

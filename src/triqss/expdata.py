@@ -132,21 +132,6 @@ class ExperimentSummary(SetCounts):
     def eb_y_worst(self) -> float:
         return max(self.eb_ybc, self.eb_yac)
 
-    def as_report(self) -> dict:
-        out = {
-            "n_x": self.n_x, "m_x": self.m_x,
-            "n_ybc": self.n_ybc, "m_ybc": self.m_ybc,
-            "n_yac": self.n_yac, "m_yac": self.m_yac,
-            "n_y": self.n_y,
-            "eb_x": self.eb_x, "eb_ybc": self.eb_ybc, "eb_yac": self.eb_yac,
-            "eb_y_worst": self.eb_y_worst,
-        }
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.px is not None:
-            out["px"] = self.px
-        return out
-
 
 def _tally(lines, mu: float | None, px: float | None) -> ExperimentSummary:
     """Per-set sums over ``(triple, spd1, spd2)`` lines.

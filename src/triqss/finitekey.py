@@ -41,14 +41,15 @@ the deviation has a closed form.  Both tails share ``_kato_core``, the
 lower tail being the upper one at ``k - lam`` with ``a -> -a``; a tail is
 named by ``direction`` (``"upper"`` or ``"lower"``), checked in one place.
 The closed form is cross-checked against a direct numerical minimization
-(``kato_coeffs_numeric``), which runs the rate optimizer's line search,
-:func:`triqss.rates.golden_max`, over the same core at a given ``a``.
+(``kato_coeffs_numeric``), which runs the line search :func:`golden_max`
+over the same core at a given ``a``; the rate optimizer of
+:mod:`triqss.rates` uses the same search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import NumericalDegeneracyError, ParameterError
 from .optics import _entropy, _phase_error_sum, binary_entropy, coin_imbalance
@@ -56,6 +57,9 @@ from .optics import _entropy, _phase_error_sum, binary_entropy, coin_imbalance
 # error-correction efficiency f: the leak is f H(eb_x) per key-set bit; the
 # default of every rate function and of the command line's --fe
 EC_EFFICIENCY = 1.16
+# cap on golden-section steps per line search; the rate optimizer's
+# tolerances stop a search after about 25
+GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -232,20 +236,44 @@ def kato_failure_probability(a: float, b: float, k: float, direction: str) -> fl
     return math.exp(-2.0 * (b * b - a * a) / (denom * denom))
 
 
+def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
+    """Golden-section maximization of a unimodal function on [lo, hi].
+
+    Returns ``(x, f(x))`` at the midpoint of the final bracket.
+    """
+    if not hi > lo:
+        raise ParameterError("need hi > lo for a line search")
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
 def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> KatoCoefficients:
     """Reference minimizer, independent of the closed forms.
 
     Solves the same constrained problem on ``a``, with ``b`` eliminated
     through the failure-probability equality, by maximizing the negated
-    objective with :func:`triqss.rates.golden_max` run to its step cap.  The
+    objective with :func:`golden_max` run to its step cap.  The
     objective is convex (square root of an upward parabola plus a linear
     term), so the search bracket ``[-3 sqrt(k), 3 sqrt(k)]`` only needs to
     contain the minimum.  ``b`` and the deviation are those of
     ``_kato_core`` at the found ``a``, which skips the closed-form
     minimizer.  Slow; intended for self-checks.
     """
-    from .rates import golden_max   # deferred: rates imports this module
-
     _validate_kato_args(lam, k, eps)
     sign = _sign(direction)
     t, sk = math.log(eps), math.sqrt(k)
@@ -492,20 +520,3 @@ class KeyRateReport:
     rate_per_second: float
     phase: PhaseErrorBound
     budget: EpsilonBudget
-
-    def as_report(self) -> dict:
-        return {
-            "n_pulses": self.n_pulses,
-            "n_x": self.n_x,
-            "eb_x": self.eb_x,
-            "ep_bar": self.ep_bar,
-            "lambda_ec": self.lambda_ec,
-            "ell": self.ell,
-            "rate_per_pulse": self.rate_per_pulse,
-            "abort": self.abort,
-            "rate_per_second": self.rate_per_second,
-            **{"phase." + f.name: getattr(self.phase, f.name) for f in fields(PhaseErrorBound)},
-            **{f.name: getattr(self.budget, f.name) for f in fields(EpsilonBudget)},
-            "eps_phase": self.budget.eps_phase,
-            "eps_secrecy": self.budget.eps_secrecy,
-        }

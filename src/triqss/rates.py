@@ -78,7 +78,7 @@ from .errors import (
     ProtocolAbortError,
     ZeroCountError,
 )
-from .finitekey import EC_EFFICIENCY, EpsilonBudget
+from .finitekey import EC_EFFICIENCY, EpsilonBudget, golden_max
 from .finitekey import _check_ec_efficiency, _key_length, _phase_error_chain
 from .optics import (
     ChannelModel,
@@ -88,20 +88,13 @@ from .optics import (
     phase_error_from_y,
     transmittance,
 )
-from .report import fmt_value
 from .roundtable import set_shares
-
-RATE_CSV_COLUMNS = ["L_km", "mu", "px", "rate_per_pulse", "ell", "Ep_bar", "EbX", "N"]
-
 
 # search box of the optimizers: intensity, basis probability
 MU_BOUNDS = (1e-6, 1e-1)
 PX_BOUNDS = (0.5, 0.99)
 # coordinate-descent sweeps per restart
 MAX_SWEEPS = 8
-# cap on golden-section steps per line search; the tolerances used here
-# stop a search after about 25
-GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -118,12 +111,6 @@ class RatePoint:
     n_pulses: float
     abort: bool = False
 
-    def csv_row(self) -> list[str]:
-        return [fmt_value(v) for v in (
-            self.length_km, self.mu, self.px, self.rate_per_pulse,
-            self.ell, self.ep_bar, self.eb_x, self.n_pulses,
-        )]
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -132,32 +119,6 @@ class OptimizationResult:
     best: RatePoint
     trace: list
     n_evals: int
-
-
-def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
-    """Golden-section maximization of a unimodal function on [lo, hi].
-
-    Returns ``(x, f(x))`` at the midpoint of the final bracket.
-    """
-    if not hi > lo:
-        raise ParameterError("need hi > lo for a line search")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
 
 
 def _asymptotic_point(mu: float, channel: ChannelModel, ec_efficiency: float):
@@ -435,9 +396,3 @@ def asymptotic_sweep(
         ))
     return points
 
-
-def write_rate_csv(points, fh) -> None:
-    """Write rate points as CSV: a column header, then one row per point."""
-    fh.write(",".join(RATE_CSV_COLUMNS) + "\n")
-    for point in points:
-        fh.write(",".join(point.csv_row()) + "\n")

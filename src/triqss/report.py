@@ -30,10 +30,9 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def render_kv(pairs) -> str:
-    """Render an ordered mapping (or pair iterable) as ``key = value`` lines."""
-    items = pairs.items() if hasattr(pairs, "items") else pairs
-    return "".join(f"{key} = {fmt_value(value)}\n" for key, value in items)
+def render_kv(mapping) -> str:
+    """Render an ordered mapping as ``key = value`` lines."""
+    return "".join(f"{key} = {fmt_value(value)}\n" for key, value in mapping.items())
 
 
 def parse_kv(text: str) -> dict[str, str]:

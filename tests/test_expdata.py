@@ -21,8 +21,10 @@ from triqss import (
     tally_sets,
     tally_table,
 )
+from triqss.cli import main
 from triqss.expdata import _SLOT_OF_TRIPLE
 from triqss.optics import binary_entropy
+from triqss.report import parse_kv
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
 # frozen per-set tallies of the bundled tables:
@@ -185,11 +187,13 @@ class TestTallies:
         assert tally_table(io.StringIO(path.read_text()), mu=float(mu),
                            px=TABLE_PX[table]) == two
 
-    def test_metadata_carried(self, fixtures_dir):
-        s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")), mu=9e-4, px=0.9)
+    def test_metadata_carried(self, fixtures_dir, capsys):
+        path = table_path(fixtures_dir, "a", "9e-4")
+        s = tally_sets(parse_counts(path), mu=9e-4, px=0.9)
         assert s.mu == 9e-4 and s.px == 0.9
-        report = s.as_report()
-        assert report["n_x"] == 787407 and report["mu"] == 9e-4
+        assert main(["analyze", str(path)]) == 0
+        report = parse_kv(capsys.readouterr().out)
+        assert int(report["n_x"]) == 787407 and float(report["mu"]) == 9e-4
 
 
 TRIPLES = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]

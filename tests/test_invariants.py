@@ -7,7 +7,8 @@ observed Y errors or the coin imbalance grow, a table whose Y sets are all
 errors gives no key, and a distance sweep has no key beyond its first
 abort row.  The finite rate stays in [0, 1] and below the asymptotic rate,
 does not rise with distance, dark count or misalignment, and does not fall
-as the pulse count grows.
+as the pulse count grows.  The key length of a measured table does not rise
+as errors are added to any of its sets.
 """
 
 import csv
@@ -20,8 +21,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from triqss import ChannelModel, EpsilonBudget
-from triqss.cli import main
-from triqss.expdata import _SLOT_OF_TRIPLE
+from triqss.cli import _infer_from_name, main
+from triqss.expdata import _SLOT_OF_TRIPLE, experiment_skr, tally_table
 from triqss.finitekey import EC_EFFICIENCY, _phase_error_chain
 from triqss.optics import phase_error_from_y
 from triqss.rates import _SCORED_ZERO, _asymptotic_point, finite_rate, sweep_distance
@@ -175,3 +176,29 @@ def test_finite_rate_invariants(mu, px, n_pulses, lengths, darks, misalignments)
         r_clean + 1.0 / n_pulses)
     assert rate(near, mu, px, n_pulses, replace(channel, misalignment=worse)) <= (
         r_clean + 1.0 / n_pulses)
+
+
+def error_counts(most, steps=48):
+    """Error counts from 0 to ``most``, dense near 0, where a table has a key."""
+    return sorted({round(most * (i / steps) ** 2) for i in range(steps + 1)})
+
+
+@pytest.mark.parametrize("channel", [None, ChannelModel(length_km=5.0)],
+                         ids=["observed-gain", "model-gain"])
+@pytest.mark.parametrize("n_pulses", [1e9, 5e10, 1e12])
+@pytest.mark.parametrize("table", sorted(FIXTURE.parent.glob("tableIII*_mu*.csv")),
+                         ids=lambda path: path.stem)
+def test_errors_added_to_a_set_buy_no_key(table, n_pulses, channel):
+    """With the detections fixed, ``ell`` does not rise, up to one bit, as the
+    errors of one set grow: the YBC and YAC errors over all of ``[0, n_y]``,
+    the X errors over ``[0, n_x // 2]`` only.  Past one half ``H(eb_x)``
+    falls, and so does the error-correction leak: a table whose key bits are
+    mostly flipped really does leak less, as flipping every bit corrects it.
+    """
+    mu, px = _infer_from_name(str(table))
+    summary = tally_table(table, mu=mu, px=px)
+    for errors, most in (("m_ybc", summary.n_ybc), ("m_yac", summary.n_yac),
+                         ("m_x", summary.n_x // 2)):
+        ells = [experiment_skr(replace(summary, **{errors: m}), n_pulses, channel=channel).ell
+                for m in error_counts(most)]
+        assert all(later <= ell + 1 for ell, later in zip(ells, ells[1:])), errors

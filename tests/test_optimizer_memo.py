@@ -9,8 +9,6 @@ The reference here runs the same restarts and coordinate descent with plain
 must agree with it request for request, error for error.
 """
 
-import io
-
 import pytest
 
 from triqss import (
@@ -21,11 +19,10 @@ from triqss import (
     OptimizationResult,
     finite_rate,
     optimize_params,
-    sweep_distance,
 )
 from triqss import rates
+from triqss.cli import main
 from triqss.finitekey import EC_EFFICIENCY
-from triqss.rates import write_rate_csv
 
 
 def reference_optimize(length_km, n_pulses, channel, ec_efficiency=EC_EFFICIENCY,
@@ -134,17 +131,16 @@ def test_extra_starts_match_the_reference(length_km, extra_starts):
                    extra_starts=extra_starts) == expected
 
 
-def test_the_benchmark_sweep_replays_370_of_1028_line_searches(monkeypatch):
-    lengths = [5.0 * i for i in range(53)]
-    channel = ChannelModel()
+def test_the_benchmark_sweep_replays_370_of_1028_line_searches(monkeypatch, capsys):
+    argv = ["sweep", "--N", "1e10", "--Lmin", "0", "--Lmax", "260", "--step", "5"]
     calls = _count_line_searches(monkeypatch)
-    memoized = io.StringIO()
-    write_rate_csv(sweep_distance(lengths, 1e10, channel), memoized)
+    assert main(argv) == 0
+    memoized = capsys.readouterr().out
     ran = calls[0]
     # the same sweep over the reference optimizer runs every line search
     monkeypatch.setattr(rates, "optimize_params", reference_optimize)
-    plain = io.StringIO()
-    write_rate_csv(sweep_distance(lengths, 1e10, channel), plain)
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
     requested = calls[0] - ran
-    assert memoized.getvalue() == plain.getvalue()
+    assert memoized == plain
     assert (ran, requested - ran) == (658, 370)

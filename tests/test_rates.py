@@ -1,6 +1,5 @@
 """Key rate evaluation, optimization, and distance sweeps."""
 
-import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -24,12 +23,17 @@ from triqss import (
     sweep_distance,
 )
 from triqss import rates
+from triqss.cli import main
 from triqss.finitekey import EC_EFFICIENCY, key_length, key_length_raw, phase_error_upper_bound
 from triqss.optics import bit_error_x, gain, transmittance
-from triqss.rates import write_rate_csv
 from triqss.roundtable import set_shares
 
 SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "refs" / "sweep_finite_1e10.csv"
+
+
+def _csv_lines(out):
+    """The lines of a ``sweep`` output past its ``#`` header: column names, then rows."""
+    return [line for line in out.splitlines() if not line.startswith("#")]
 
 
 def _spy_on_evaluators(monkeypatch):
@@ -362,23 +366,19 @@ class TestSweeps:
         assert all(p.px == 1.0 for p in points)
         assert all(math.isinf(p.n_pulses) for p in points)
 
-    def test_rows_match_the_reference_curve(self, monkeypatch):
+    def test_rows_match_the_reference_curve(self, monkeypatch, capsys):
         calls = _spy_on_evaluators(monkeypatch)
-        buf = io.StringIO()
-        write_rate_csv(sweep_distance([5.0 * i for i in range(53)], 1e10, ChannelModel()), buf)
+        assert main(["sweep", "--N", "1e10", "--Lmin", "0", "--Lmax", "260", "--step", "5"]) == 0
         reference = [line for line in SWEEP_REFERENCE.read_text().splitlines()
                      if not line.startswith("#")]
-        assert buf.getvalue().splitlines()[1:] == reference[1:]
+        assert _csv_lines(capsys.readouterr().out) == reference
         # one evaluator per distance; it evaluates 15,828 of the 24,363
         # points requested, and the best point at each of the 47 with a key
         assert (len(calls), sum(calls)) == (53, 15_828 + 47)
 
-    def test_csv_rendering(self):
-        ch = ChannelModel()
-        points = sweep_distance([0.0, 50.0], 1e10, ch)
-        buf = io.StringIO()
-        write_rate_csv(points, buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_rendering(self, capsys):
+        assert main(["sweep", "--N", "1e10", "--Lmin", "0", "--Lmax", "50", "--step", "50"]) == 0
+        lines = _csv_lines(capsys.readouterr().out)
         assert lines[0] == "L_km,mu,px,rate_per_pulse,ell,Ep_bar,EbX,N"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0"

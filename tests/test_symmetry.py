@@ -7,14 +7,28 @@ with turns 0 and 2 exchanged, and discarded cells onto discarded cells.
 Turns that differ by 2 swap the lit detector, and the YAC flip swaps the
 correct bit with it, so a cell and its partner click alike, detector for
 detector once swapped, and err alike.
+
+The analysis is symmetric too: exchanging the two Y sets' counts leaves the
+key rate as it was, and a count table transformed by the exchange tallies to
+the same X set with the Y sets swapped, and rates alike.
 """
 
+import csv
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from triqss import protocol
+from triqss.cli import _infer_from_name, main
+from triqss.expdata import _SLOT_OF_TRIPLE, experiment_skr, tally_table
 from triqss.optics import ChannelModel, SourceParams
-from triqss.roundtable import CELL_BIT, CELL_TAG, CELL_TURNS, SetTag, _SETTINGS
+from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, CELL_TURNS, SetTag, _SETTINGS
+
+from conftest import FIXTURES
+
+TABLES = sorted(FIXTURES.glob("tableIII*_mu*.csv"))
 
 
 def exchange_players() -> list[int]:
@@ -69,3 +83,77 @@ def test_partners_click_alike(mu, length_km, eta_d, dark, misalignment):
             lone = lone[::-1]
         assert (lone1[partner], lone2[partner]) == lone
         assert (none[partner], double[partner]) == (none[cell], double[cell])
+
+
+def exchange_triples() -> dict:
+    """Each count table triple's partner under the player exchange.
+
+    A triple is a cell's quarter turns with the dealer's extra pi added on
+    phase_c.  Its partner is the partner cell's quarter turns, which are the
+    triple's with phase_a and phase_b exchanged.  Where the partners light
+    different detectors, the extra pi is moved too, so that each count
+    stays on its detector and keeps its meaning, correct bit or error.
+    """
+    quarters = list(zip(*CELL_QUARTERS))
+    partner_of = {}
+    for cell, partner in enumerate(PARTNER):
+        (q_a, q_b, q_c), (p_a, p_b, p_c) = quarters[cell], quarters[partner]
+        for extra in (0, 1):
+            partner_of[q_a, q_b, q_c + 2 * extra] = (
+                p_a, p_b, p_c + 2 * (extra ^ detectors_swap(cell)))
+    return partner_of
+
+
+TRIPLE_PARTNER = exchange_triples()
+
+
+def test_the_exchange_maps_table_triples_onto_the_exchanged_sets():
+    assert sorted(TRIPLE_PARTNER) == sorted(TRIPLE_PARTNER.values()) == sorted(_SLOT_OF_TRIPLE)
+    moved = 0
+    for (a, b, c), partner in TRIPLE_PARTNER.items():
+        tag, lit = _SLOT_OF_TRIPLE[a, b, c]
+        assert _SLOT_OF_TRIPLE[partner] == (PARTNER_TAG[tag], lit)
+        assert partner[:2] == (b, a) and partner[2] % 2 == c % 2
+        moved += tag in (SetTag.YBC_SET, SetTag.YAC_SET) and partner[2] != c
+    # the lit detector swaps on every Y-set triple
+    assert moved == 16
+
+
+def summary_of(path):
+    mu, px = _infer_from_name(str(path))
+    return tally_table(path, mu=mu, px=px)
+
+
+def exchange_y_sets(summary):
+    return replace(summary, n_ybc=summary.n_yac, m_ybc=summary.m_yac,
+                   n_yac=summary.n_ybc, m_yac=summary.m_ybc)
+
+
+@pytest.mark.parametrize("channel", [None, ChannelModel(length_km=5.0)],
+                         ids=["observed-gain", "model-gain"])
+@pytest.mark.parametrize("n_pulses", [1e9, 5e10, 1e12])
+@pytest.mark.parametrize("table", TABLES, ids=lambda path: path.stem)
+def test_exchanging_the_y_sets_keeps_the_key(table, n_pulses, channel):
+    summary = summary_of(table)
+    rated, exchanged = (experiment_skr(s, n_pulses, channel=channel)
+                        for s in (summary, exchange_y_sets(summary)))
+    assert (exchanged.ell, exchanged.ep_bar) == (rated.ell, rated.ep_bar)
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda path: path.stem)
+def test_an_exchanged_table_tallies_and_rates_alike(table, tmp_path, capsys):
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[:3] = map(str, TRIPLE_PARTNER[tuple(int(v) for v in row[:3])])
+    # the same file name, from which analyze reads mu and px
+    exchanged = tmp_path / table.name
+    with open(exchanged, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    assert summary_of(exchanged) == exchange_y_sets(summary_of(table))
+    for gain in ([], ["--analytic-gain", "--length-km", "5"]):
+        assert main(["analyze", str(table), str(exchanged), *gain]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        assert len(lines) == 3 and lines[1] == lines[2]
