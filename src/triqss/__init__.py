@@ -29,7 +29,6 @@ _EXPORTS = {
     "CountRow": "expdata",
     "ExperimentSummary": "expdata",
     "experiment_skr": "expdata",
-    "observed_sifted_gain": "expdata",
     "parse_counts": "expdata",
     "tally_sets": "expdata",
     "tally_table": "expdata",

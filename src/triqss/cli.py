@@ -95,13 +95,13 @@ _FIBER_FLAGS = (
     ("--dark", "dark count probability per gate"),
     ("--ed", "misalignment probability"),
 )
-_SECURITY_FLAGS = (
-    ("--fe", "error correction efficiency, at least 1"),
+_EPS_FLAGS = (
     ("--eps-c", "correctness failure probability"),
     ("--eps-pa", "privacy amplification failure probability"),
     ("--eps-a", "observed-to-expected bound failure probability"),
     ("--eps-b", "expected-to-observed bound failure probability"),
 )
+_SECURITY_FLAGS = (("--fe", "error correction efficiency, at least 1"), *_EPS_FLAGS)
 
 
 # subcommand -> (help, float flag groups, its own flags as (flag, add_argument
@@ -237,6 +237,12 @@ class Settings:
         # the config keys are the field names, in field order
         return EpsilonBudget(**{f.name: self.get(f.name, float, f.default)
                                 for f in fields(EpsilonBudget)})
+
+
+def _given(settings: Settings, flags) -> list:
+    """The flags of a flag group that a flag or a config key sets."""
+    return [flag for flag, _ in flags
+            if settings.flag_or_config(flag[2:].replace("-", "_")) is not None]
 
 
 @contextlib.contextmanager
@@ -380,6 +386,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     step = settings.get("step", float, 5.0)
     if not n_pulses > 0:
         raise ParameterError("--N must be positive")
+    # the asymptotic curve spends no failure budget, though the header echoes it
+    unread = _given(settings, _EPS_FLAGS) if math.isinf(n_pulses) else []
+    if unread:
+        raise ParameterError(f"{', '.join(unread)} not read by sweep --N inf")
     lengths = distance_grid(lmin, lmax, step)
     if math.isinf(n_pulses):
         points = rates.asymptotic_sweep(lengths, channel, fe)
@@ -427,23 +437,21 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     analytic = ns.analytic_gain
     # without --analytic-gain the channel model is never built, so a channel
     # setting from a flag or the config would go unread
-    given = [flag for flag, _ in _LENGTH_FLAGS + _FIBER_FLAGS
-             if settings.flag_or_config(flag[2:].replace("-", "_")) is not None]
+    given = _given(settings, _LENGTH_FLAGS + _FIBER_FLAGS)
     if given and not analytic:
         raise ParameterError(f"{', '.join(given)} needs --analytic-gain")
     settings.effective["gain_mode"] = "analytic" if analytic else "observed"
     channel = settings.channel() if analytic else None
+    # mu/px: explicit flag or config wins, else inferred from each file
+    # name; the global defaults are NOT applied here because silently
+    # rating a table at the wrong intensity would be worse than failing.
+    mu_given, px_given = settings.flag_or_config("mu"), settings.flag_or_config("px")
 
     results = []
     for path in ns.tables:
-        # mu/px: explicit flag or config wins, else inferred from the file
-        # name; the global defaults are NOT applied here because silently
-        # rating a table at the wrong intensity would be worse than failing.
         mu_name, px_name = _infer_from_name(path)
-        mu = settings.flag_or_config("mu")
-        px = settings.flag_or_config("px")
-        mu = mu if mu is not None else mu_name
-        px = px if px is not None else px_name
+        mu = mu_given if mu_given is not None else mu_name
+        px = px_given if px_given is not None else px_name
         if mu is None or px is None:
             raise ParameterError(
                 f"{path}: cannot infer mu/px from the file name; pass --mu and --px"
@@ -483,7 +491,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         out.append(report.render_kv(body))
     else:
         # summary table, one row per input, ordered by px then mu descending
-        results.sort(key=lambda r: (-(r[1].px or 0), -(r[1].mu or 0)))
+        results.sort(key=lambda r: (-r[1].px, -r[1].mu))
         out.append("px,mu,EbX_pct,EbY_pct,Ep_pct,n_x,n_y,skr_per_pulse,skr_per_s\n")
         for path, summary, result in results:
             row = [

@@ -175,27 +175,6 @@ def tally_table(source, *, mu: float | None = None,
     return _tally(_checked_lines(source), mu, px)
 
 
-def observed_sifted_gain(summary: ExperimentSummary, n_pulses: float, px: float) -> float:
-    """Per-round click probability inferred from the sifted counts.
-
-    The sifted sets witness a fraction ``px^3 + 2 px (1-px)^2`` of all
-    rounds, so the gain estimate is the sifted total over that share of the
-    emitted pulses.  A gain above one means the counts cannot come from
-    ``n_pulses`` pulses and is rejected.
-    """
-    if not 0 < n_pulses < math.inf:
-        raise ParameterError("n_pulses must be positive and finite")
-    if not 0 < px < 1:
-        raise ParameterError("X-basis probability must be in (0, 1)")
-    share_x, share_y = set_shares(px)
-    q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
-    if q > 1.0:
-        raise ParameterError(
-            f"sifted counts imply a gain of {q:.6g} per pulse; n_pulses={n_pulses:g} is too small"
-        )
-    return q
-
-
 def experiment_skr(
     summary: ExperimentSummary,
     n_pulses: float,
@@ -225,7 +204,12 @@ def experiment_skr(
     SourceParams(intensity=mu, px=px)   # raises on a value outside its domain
 
     if channel is None:
-        q = observed_sifted_gain(summary, n_pulses, px)
+        # the sifted sets witness a share px^3 + 2 px (1-px)^2 of all rounds
+        share_x, share_y = set_shares(px)
+        q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
+        if q > 1.0:
+            raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "
+                                 f"n_pulses={n_pulses:g} is too small")
     else:
         q = gain(mu, transmittance(channel), channel.dark_count)
     if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
@@ -240,8 +224,6 @@ def experiment_skr(
                                          ec_efficiency, budget)
     return KeyRateReport(
         n_pulses=n_pulses,
-        n_x=summary.n_x,
-        eb_x=summary.eb_x,
         ep_bar=worst.ep_bar,
         lambda_ec=lam_ec,
         ell=ell,

@@ -510,8 +510,6 @@ class KeyRateReport:
     """Result of one finite-size key rate evaluation."""
 
     n_pulses: float
-    n_x: float
-    eb_x: float
     ep_bar: float
     lambda_ec: float
     ell: int

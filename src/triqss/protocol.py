@@ -76,8 +76,8 @@ import numpy as np
 
 from . import roundtable
 from .errors import ParameterError, ProtocolAbortError
-from .optics import ChannelModel, SourceParams, _port_clicks, gain, transmittance
-from .roundtable import SetCounts, SetTag, set_shares
+from .optics import ChannelModel, SourceParams, _port_clicks, transmittance
+from .roundtable import SetCounts, SetTag
 
 # detections in the first chunk, and in each later one (see _chunk_detections);
 # a run at 30 dB with thresholds (200, 1, 1) keeps about 300
@@ -201,7 +201,7 @@ class _DetectionTables(NamedTuple):
     none_cdf: np.ndarray     # over the 32 cells, for rounds with no click
     guide: np.ndarray        # guide table of cdf
     none_guide: np.ndarray   # guide table of none_cdf
-    set_gains: tuple         # chance that a round adds to the X set, and to each Y set
+    set_gains: tuple         # chance that a round adds to the X, YBC and YAC sets
 
 
 # bins of a guide table; a power of two, so u * _GUIDE_BINS and j / _GUIDE_BINS
@@ -244,9 +244,9 @@ def _draw(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _detection_tables(source: SourceParams, channel: ChannelModel) -> _DetectionTables:
     """Round table weights for one source and channel, cached and read-only.
 
-    ``p_det`` sums every detected category, double clicks included, so it
-    sits slightly above :func:`~triqss.optics.gain`, which counts single
-    clicks only.
+    ``p_det`` and ``set_gains`` sum the detected categories, double clicks
+    included, so they sit slightly above :func:`~triqss.optics.gain` and its
+    set shares, which count single clicks only.
     """
     only0, only1, none, double = _cell_probabilities(source, channel)
     basis_p = np.array([source.px, 1.0 - source.px])
@@ -258,9 +258,8 @@ def _detection_tables(source: SourceParams, channel: ChannelModel) -> _Detection
     arrays = (cdf, none_cdf, _guide(cdf), _guide(none_cdf))
     for a in arrays:
         a.flags.writeable = False   # every caller shares the cached arrays
-    q = gain(source.intensity, transmittance(channel), channel.dark_count)
-    share_x, share_y = set_shares(source.px)
-    return _DetectionTables(p_det, *arrays, (share_x * q, share_y * q))
+    set_gains = tuple(np.bincount(_CAT_TAG, weights, 4)[:3].tolist())
+    return _DetectionTables(p_det, *arrays, set_gains)
 
 
 def _generator(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -499,10 +498,10 @@ def run_protocol(
 
     tables = _detection_tables(source, channel)
     if thresholds is not None and max_rounds is None:
-        p_x, p_y = tables.set_gains
-        if p_x <= 0.0 or p_y <= 0.0:
+        p_x, p_ybc, p_yac = tables.set_gains
+        if min(tables.set_gains) <= 0.0:
             raise ProtocolAbortError("thresholds unreachable: zero detection probability")
-        expected = max(thresholds.n_x / p_x, thresholds.n_ybc / p_y, thresholds.n_yac / p_y)
+        expected = max(thresholds.n_x / p_x, thresholds.n_ybc / p_ybc, thresholds.n_yac / p_yac)
         # compare before converting: the cap can overflow to inf
         cap = 100.0 * expected
         max_rounds = math.ceil(cap) if cap < MAX_ROUNDS else MAX_ROUNDS

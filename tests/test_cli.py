@@ -522,6 +522,22 @@ class TestSweep:
         assert rows["270"] == "270,nan,nan,0,0,nan,nan,inf"
         assert rows["280"] == "280,nan,nan,0,0,nan,nan,inf"
 
+    @pytest.mark.parametrize("flag", ["--eps-c", "--eps-pa", "--eps-a", "--eps-b"])
+    def test_asymptotic_sweep_rejects_a_failure_budget_flag(self, capsys, flag):
+        # the asymptotic curve never reads the budget
+        code, out, err = run(capsys, ["sweep", "--N", "inf", flag, "0.3"])
+        assert code == EXIT_INPUT
+        assert err == f"input error: {flag} not read by sweep --N inf\n"
+        assert out == ""
+
+    def test_asymptotic_sweep_rejects_a_failure_budget_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_pulses = inf\neps_a = 0.3\neps_b = 1e-9\n")
+        code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert err == "input error: --eps-a, --eps-b not read by sweep --N inf\n"
+        assert out == ""
+
     def test_bad_grid_exits_3(self, capsys):
         code, _, err = run(capsys, ["sweep", "--Lmin", "10", "--Lmax", "0"])
         assert code == EXIT_INPUT
@@ -797,7 +813,8 @@ class TestInputFiles:
 
     def test_config_keys_are_flag_dests(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_pulses = inf\nlmax = 10\neta_d = 0.5\neps_a = 1e-9\n")
+        # a finite N, as the asymptotic curve rejects eps_a
+        cfg.write_text("n_pulses = 1e10\nlmax = 10\neta_d = 0.5\neps_a = 1e-9\n")
         code, out, _ = run(capsys, ["sweep", "--config", str(cfg)])
         assert code == EXIT_OK
         assert "# config.eta_d = 0.5" in out

@@ -16,14 +16,13 @@ from triqss import (
     ParameterError,
     SetTag,
     experiment_skr,
-    observed_sifted_gain,
     parse_counts,
     tally_sets,
     tally_table,
 )
 from triqss.cli import main
 from triqss.expdata import _SLOT_OF_TRIPLE
-from triqss.optics import binary_entropy
+from triqss.optics import binary_entropy, coin_imbalance
 from triqss.report import parse_kv
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 
@@ -319,25 +318,30 @@ class TestOnePassReader:
 
 
 class TestObservedGain:
+    """The observed sifted gain, read through the coin imbalance that
+    :func:`experiment_skr` rates the table with."""
+
+    def load(self, fixtures_dir, px=0.9):
+        return tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")), mu=9e-4, px=px)
+
     def test_reference_value(self, fixtures_dir):
-        s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
-        assert observed_sifted_gain(s, 5e10, 0.9) == pytest.approx(
-            2.1565274431057558e-05, rel=1e-12)
+        r = experiment_skr(self.load(fixtures_dir), 5e10)
+        assert r.phase.delta == pytest.approx(
+            coin_imbalance(9e-4, 2.1565274431057558e-05), rel=1e-12)
 
     def test_rejects_nonpositive_pulses(self, fixtures_dir):
-        s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
+        s = self.load(fixtures_dir)
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
-                observed_sifted_gain(s, bad, 0.9)
+                experiment_skr(s, bad)
         # more sifted clicks than pulses
-        with pytest.raises(ParameterError):
-            observed_sifted_gain(s, 10.0, 0.9)
+        with pytest.raises(ParameterError, match="sifted counts imply a gain"):
+            experiment_skr(s, 10.0)
 
     @pytest.mark.parametrize("px", [0.0, 1.0, 2.0, -1.0, float("nan")])
     def test_rejects_px_outside_its_domain(self, fixtures_dir, px):
-        s = tally_sets(parse_counts(table_path(fixtures_dir, "a", "9e-4")))
         with pytest.raises(ParameterError):
-            observed_sifted_gain(s, 5e10, px)
+            experiment_skr(self.load(fixtures_dir, px), 5e10)
 
 
 class TestExperimentSkr:
@@ -355,10 +359,11 @@ class TestExperimentSkr:
 
     @pytest.mark.parametrize("table,mu", sorted(EXPECTED_TALLIES))
     def test_reported_leak_is_the_one_subtracted(self, fixtures_dir, table, mu):
-        r = experiment_skr(self.load(fixtures_dir, table, mu), 5e10, ec_efficiency=1.3)
+        s = self.load(fixtures_dir, table, mu)
+        r = experiment_skr(s, 5e10, ec_efficiency=1.3)
         assert r.ell > 0
-        assert r.lambda_ec == r.n_x * 1.3 * binary_entropy(r.eb_x)
-        raw = (r.n_x * (1.0 - binary_entropy(min(r.ep_bar, 0.5))) - r.lambda_ec
+        assert r.lambda_ec == s.n_x * 1.3 * binary_entropy(s.eb_x)
+        raw = (s.n_x * (1.0 - binary_entropy(min(r.ep_bar, 0.5))) - r.lambda_ec
                - (1.0 - math.log2(r.budget.eps_c)) - (-2.0 - 2.0 * math.log2(r.budget.eps_pa)))
         assert math.floor(raw) == r.ell
 

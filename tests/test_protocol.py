@@ -696,6 +696,21 @@ class TestDetectionTables:
         protocol._detection_tables.cache_clear()
         _same_run(first, run_protocol(twin, bench_channel, seed=3, thresholds=(200, 1, 1)))
 
+    def test_set_gains_are_the_sampled_set_rates(self):
+        # a round joins each set independently, so a set's detections over a
+        # fixed number of rounds are binomial at its set gain.  At a dark
+        # count of 0.2 double clicks are common, and a gain of lone clicks
+        # only (0.1099 for the X set) falls far below the sampled 0.124.
+        # Seed, rounds and the bound (exact two-sided tail at least 1e-3)
+        # were fixed before the first run
+        src = SourceParams(intensity=9e-4, px=0.7)
+        channel = ChannelModel(length_km=0.0, dark_count=0.2)
+        rounds = 10 ** 5
+        t = run_protocol(src, channel, seed=5, max_rounds=rounds).tallies
+        set_gains = protocol._detection_tables(src, channel).set_gains
+        for n, p in zip((t.n_x, t.n_ybc, t.n_yac), set_gains, strict=True):
+            assert binomial_two_sided_p(n, rounds, p) >= 1e-3, (n, rounds, p)
+
 
 class TestTraceBytes:
     """The byte writer against the per-row reference it replaced."""

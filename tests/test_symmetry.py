@@ -8,12 +8,17 @@ Turns that differ by 2 swap the lit detector, and the YAC flip swaps the
 correct bit with it, so a cell and its partner click alike, detector for
 detector once swapped, and err alike.
 
+The simulator draws the two Y sets alike: given both sets' detections, a
+Y detection falls in YBC with chance 1/2, and given their errors, YBC's
+share of them is hypergeometric.
+
 The analysis is symmetric too: exchanging the two Y sets' counts leaves the
 key rate as it was, and a count table transformed by the exchange tallies to
 the same X set with the Y sets swapped, and rates alike.
 """
 
 import csv
+import math
 from dataclasses import replace
 
 import pytest
@@ -24,9 +29,11 @@ from triqss import protocol
 from triqss.cli import _infer_from_name, main
 from triqss.expdata import _SLOT_OF_TRIPLE, experiment_skr, tally_table
 from triqss.optics import ChannelModel, SourceParams
-from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, CELL_TURNS, SetTag, _SETTINGS
+from triqss.roundtable import (CELL_BIT, CELL_QUARTERS, CELL_TAG, CELL_TURNS, SetCounts, SetTag,
+                               _SETTINGS)
 
 from conftest import FIXTURES
+from test_protocol import binomial_two_sided_p
 
 TABLES = sorted(FIXTURES.glob("tableIII*_mu*.csv"))
 
@@ -83,6 +90,67 @@ def test_partners_click_alike(mu, length_km, eta_d, dark, misalignment):
             lone = lone[::-1]
         assert (lone1[partner], lone2[partner]) == lone
         assert (none[partner], double[partner]) == (none[cell], double[cell])
+
+
+def hypergeometric_two_sided_p(k, n, n_other, errors):
+    """Exact two-sided tail of ``k`` of ``errors`` errors in a set of ``n``
+    detections, beside a set of ``n_other``: Fisher's test, hypergeometric
+    given both sets' detections and errors, twice the smaller of
+    ``P(K <= k)`` and ``P(K >= k)``, at most 1."""
+    def log_choose(total, part):
+        return math.lgamma(total + 1) - math.lgamma(part + 1) - math.lgamma(total - part + 1)
+
+    head = log_choose(n + n_other, errors)
+
+    def pmf(j):
+        return math.exp(log_choose(n, j) + log_choose(n_other, errors - j) - head)
+
+    lowest, highest = max(0, errors - n_other), min(n, errors)
+    lower = math.fsum(pmf(j) for j in range(lowest, k + 1))
+    upper = math.fsum(pmf(j) for j in range(k, highest + 1))
+    return min(1.0, 2.0 * min(lower, upper))
+
+
+def test_hypergeometric_tail_of_a_small_case():
+    # two errors among two sets of two: P(K = 0) = P(K = 2) = 1/6
+    assert hypergeometric_two_sided_p(0, 2, 2, 2) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert hypergeometric_two_sided_p(1, 2, 2, 2) == 1.0
+    assert hypergeometric_two_sided_p(2, 2, 2, 2) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+class TestSimulatedYSets:
+    """The simulator's two Y sets, over fixed seeds, against the symmetry.
+
+    0 km, mu 9e-4, px 0.5 and the default channel, 1e8 rounds, about 9,000
+    detections per Y set.  Seeds, settings and the bound (exact two-sided
+    tail at least 1e-3, per seed and pooled) were fixed before the first run.
+    """
+
+    SEEDS = (1501, 1502, 1503)
+    SOURCE = SourceParams(intensity=9e-4, px=0.5)
+    CHANNEL = ChannelModel(length_km=0.0)
+    ROUNDS = 10 ** 8
+    MIN_TAIL = 1e-3
+
+    @pytest.fixture(scope="class")
+    def tallies(self):
+        return [protocol.run_protocol(self.SOURCE, self.CHANNEL, seed=s,
+                                      max_rounds=self.ROUNDS).tallies for s in self.SEEDS]
+
+    def test_a_y_detection_is_ybc_with_chance_one_half(self, tallies):
+        for t in [*tallies, SetCounts(n_ybc=sum(t.n_ybc for t in tallies),
+                                      n_yac=sum(t.n_yac for t in tallies))]:
+            assert t.n_ybc >= 8000 and t.n_yac >= 8000, t
+            assert binomial_two_sided_p(t.n_ybc, t.n_y, 0.5) >= self.MIN_TAIL, t
+
+    def test_ybc_holds_a_hypergeometric_share_of_the_y_errors(self, tallies):
+        # pooling keeps the test exact: every seed errs at one rate
+        pooled = [sum(getattr(t, f) for t in tallies) for f in ("n_ybc", "n_yac", "m_ybc", "m_yac")]
+        for n_ybc, n_yac, m_ybc, m_yac in [(t.n_ybc, t.n_yac, t.m_ybc, t.m_yac)
+                                           for t in tallies] + [pooled]:
+            assert m_ybc + m_yac >= 100
+            p = hypergeometric_two_sided_p(m_ybc, n_ybc, n_yac, m_ybc + m_yac)
+            assert p >= self.MIN_TAIL, (n_ybc, n_yac, m_ybc, m_yac)
 
 
 def exchange_triples() -> dict:
