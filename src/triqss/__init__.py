@@ -44,7 +44,6 @@ _EXPORTS = {
     "kato_lower_coeffs": "finitekey",
     "kato_upper_coeffs": "finitekey",
     "key_length": "finitekey",
-    "key_length_raw": "finitekey",
     "observed_to_expected": "finitekey",
     "phase_error_upper_bound": "finitekey",
     "ChannelModel": "optics",

@@ -77,12 +77,6 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
-def _float_or_inf(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinite", "asymptotic"):
-        return math.inf
-    return float(text)
-
-
 # float flag groups, as (flag, help); argparse derives each dest from the flag
 _SOURCE_FLAGS = (("--mu", "pulse intensity per player"), ("--px", "X basis probability"))
 _LENGTH_FLAGS = (
@@ -117,7 +111,7 @@ _SUBCOMMANDS = {
         ("--trace", dict(help="write a per-round trace CSV to this path")),
     )),
     "sweep": ("optimized key rate versus distance", (_FIBER_FLAGS, _SECURITY_FLAGS), (
-        ("--N", dict(type=_float_or_inf, dest="n_pulses",
+        ("--N", dict(type=float, dest="n_pulses",
                      help="total pulses, or 'inf' for the asymptotic curve")),
         ("--Lmin", dict(type=float, dest="lmin", help="start distance, km")),
         ("--Lmax", dict(type=float, dest="lmax", help="end distance, km")),
@@ -380,7 +374,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     channel = settings.channel(with_length=False)
     budget = settings.budget()
     fe = settings.ec_efficiency()
-    n_pulses = settings.get("n_pulses", _float_or_inf, 1e10)
+    n_pulses = settings.get("n_pulses", float, 1e10)
     lmin = settings.get("lmin", float, 0.0)
     lmax = settings.get("lmax", float, 260.0)
     step = settings.get("step", float, 5.0)
@@ -480,8 +474,9 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             "eb_x": summary.eb_x, "eb_ybc": summary.eb_ybc, "eb_yac": summary.eb_yac,
             "eb_y_worst": summary.eb_y_worst,
             "mu": summary.mu, "px": summary.px,
-            "n_pulses": result.n_pulses, "ep_bar": result.ep_bar, "lambda_ec": result.lambda_ec,
-            "ell": result.ell, "rate_per_pulse": result.rate_per_pulse, "abort": result.abort,
+            "n_pulses": result.n_pulses, "ep_bar": result.phase.ep_bar,
+            "lambda_ec": result.lambda_ec, "ell": result.ell,
+            "rate_per_pulse": result.rate_per_pulse, "abort": result.abort,
             "rate_per_second": result.rate_per_second,
             **{"phase." + f.name: getattr(result.phase, f.name) for f in fields(result.phase)},
             **{f.name: getattr(result.budget, f.name) for f in fields(result.budget)},
@@ -497,7 +492,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             row = [
                 report.fmt_value(summary.px), report.fmt_value(summary.mu),
                 f"{100.0 * summary.eb_x:.2f}", f"{100.0 * summary.eb_y_worst:.2f}",
-                f"{100.0 * result.ep_bar:.2f}",
+                f"{100.0 * result.phase.ep_bar:.2f}",
                 str(summary.n_x), str(summary.n_y),
                 report.fmt_value(result.rate_per_pulse),
                 report.fmt_value(result.rate_per_second),

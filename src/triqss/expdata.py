@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
-from .finitekey import _checked_key_length, phase_error_upper_bound
-from .optics import ChannelModel, SourceParams, gain, transmittance
+from .finitekey import _check_ec_efficiency, _key_length, phase_error_upper_bound
+from .optics import ChannelModel, SourceParams, binary_entropy, gain, transmittance
 from .report import read_utf8
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
@@ -198,6 +198,7 @@ def experiment_skr(
         raise ParameterError("n_pulses must be positive and finite")
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0):
         raise ParameterError("rep_rate_hz must be finite and positive")
+    _check_ec_efficiency(ec_efficiency)
     mu, px = summary.mu, summary.px
     if mu is None or px is None:
         raise ParameterError("the summary carries no mu and px; pass them to tally_sets")
@@ -219,12 +220,12 @@ def experiment_skr(
     bound_ac = phase_error_upper_bound(summary.n_x, summary.n_yac, summary.m_yac, mu, q, budget)
     worst = bound_bc if bound_bc.ep_bar >= bound_ac.ep_bar else bound_ac
 
-    # the leak that the key length subtracts is the one reported
-    ell, _, lam_ec = _checked_key_length(summary.n_x, worst.ep_bar, summary.eb_x,
-                                         ec_efficiency, budget)
+    # the leak that the key length subtracts is the one reported; the chain
+    # has rejected n_x <= 0, and its ep_bar is never negative
+    ell, _, lam_ec = _key_length(summary.n_x, worst.ep_bar, binary_entropy(summary.eb_x),
+                                 ec_efficiency, budget)
     return KeyRateReport(
         n_pulses=n_pulses,
-        ep_bar=worst.ep_bar,
         lambda_ec=lam_ec,
         ell=ell,
         rate_per_pulse=ell / n_pulses,

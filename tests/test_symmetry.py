@@ -205,7 +205,7 @@ def test_exchanging_the_y_sets_keeps_the_key(table, n_pulses, channel):
     summary = summary_of(table)
     rated, exchanged = (experiment_skr(s, n_pulses, channel=channel)
                         for s in (summary, exchange_y_sets(summary)))
-    assert (exchanged.ell, exchanged.ep_bar) == (rated.ell, rated.ep_bar)
+    assert (exchanged.ell, exchanged.phase.ep_bar) == (rated.ell, rated.phase.ep_bar)
 
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda path: path.stem)
