@@ -476,7 +476,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             "mu": summary.mu, "px": summary.px,
             "n_pulses": result.n_pulses, "ep_bar": result.phase.ep_bar,
             "lambda_ec": result.lambda_ec, "ell": result.ell,
-            "rate_per_pulse": result.rate_per_pulse, "abort": result.abort,
+            "rate_per_pulse": result.rate_per_pulse, "abort": result.ell == 0,
             "rate_per_second": result.rate_per_second,
             **{"phase." + f.name: getattr(result.phase, f.name) for f in fields(result.phase)},
             **{f.name: getattr(result.budget, f.name) for f in fields(result.budget)},
@@ -499,7 +499,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             ]
             out.append(",".join(row) + "\n")
     _emit(ns, "".join(out))
-    if any(result.abort for _, _, result in results):
+    if any(result.ell == 0 for _, _, result in results):
         return EXIT_ABORT
     return EXIT_OK
 
@@ -563,9 +563,6 @@ def main(argv=None) -> int:
         if exc.filename is None:
             raise
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QssError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -229,7 +229,6 @@ def experiment_skr(
         lambda_ec=lam_ec,
         ell=ell,
         rate_per_pulse=ell / n_pulses,
-        abort=ell == 0,
         rate_per_second=ell / (n_pulses / rep_rate_hz),
         phase=worst,
         budget=budget,

@@ -148,7 +148,10 @@ def _sign(direction: str) -> float:
 
 
 def _validate_kato_args(lam: float, k: float, eps: float) -> None:
-    _check_trials(k)
+    # below one trial the closed form's terms in k fall under its rounding
+    # in t = ln(eps), and b has no real value (k = 1e-20 at eps = 1e-10)
+    if not 1 <= k < math.inf:
+        raise ParameterError("number of trials k must be finite and at least 1")
     if not 0 <= lam <= k:
         raise ParameterError("observed sum must lie in [0, k]")
     _check_eps(eps)
@@ -172,23 +175,22 @@ def _kato_core(lam: float, k: float, t: float, sign: float,
         m = lam if sign > 0.0 else k - lam
         # the upper-tail minimizer at observed sum m
         g = 9.0 * m * (k - m) - 2.0 * k * t
+        # as t < 0 and 0 <= m <= k, a product of factors that are not negative
         inner = -(k * k) * t * g
-        if inner < 0.0:
-            raise NumericalDegeneracyError("negative discriminant in coefficient formula")
         num = 3.0 * (
             72.0 * sk * m * (k - m) * t
             - 16.0 * k * sk * t * t
             + 9.0 * _SQRT2 * (k - 2.0 * m) * math.sqrt(inner)
         )
         a = sign * (num / (4.0 * (9.0 * k - 8.0 * t) * g))
+    # arg = 18 a^2 k + |t| (4 a + 3 sign sqrt(k))^2 is not negative: where the
+    # bracket cancels to a rounding residue, 18 a^2 k (about 10 k^2 at k >= 1)
+    # outweighs it.  Every a reaches here: an overflow in arg (k above about
+    # 1e76 for the closed form) or in a * a * k leaves it inf or nan
     arg = 18.0 * a * a * k - (16.0 * a * a + sign * 24.0 * a * sk + 9.0 * k) * t
-    # every a reaches here: an overflow in it (k above about 1e76 for the
-    # closed form) or in a * a * k leaves arg inf or nan
     if not arg < math.inf:
         raise NumericalDegeneracyError(
             "failure-probability constraint overflows at this number of trials")
-    if arg < 0.0:
-        raise NumericalDegeneracyError("no real b solves the failure-probability constraint")
     b = math.sqrt(arg) / (3.0 * math.sqrt(2.0 * k))
     dev = (b + a * (2.0 * lam / k - 1.0)) * sk
     return a, b, (dev if dev > 0.0 else 0.0)
@@ -400,8 +402,9 @@ def _phase_error_chain(
     its public function wraps, with the budget's derived ``ln(eps_a)`` and
     ``-ln(eps_b)``.  The counts are checked once, up front.
     """
-    if not (0 < n_x < math.inf and 0 < n_y < math.inf):
-        raise ParameterError("detection counts must be positive and finite")
+    # n_y is step 1's number of trials
+    if not (0 < n_x < math.inf and 1 <= n_y < math.inf):
+        raise ParameterError("detection counts must be positive and finite, n_y at least 1")
     if not 0 <= m_y <= n_y:
         raise ParameterError("error count must lie in [0, n_y]")
 
@@ -489,7 +492,6 @@ class KeyRateReport:
     lambda_ec: float
     ell: int
     rate_per_pulse: float
-    abort: bool
     rate_per_second: float
     phase: PhaseErrorBound
     budget: EpsilonBudget

@@ -134,7 +134,6 @@ class ProtocolRun:
     key_a: np.ndarray
     key_b: np.ndarray
     key_c: np.ndarray
-    seed: int
 
     @property
     def rounds_used(self) -> int:
@@ -539,7 +538,6 @@ def run_protocol(
         key_a=key_a,
         key_b=key_b,
         key_c=key_c,
-        seed=seed,
     )
     if thresholds is not None and not done:
         raise ProtocolAbortError(

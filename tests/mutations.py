@@ -1,4 +1,4 @@
-"""Mutation gate: each one-line edit of the physics must make tier-1 fail.
+"""Mutation gate: each small edit of the physics or of a check must make tier-1 fail.
 
     python -m pytest tests/mutations.py
 
@@ -89,6 +89,19 @@ MUTATIONS = (
      "dark, misalignment = channel.dark_count, channel.misalignment",
      "dark, misalignment = channel.dark_count, "
      "channel.misalignment * np.where((_TAG == 1) | (_TAG == 2), 2.0, 1.0)"),
+    ("abort-exit-dropped", "cli.py",
+     '    except ProtocolAbortError as exc:\n        print(f"abort: {exc}", file=sys.stderr)\n'
+     "        return EXIT_ABORT\n",
+     ""),
+    ("misalignment-unchecked", "optics.py",
+     "    if not 0 <= misalignment <= 0.5:\n"
+     '        raise ParameterError("misalignment must be in [0, 0.5]")\n'
+     "    return _gain_and_bit_error(",
+     "    return _gain_and_bit_error("),
+    ("empty-key-set-unchecked", "finitekey.py",
+     "    if n_x <= 0:\n"
+     '        raise ParameterError("key-set detection count must be positive")\n',
+     ""),
 )
 
 

@@ -1,7 +1,9 @@
 """End-to-end command line tests, run in process through ``main(argv)``."""
 
 import argparse
+import errno
 import hashlib
+import io
 import math
 import os
 import re
@@ -13,7 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from triqss import ParameterError
+from triqss import cli, errors
+from triqss.errors import (
+    AllAbortError,
+    CountTableError,
+    DegenerateGainError,
+    NumericalDegeneracyError,
+    ParameterError,
+    ProtocolAbortError,
+    ZeroCountError,
+)
 from triqss.protocol import MAX_ROUNDS
 from triqss.cli import (
     EXIT_ABORT,
@@ -136,6 +147,13 @@ class TestKato:
         assert "numerical degeneracy" in err
         assert out == ""
 
+    def test_fewer_than_one_trial_exits_3(self, capsys):
+        # below one trial the closed form's constraint once had no real b,
+        # and the command exited 4
+        code, out, err = run(capsys, ["kato", "--k", "1e-20", "--lam", "0"])
+        assert code == EXIT_INPUT
+        assert "at least 1" in err and out == ""
+
     def test_largest_decade_without_overflow(self, capsys):
         code, out, _ = run(capsys, ["kato", "--k", "1e76", "--lam", "5e75"])
         assert code == EXIT_OK
@@ -182,6 +200,14 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", str(anon)])
         assert code == EXIT_INPUT
         assert "cannot infer" in err
+
+    def test_name_whose_intensity_is_no_number_exits_3(self, capsys, tmp_path):
+        # "mu1.2.3" matches the name pattern, but float() rejects it
+        named = tmp_path / "mu1.2.3_tableIIIa.csv"
+        named.write_text((FIXTURES / "tableIIIa_mu9e-4.csv").read_text())
+        code, out, err = run(capsys, ["analyze", str(named)])
+        assert code == EXIT_INPUT
+        assert "cannot infer mu/px" in err and out == ""
 
     def test_explicit_params_rescue_anonymous_file(self, capsys, tmp_path):
         anon = tmp_path / "counts.csv"
@@ -413,6 +439,15 @@ class TestSimulate:
         body = parse_kv(out)
         assert body["rounds_used"] == "1000000"
         assert body["n_x"] == body["n_ybc"] == body["n_yac"] == body["key_bits"] == "0"
+
+    def test_unreachable_thresholds_exit_2(self, capsys):
+        # no light and no dark counts: the run aborts before its first round,
+        # with no partial run to report
+        code, out, err = run(capsys, ["simulate", "--seed", "1", "--mu", "0", "--dark", "0",
+                                      "--nx", "1", "--nybc", "1", "--nyac", "1"])
+        assert code == EXIT_ABORT
+        assert err.startswith("abort: thresholds unreachable")
+        assert out == ""
 
     def test_zero_attenuation_with_loss_exits_3(self, capsys):
         code, out, err = run(capsys, ["simulate", "--seed", "1", "--rounds", "10",
@@ -730,6 +765,51 @@ class TestParserBehavior:
             main([command, *VALID_ARGS[command], flag, "1"])
         assert info.value.code == EXIT_INPUT
 
+    def test_help_to_a_given_file(self, capsys):
+        buf = io.StringIO()
+        build_parser().print_help(buf)
+        assert buf.getvalue().startswith("usage: triqss")
+        assert capsys.readouterr() == ("", "")
+
+
+# the documented exit code and stderr prefix of each error type
+ERROR_EXITS = {
+    ParameterError: (EXIT_INPUT, "input error: "),
+    CountTableError: (EXIT_INPUT, "input error: "),
+    DegenerateGainError: (EXIT_NUMERIC, "numerical degeneracy: "),
+    NumericalDegeneracyError: (EXIT_NUMERIC, "numerical degeneracy: "),
+    ProtocolAbortError: (EXIT_ABORT, "abort: "),
+    ZeroCountError: (EXIT_ABORT, "abort: "),
+    AllAbortError: (EXIT_ABORT, "abort: "),
+}
+
+
+class TestErrorExits:
+    def test_every_error_type_has_an_exit(self):
+        defined = {value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, errors.QssError)}
+        assert set(ERROR_EXITS) == defined - {errors.QssError}
+
+    @pytest.mark.parametrize("error", list(ERROR_EXITS), ids=lambda error: error.__name__)
+    def test_error_from_a_subcommand(self, capsys, monkeypatch, error):
+        def fail(ns):
+            raise error("raised by the subcommand")
+
+        monkeypatch.setitem(cli._COMMANDS, "kato", fail)
+        code, out, err = run(capsys, ["kato"])
+        assert (code, out) == (ERROR_EXITS[error][0], "")
+        assert err == ERROR_EXITS[error][1] + "raised by the subcommand\n"
+
+    def test_os_error_without_a_file_name_is_raised(self, monkeypatch):
+        # only a path the user named is an input error
+        def fail(ns):
+            raise OSError(errno.EIO, "I/O error")
+
+        monkeypatch.setitem(cli._COMMANDS, "kato", fail)
+        with pytest.raises(OSError) as info:
+            main(["kato"])
+        assert info.value.filename is None
+
 
 class TestInputFiles:
     # each opens the directory through a different user-named path
@@ -782,6 +862,10 @@ class TestInputFiles:
         assert code == EXIT_INPUT
         assert err == "input error: config line 2: not valid UTF-8: byte 0xff\n"
         assert out == ""
+
+    def test_config_line_with_an_empty_key_is_rejected(self):
+        with pytest.raises(ParameterError, match=r"^config line 2: empty key$"):
+            parse_kv("k = 1\n= 1\n")
 
     def test_config_with_a_byte_order_mark(self, capsys, tmp_path):
         # the mark stayed on the first key, which was then not a setting

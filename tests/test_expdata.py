@@ -360,7 +360,7 @@ class TestExperimentSkr:
         assert r.rate_per_pulse == pytest.approx(3.98856e-06, rel=1e-9)
         assert r.rate_per_second == pytest.approx(398.856, rel=1e-9)
         assert r.phase.ep_bar == pytest.approx(0.16973920492264538, rel=1e-12)
-        assert not r.abort
+        assert r.ell > 0
 
     @pytest.mark.parametrize("table,mu", sorted(EXPECTED_TALLIES))
     def test_reported_leak_is_the_one_subtracted(self, fixtures_dir, table, mu):

@@ -23,7 +23,7 @@ from triqss import (
     observed_to_expected,
     phase_error_upper_bound,
 )
-from triqss.finitekey import _key_length
+from triqss.finitekey import _kato_core, _key_length
 from triqss.optics import binary_entropy
 
 import decimal_chain
@@ -118,6 +118,12 @@ class TestClosedFormCoefficients:
             expected_to_observed(5.0, math.inf, 1e-10, "upper")
         with pytest.raises(ParameterError):
             azuma_deviation(math.inf, 1e-10)
+        # below one trial the constraint once had no real b (k = 1e-20)
+        for k in (1e-20, 0.5):
+            with pytest.raises(ParameterError, match="at least 1"):
+                kato_upper_coeffs(0.0, k, 1e-10)
+            with pytest.raises(ParameterError, match="at least 1"):
+                kato_coeffs_numeric(0.0, k, 1e-10, "lower")
 
     @pytest.mark.parametrize("k", [1e77, 1e200])
     @pytest.mark.parametrize("coeffs", [kato_upper_coeffs, kato_lower_coeffs])
@@ -255,6 +261,7 @@ class TestPhaseErrorPipeline:
 
     @pytest.mark.parametrize("n_x,n_y", [
         (math.inf, N_Y), (N_X, math.inf), (math.nan, N_Y), (N_X, math.nan), (0.0, N_Y), (N_X, -1.0),
+        (N_X, 0.5),
     ])
     def test_rejects_counts_that_are_not_positive_and_finite(self, budget, n_x, n_y):
         with pytest.raises(ParameterError, match="positive and finite"):
@@ -364,6 +371,11 @@ class TestKeyLength:
         assert key_length(1e300, 0.1, 0.0, 1e308, budget) == \
             key_length(1e300, 0.1, 0.0, 1.0, budget) > 5e299
 
+    @pytest.mark.parametrize("n_x", [0, -1.0])
+    def test_rejects_a_key_set_without_detections(self, budget, n_x):
+        with pytest.raises(ParameterError, match=r"^key-set detection count must be positive$"):
+            key_length(n_x, 0.1, 0.01, 1.16, budget)
+
     def test_rejects_inefficient_correction(self, budget):
         for fe in (0.9, math.nan, math.inf):
             with pytest.raises(ParameterError):
@@ -399,6 +411,30 @@ def floor_plus(y: Decimal) -> int:
 
 
 EPS_RANGE = st.one_of(st.floats(1e-15, 0.3), log_uniform(-15.0, math.log10(0.3)))
+
+
+class TestKatoCoreDomain:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.one_of(log_uniform(0.0, 76.0), st.sampled_from([1.0, 1e76])),
+        lam_share=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        eps=st.one_of(log_uniform(-300.0, math.log10(0.9)), st.sampled_from([1e-300, 0.9])),
+        sign=st.sampled_from([1.0, -1.0]),
+        # a in units of 3 sqrt(k): the closed form's (None), the numeric
+        # search bracket, and its two points where 4a + 3 sqrt(k) cancels
+        a_share=st.one_of(st.none(), st.floats(-1.0, 1.0), st.sampled_from([-0.25, 0.25])),
+    )
+    def test_only_an_overflow_is_degenerate(self, k, lam_share, eps, sign, a_share):
+        # at k >= 1 the closed form's discriminant and the constraint's
+        # 18 k b^2 are sums and products of terms that are not negative
+        lam = min(lam_share * k, k)
+        a = None if a_share is None else a_share * 3.0 * math.sqrt(k)
+        try:
+            _, b, dev = _kato_core(lam, k, math.log(eps), sign, a)
+        except NumericalDegeneracyError as exc:
+            assert "overflows" in str(exc)
+        else:
+            assert b >= 0.0 and dev >= 0.0
 
 
 class TestKeyLengthAgainstDecimal:

@@ -119,6 +119,11 @@ class TestBitErrorX:
         with pytest.raises(DegenerateGainError):
             bit_error_x(1e-3, 0.0, 0.0, 0.015)
 
+    @pytest.mark.parametrize("misalignment", [-0.1, 0.6, math.nan])
+    def test_rejects_a_misalignment_outside_its_domain(self, misalignment):
+        with pytest.raises(ParameterError, match=r"^misalignment must be in \[0, 0.5\]$"):
+            bit_error_x(1e-3, 0.1, 0.0, misalignment)
+
 
 class TestBasisOverlap:
     @pytest.mark.parametrize("mu", [1e-4, 1e-3, 1e-2, 5e-2])

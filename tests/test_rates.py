@@ -361,6 +361,13 @@ class TestSweeps:
         far = by_length[350.0]
         assert far.ell == 0 and far.rate_per_pulse == 0.0 and math.isnan(far.mu)
 
+    def test_asymptotic_sweep_scores_a_failing_intensity_zero(self):
+        # at this detector efficiency the gain is so small that the coin
+        # imbalance leaves its domain at every intensity the search probes;
+        # the distance gives an abort row, not an error
+        (point,) = asymptotic_sweep([0.0], ChannelModel(det_efficiency=1e-4))
+        assert point.ell == 0 and point.rate_per_pulse == 0.0 and math.isnan(point.mu)
+
     def test_asymptotic_sweep_monotone(self):
         ch = ChannelModel()
         points = asymptotic_sweep([0.0, 50.0, 100.0, 150.0], ch)
