@@ -54,10 +54,13 @@ at a time from each, would give.
 The result is defined by the seed alone: a trace never changes it, and a
 run stopped early is a prefix of a longer run with the same seed.  The
 tests check the sampler against a per-round reference engine built on the
-same table.  The trace writer draws the no-click cells a few thousand rows
-at a time, as it writes them.  It builds each chunk as if no round clicked:
-one fixed-width block, every row its index and then its cell's 26-byte
-no-click text, gathered from a 32-entry table of rows of that index width.
+same table.  The trace writer draws the no-click cells a chunk at a time,
+as it writes them: a chunk runs to the end of its 10,000-row window or index
+width, and a stretch with more than ``_TRACE_CHUNK_CLICKS`` clicks is cut
+into chunks with equal shares of them.  It builds each chunk as if no round
+clicked: one fixed-width block, every row its index and then its cell's
+26-byte no-click text, gathered from a 32-entry table of rows of that index
+width.
 A chunk without detections is written straight from the block; in a chunk
 with detections each detection row's text is spliced in after its index.
 """
@@ -358,9 +361,9 @@ _CAT_TEXT = np.array([_row_text(key) for key in _CAT_ROW.tolist()], object)
 # "0000" to "9999", the last four digits of a row index, as one uint32 each
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
 _LAST_DIGITS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), -1).view(np.uint32).ravel()
-# trace rows per chunk; divides 10**4, so a chunk's rows differ only in the
-# last four index digits
-_CHUNK_ROWS = 2500
+# clicks in one trace chunk at most (see _TraceWriter), tuned on 1e6-row
+# traces at 0 km with mu from 9e-4 to 0.5
+_TRACE_CHUNK_CLICKS = 600
 _NO_DETECTIONS = np.empty(0, np.intp)
 
 
@@ -418,9 +421,20 @@ def _splice(block: np.ndarray, rows: np.ndarray, cat: np.ndarray) -> bytes:
 class _TraceWriter:
     """Writes one row per round, in order, with rows that did not click filled in.
 
-    Rows go out as bytes, one write per chunk of at most ``_CHUNK_ROWS``
-    rounds of one index width.  The cells of rounds with no click are drawn
-    by guide table from the no-click distribution, in round order from
+    Rows go out as bytes, one write per chunk.  A chunk runs to the end of
+    its 10,000-row window or of its index width, whichever comes first, so
+    its rows differ only in their last four index digits and a sparse trace
+    pays the cost of a chunk once per 10,000 rows.  Where that would put
+    more than ``_TRACE_CHUNK_CLICKS`` clicks in one chunk, the clicks up to
+    that end are cut into the fewest equal shares of at most the cap, each
+    chunk ending at the row of the first click past its share.  A chunk
+    with many clicks is dearer per row, as its splice holds a piece per
+    click and a joined copy of the block.  Equal shares avoid a long chunk
+    followed by a short rest, which made glibc's heap shrink and grow back
+    in every window: at ``mu`` 0.1 and 0 km (8% of rounds click), 11,700
+    page faults per 1e6 rows with the cut at the cap against 1,100 with
+    equal shares.  The cells of rounds with no click are drawn by guide
+    table from the no-click distribution, in round order from
     ``rng``, the trace's generator of the stream layout (module docstring).
     Each chunk is first a fixed-width block of its rows as if none clicked
     (:func:`_no_click_block`); the text of each detection row is then
@@ -439,10 +453,15 @@ class _TraceWriter:
         """Rows up to round ``end``; ``pos`` and ``cat`` are the detections among them."""
         while self.written < end:
             start = self.written
-            stop = min(end, start - start % _CHUNK_ROWS + _CHUNK_ROWS, 10 ** len(str(start)))
+            stop = min(end, start - start % 10_000 + 10_000, 10 ** len(str(start)))
+            lo, hi = np.searchsorted(pos, (start, stop))
+            if hi - lo > _TRACE_CHUNK_CLICKS:
+                # the fewest equal shares of at most the cap
+                shares = -(-(hi - lo) // _TRACE_CHUNK_CLICKS)
+                hi = lo + -(-(hi - lo) // shares)
+                stop = int(pos[hi])
             cells = _draw(self._none_cdf, self._none_guide, self._rng.random(stop - start))
             block = _no_click_block(start, cells)
-            lo, hi = np.searchsorted(pos, (start, stop))
             self._fh.write(block if lo == hi else _splice(block, pos[lo:hi] - start, cat[lo:hi]))
             self.written = stop
 

@@ -52,6 +52,18 @@ def _same_run(a, b):
         assert np.array_equal(x, y)
 
 
+class _WriteLog(io.BytesIO):
+    """An in-memory file that also keeps the bytes of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return super().write(data)
+
+
 class _ChunkRule:
     """Detection chunk sizes for tests: ``first`` in chunk 0 and ``rest`` after,
     with the chunks drawn recorded in ``drawn``."""
@@ -735,7 +747,7 @@ class TestTraceBytes:
         assert b"\r\n99999," in data and data.splitlines()[-1].startswith(b"100002,")
 
     def test_blocks_and_chunks_split_mid_run(self, tmp_path, monkeypatch):
-        # detection chunks of 40 and then 64 cut the 2500-row chunks
+        # detection chunks of 40 and then 64 cut the 10,000-row windows
         rule = _small_chunks(monkeypatch, 40, 64)
         _, data, ref = self._both(tmp_path, monkeypatch, SourceParams(0.05, 0.7),
                                   seed=6, max_rounds=12_345)
@@ -757,35 +769,87 @@ class TestTraceBytes:
             assert text in data
 
     def test_splice_edges_against_the_per_row_writer(self):
-        # detections where the index gains a digit or a chunk starts or ends,
-        # on two adjacent rows, on every row of chunk 12500-14999 and on no
-        # row of chunk 15000-17499, handed over in pieces as run_protocol does
-        edges = [0, 9, 10, 99, 100, 999, 1000, 2499, 2500, 5000, 5001, 9999, 10_000]
-        pos = np.array(edges + list(range(12_500, 15_000)) + [99_999, 100_000])
+        # detections where the index gains a digit or a 10,000-row window
+        # starts or ends, on two adjacent rows, on every row of 12,500-14,999
+        # and on no row of 15,000-17,499, handed over in pieces as
+        # run_protocol does.  Clicks past the cap are cut into equal shares:
+        # the cap plus one from 1,000 on, cut between 5,000 and 5,001;
+        # exactly the cap in 20,000-29,999, with no click on the row after
+        # it; the cap plus one in 30,001-39,999
+        cap = protocol._TRACE_CHUNK_CLICKS
+        share = -(-(cap + 1) // 2)
+        step = 9_999 // (cap + 1)
+        pos = np.array([0, 9, 10, 99, 100, 999] + list(range(1000, 999 + share))
+                       + [5000, 5001] + list(range(10_000 - (cap - share), 10_001))
+                       + list(range(12_500, 15_000)) + [19_999]
+                       + list(range(20_000, 30_000, step))[:cap]
+                       + list(range(30_001, 40_000, step))[:cap + 1] + [99_999, 100_000])
         cat = np.arange(pos.size) % 128
         tables = protocol._detection_tables(SourceParams(0.05, 0.7), LOCAL)
         files = []
         for writer in (protocol._TraceWriter, PerRowTraceWriter):
-            fh = io.BytesIO()
+            fh = _WriteLog()
             trace = writer(fh, protocol._generator(4, 1, 0), tables.none_cdf, tables.none_guide)
-            for end in (11, 2501, 10_001, 15_000, 17_500, 100_001, 100_003):
+            for end in (11, 10_001, 15_000, 17_500, 100_001, 100_003):
                 lo, hi = np.searchsorted(pos, (trace.written, end))
                 trace.write(end, pos[lo:hi], cat[lo:hi])
-            files.append(fh.getvalue())
-        data, ref = files
+            files.append(fh)
+        data, ref = (fh.getvalue() for fh in files)
         assert data == ref
         rows = data.splitlines()[1:]
         assert len(rows) == 100_003
         for i in pos.tolist():
             assert rows[i].startswith(b"%d," % i) and b",none," not in rows[i]
         assert all(b",none," in row for row in rows[15_000:17_500])
+        # each chunk: its first and last row, and its clicks
+        chunks = []
+        for chunk in files[0].writes[1:]:
+            lines = chunk.splitlines()
+            first, last = (int(line.split(b",", 1)[0]) for line in (lines[0], lines[-1]))
+            assert len(str(first)) == len(str(last)) and first // 10_000 == last // 10_000
+            chunks.append((first, last, sum(b",none," not in line for line in lines)))
+            assert chunks[-1][2] <= cap
+        assert chunks[:8] == [(0, 9, 2), (10, 10, 1), (11, 99, 1), (100, 999, 2),
+                              (1000, 5000, share), (5001, 9999, cap + 1 - share),
+                              (10_000, 10_000, 1), (10_001, chunks[7][1], chunks[7][2])]
+        clicks = [c[2] for c in chunks if 10_001 <= c[0] < 15_000]
+        assert len(clicks) == -(-2500 // cap) and max(clicks) - min(clicks) <= 1
+        assert (20_000, 29_999, cap) in chunks
+        cut = 30_001 + share * step
+        assert (30_000, cut - 1, share) in chunks and (cut, 39_999, cap + 1 - share) in chunks
 
-    def test_readme_trace_is_pinned(self, tmp_path):
+    @staticmethod
+    def _chunk_starts(monkeypatch):
+        """The first row of each trace chunk built from now on."""
+        starts = []
+        block = protocol._no_click_block
+        monkeypatch.setattr(protocol, "_no_click_block",
+                            lambda start, cells: starts.append(start) or block(start, cells))
+        return starts
+
+    def test_readme_trace_is_pinned(self, tmp_path, monkeypatch):
+        # one chunk per index width below 10,000 rows and one per 10,000-row
+        # window, the window of the last click cut where its rows are handed over
+        starts = self._chunk_starts(monkeypatch)
         path = tmp_path / "rounds.csv"
         assert main(["simulate", "--seed", "7", "--rounds", "20000", "--length-km", "0",
                      "--trace", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "def8fb64975b6d4b3157009306d12e84f8b2fc3fbcc9872aecbec773055253fa")
+        assert len(starts) == 6 and starts[:5] == [0, 10, 100, 1000, 10_000]
+
+    @pytest.mark.parametrize("args, digest, chunks", [
+        (["--seed", "9", "--rounds", "30000", "--length-km", "0", "--mu", "0.3", "--px", "0.7"],
+         "8795da43fe0da8ef3374cf0f78cd6f2beae6280e0b413d89fe3810fcd0835e66", 17),
+        (["--seed", "7", "--rounds", "1000000", "--mu", "9e-4", "--px", "0.9", "--loss-db", "30"],
+         "f94a9e12eebc7c9df5065ddf4ba0063de2415a3f3c407e0017083a33834b1fb4", 104),
+    ], ids=["dense", "30dB"])
+    def test_trace_is_pinned(self, tmp_path, monkeypatch, args, digest, chunks):
+        starts = self._chunk_starts(monkeypatch)
+        path = tmp_path / "rounds.csv"
+        assert main(["simulate", *args, "--trace", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert len(starts) == chunks
 
     def test_memory_is_bounded_by_the_chunk(self):
         # a writer holding a whole million-round block of keys and uniforms
