@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
-from .finitekey import _check_ec_efficiency, _key_length, phase_error_upper_bound
-from .optics import ChannelModel, SourceParams, binary_entropy, gain, transmittance
+from .finitekey import _check_ec_efficiency, _key_length, _phase_error_bound, _phase_error_chain
+from .optics import ChannelModel, SourceParams, binary_entropy, coin_imbalance
+from .optics import gain, transmittance
 from .report import read_utf8
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
 
@@ -70,7 +71,8 @@ _SLOT_OF_TRIPLE = {
 
 
 def _checked_lines(source):
-    """Yield ``(triple, spd1, spd2)`` for each data line of a count table.
+    """Yield ``(triple, slot, spd1, spd2)`` for each data line of a count
+    table, ``slot`` being the triple's entry of ``_SLOT_OF_TRIPLE``.
 
     The one per-line body of the reader: every check, with its line number,
     runs here in this order: field count, integer fields, phase codes,
@@ -96,18 +98,19 @@ def _checked_lines(source):
         except ValueError:
             raise CountTableError(f"non-integer field in {rec!r}", line=lineno) from None
         triple = (a, b, c)
-        if triple not in _SLOT_OF_TRIPLE or spd1 < 0 or spd2 < 0:
+        slot = _SLOT_OF_TRIPLE.get(triple)
+        if slot is None or spd1 < 0 or spd2 < 0:
             try:   # the row type owns these messages, so it raises them
                 CountRow(a, b, c, spd1, spd2)
             except CountTableError as exc:
                 raise CountTableError(str(exc), line=lineno) from None
-        if triple in seen:
+        first = seen.setdefault(triple, lineno)
+        if first != lineno:
             raise CountTableError(
-                f"duplicate phase triple {triple}, first seen on line {seen[triple]}",
+                f"duplicate phase triple {triple}, first seen on line {first}",
                 line=lineno,
             )
-        seen[triple] = lineno
-        yield triple, spd1, spd2
+        yield triple, slot, spd1, spd2
 
 
 def parse_counts(source) -> list[CountRow]:
@@ -118,7 +121,7 @@ def parse_counts(source) -> list[CountRow]:
     and malformed lines are rejected with their line number, and so is a
     path that is not valid UTF-8.
     """
-    return [CountRow(*triple, spd1, spd2) for triple, spd1, spd2 in _checked_lines(source)]
+    return [CountRow(*triple, spd1, spd2) for triple, _, spd1, spd2 in _checked_lines(source)]
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,15 @@ class ExperimentSummary(SetCounts):
 
 
 def _tally(lines, mu: float | None, px: float | None) -> ExperimentSummary:
-    """Per-set sums over ``(triple, spd1, spd2)`` lines.
+    """Per-set sums over ``(triple, slot, spd1, spd2)`` lines; the triple is
+    not read.
 
     Discarded patterns add to a fourth slot that is dropped.  All three sets
     must end up nonempty, otherwise the table cannot support the analysis.
     """
     n = [0, 0, 0, 0]   # indexed by SetTag
     m = [0, 0, 0, 0]
-    for triple, spd1, spd2 in lines:
-        tag, lit = _SLOT_OF_TRIPLE[triple]
+    for _, (tag, lit), spd1, spd2 in lines:
         n[tag] += spd1 + spd2
         m[tag] += spd2 if lit == 1 else spd1
     for tag in (SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET):
@@ -162,7 +165,8 @@ def tally_sets(rows, *, mu: float | None = None, px: float | None = None) -> Exp
     Discarded patterns contribute nothing.  All three sets must end up
     nonempty, otherwise the table cannot support the analysis.
     """
-    return _tally(((row.triple, row.spd1, row.spd2) for row in rows), mu, px)
+    return _tally(((None, _SLOT_OF_TRIPLE[row.triple], row.spd1, row.spd2) for row in rows),
+                  mu, px)
 
 
 def tally_table(source, *, mu: float | None = None,
@@ -216,13 +220,18 @@ def experiment_skr(
     if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
         raise ParameterError("pulse intensity must be positive where clicks were counted")
 
-    bound_bc = phase_error_upper_bound(summary.n_x, summary.n_ybc, summary.m_ybc, mu, q, budget)
-    bound_ac = phase_error_upper_bound(summary.n_x, summary.n_yac, summary.m_yac, mu, q, budget)
-    worst = bound_bc if bound_bc.ep_bar >= bound_ac.ep_bar else bound_ac
+    n_x, delta = summary.n_x, coin_imbalance(mu, q)
+    chain_bc = _phase_error_chain(n_x, summary.n_ybc, summary.m_ybc, delta, budget)
+    chain_ac = _phase_error_chain(n_x, summary.n_yac, summary.m_yac, delta, budget)
+    # the set with the larger bound is rated, YBC on a tie; ep_bar ends a chain
+    if chain_bc[-1] >= chain_ac[-1]:
+        worst = _phase_error_bound(n_x, summary.n_ybc, summary.m_ybc, delta, budget, chain_bc)
+    else:
+        worst = _phase_error_bound(n_x, summary.n_yac, summary.m_yac, delta, budget, chain_ac)
 
     # the leak that the key length subtracts is the one reported; the chain
     # has rejected n_x <= 0, and its ep_bar is never negative
-    ell, _, lam_ec = _key_length(summary.n_x, worst.ep_bar, binary_entropy(summary.eb_x),
+    ell, _, lam_ec = _key_length(n_x, worst.ep_bar, binary_entropy(summary.eb_x),
                                  ec_efficiency, budget)
     return KeyRateReport(
         n_pulses=n_pulses,

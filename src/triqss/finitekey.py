@@ -24,8 +24,9 @@ the Kato closed form ``_kato_core``, the zero-coefficient deviation
 ``_zero_coeff_deviation``, and in :mod:`triqss.optics` the three-term sum
 ``_phase_error_sum`` and the entropy ``_entropy``.  A public function
 checks its arguments and wraps a core.  The chain ``_phase_error_chain``
-calls the cores; :mod:`triqss.rates` runs it, and
-:func:`phase_error_upper_bound` wraps it.  The key length ``_key_length``
+calls the cores; :mod:`triqss.rates` and :mod:`triqss.expdata` run it,
+``_phase_error_bound`` builds its record, and :func:`phase_error_upper_bound`
+wraps the two.  The key length ``_key_length``
 holds the error-correction leak; :func:`key_length` is its one checked
 entry.
 
@@ -49,6 +50,7 @@ over the same core at a given ``a``; the rate optimizer of
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .errors import NumericalDegeneracyError, ParameterError
@@ -58,7 +60,9 @@ from .optics import _entropy, _phase_error_sum, binary_entropy, coin_imbalance
 # default of every rate function and of the command line's --fe
 EC_EFFICIENCY = 1.16
 # cap on golden-section steps per line search; the rate optimizer's
-# tolerances stop a search after about 25
+# tolerances stop a search after about 25, and the numeric Kato check at
+# tolerance 0 stops once its bracket cycles: after 104 steps at k = 1e6 and
+# lam = k / 2, on the bracket that the cap would end on
 GOLDEN_MAX_ITER = 200
 
 
@@ -238,25 +242,54 @@ def kato_failure_probability(a: float, b: float, k: float, direction: str) -> fl
     return math.exp(-2.0 * (b * b - a * a) / (denom * denom))
 
 
+def _recurs(seen: set, *state: float) -> bool:
+    """Whether a line-search state is in ``seen``, by bit pattern, so that
+    -0.0 and 0.0 differ and a NaN matches itself; adds it otherwise."""
+    bits = struct.pack("6d", *state)
+    if bits in seen:
+        return True
+    seen.add(bits)
+    return False
+
+
 def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
     """Golden-section maximization of a unimodal function on [lo, hi].
 
-    Returns ``(x, f(x))`` at the midpoint of the final bracket.
+    Returns ``(x, f(x))`` at the midpoint of the final bracket: the first
+    one no wider than ``tol``, or the one after ``GOLDEN_MAX_ITER`` steps.
+    The steps are deterministic, so once a state (bracket, inner points and
+    their values) recurs, bit for bit, the search cycles, and it stops
+    there.  Where ``hi - lo`` is finite the inner points lie in the
+    bracket, so ``lo`` never falls and ``hi`` never rises: every state of
+    the cycle, the one the step cap would end on too, has this bracket, and
+    every step of the cycle leaves the bracket as it is.  So only the
+    states whose step keeps the bracket (the inner point that would become
+    an end is that end already) are compared, and a search whose bracket
+    shrinks pays one float comparison a step.  At ``tol = 0`` the bracket
+    settles, a few ulps wide, into two states, each equal to the one two
+    steps before it.
     """
+    if not tol >= 0.0:
+        raise ParameterError("line search tolerance must be nonnegative")
     if not hi > lo:
         raise ParameterError("need hi > lo for a line search")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
+    seen = set()   # the states whose step kept the bracket
     for _ in range(GOLDEN_MAX_ITER):
         if hi - lo <= tol:
             break
         if f1 >= f2:
+            if x2 == hi and _recurs(seen, lo, hi, x1, f1, x2, f2):
+                break
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = f(x1)
         else:
+            if x1 == lo and _recurs(seen, lo, hi, x1, f1, x2, f2):
+                break
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             f2 = f(x2)
@@ -269,7 +302,9 @@ def kato_coeffs_numeric(lam: float, k: float, eps: float, direction: str) -> Kat
 
     Solves the same constrained problem on ``a``, with ``b`` eliminated
     through the failure-probability equality, by maximizing the negated
-    objective with :func:`golden_max` run to its step cap.  The
+    objective with :func:`golden_max` at tolerance 0.  That search stops
+    where its bracket, a few ulps wide, starts to cycle, and ends on the
+    same ``a`` as the same search run to its step cap, bit for bit.  The
     objective is convex (square root of an upward parabola plus a linear
     term), so the search bracket ``[-3 sqrt(k), 3 sqrt(k)]`` only needs to
     contain the minimum.  ``b`` and the deviation are those of
@@ -375,8 +410,16 @@ def phase_error_upper_bound(
         Failure probabilities; consumes ``eps_a`` and ``eps_b``.
     """
     delta = coin_imbalance(mu, gain_value)
+    return _phase_error_bound(n_x, n_y, m_y, delta, budget,
+                              _phase_error_chain(n_x, n_y, m_y, delta, budget))
+
+
+def _phase_error_bound(n_x: float, n_y: float, m_y: float, delta: float,
+                       budget: EpsilonBudget, chain: tuple) -> PhaseErrorBound:
+    """The :class:`PhaseErrorBound` of one Y set, given its ``chain``, the
+    return value of :func:`_phase_error_chain` at these arguments."""
     (m_y_expected, eb_y_expected, ep_clamped, ep_expected,
-     m_p_expected, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, delta, budget)
+     m_p_expected, m_p_observed, ep_bar) = chain
     return PhaseErrorBound(
         n_x=n_x, n_y=n_y, m_y=m_y,
         m_y_expected=m_y_expected, eb_y_expected=eb_y_expected, delta=delta,

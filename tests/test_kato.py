@@ -3,6 +3,7 @@
 import math
 import sys
 from decimal import Context, Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from triqss import (
     observed_to_expected,
     phase_error_upper_bound,
 )
+from triqss import finitekey
 from triqss.finitekey import _kato_core, _key_length
 from triqss.optics import binary_entropy
 
 import decimal_chain
+import golden_reference
 
 GRID_K = (1e3, 1e5, 1e7, 1e9)
 GRID_FRAC = (0.001, 0.01, 0.1, 0.5, 0.9)
@@ -435,6 +438,45 @@ class TestKatoCoreDomain:
             assert "overflows" in str(exc)
         else:
             assert b >= 0.0 and dev >= 0.0
+
+
+def _objective_calls(search) -> int:
+    """Objective evaluations of the numeric check at the reference point,
+    with ``search`` as its line search."""
+    calls = []
+
+    def counted(f, lo, hi, **kwargs):
+        return search(lambda a: calls.append(a) or f(a), lo, hi, **kwargs)
+
+    with mock.patch.object(finitekey, "golden_max", counted):
+        kato_coeffs_numeric(5e5, 1e6, 1e-10, "upper")
+    return len(calls)
+
+
+class TestNumericSearchStopsAtItsCycle:
+    """``kato_coeffs_numeric`` against the same search run to its step cap,
+    ``tests/golden_reference.py``: at tol 0 the bracket settles into a
+    two-state cycle at ulp scale long before the cap."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.one_of(log_uniform(0.0, 76.0), st.sampled_from([1.0, 1e6, 1e40, 1e76])),
+        lam_share=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+        eps=EPS_RANGE,
+        direction=st.sampled_from(["upper", "lower"]),
+    )
+    def test_equals_the_step_capped_search_bit_for_bit(self, k, lam_share, eps, direction):
+        lam = min(lam_share * k, k)
+        found = kato_coeffs_numeric(lam, k, eps, direction)
+        with mock.patch.object(finitekey, "golden_max", golden_reference.golden_max):
+            expected = kato_coeffs_numeric(lam, k, eps, direction)
+        assert ([found.a.hex(), found.b.hex(), found.deviation.hex()]
+                == [expected.a.hex(), expected.b.hex(), expected.deviation.hex()])
+
+    def test_stops_after_about_half_the_evaluations(self):
+        # the cycle begins at step 102 of 200 here
+        assert _objective_calls(golden_reference.golden_max) == 203
+        assert _objective_calls(finitekey.golden_max) <= 110
 
 
 class TestKeyLengthAgainstDecimal:

@@ -29,6 +29,8 @@ from triqss.finitekey import phase_error_upper_bound
 from triqss.optics import binary_entropy, bit_error_x, gain, transmittance
 from triqss.roundtable import set_shares
 
+import golden_reference
+
 SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "refs" / "sweep_finite_1e10.csv"
 
 
@@ -74,6 +76,38 @@ class TestGoldenMax:
     def test_rejects_empty_interval(self):
         with pytest.raises(ParameterError):
             golden_max(lambda x: x, 1.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-300, -math.inf])
+    def test_rejects_a_tolerance_that_is_nan_or_negative(self, tol):
+        # a NaN tolerance once ran silently to the step cap
+        with pytest.raises(ParameterError, match="tolerance"):
+            golden_max(lambda x: -x * x, -1.0, 1.0, tol=tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.sampled_from(["parabola", "cosh", "gaussian", "quartic"]),
+           lo=st.floats(-10.0, 10.0), width=st.floats(1e-3, 20.0),
+           peak=st.floats(-0.2, 1.2), tol=st.sampled_from([0.0, 1e-4, 1e-5]))
+    def test_matches_the_step_capped_search(self, shape, lo, width, peak, tol):
+        # the search that runs every step until the bracket is within tol:
+        # the same (x, f(x)) bit for bit and the same calls in the same
+        # order, where at tol 0 the calls stop at the first recurring state
+        # and the last call is the same one, at the returned point
+        hi = lo + width
+        c = lo + peak * width
+        f = {"parabola": lambda x: -(x - c) ** 2,
+             "cosh": lambda x: -math.cosh(x - c),
+             "gaussian": lambda x: math.exp(-((x - c) ** 2)),
+             "quartic": lambda x: -((x - c) ** 4) + 3.0}[shape]
+        calls, reference_calls = [], []
+        found = golden_max(lambda x: calls.append(x) or f(x), lo, hi, tol=tol)
+        expected = golden_reference.golden_max(lambda x: reference_calls.append(x) or f(x),
+                                               lo, hi, tol=tol)
+        assert [v.hex() for v in found] == [v.hex() for v in expected]
+        if tol > 0.0:
+            assert calls == reference_calls
+        else:
+            assert calls[:-1] == reference_calls[:len(calls) - 1]
+            assert calls[-1] == reference_calls[-1]
 
 
 def _asymptotic_rate(mu, channel):
