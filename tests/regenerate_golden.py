@@ -41,6 +41,11 @@ def _commands() -> dict:
             for direction in ("upper", "lower"):
                 commands[f"kato_{direction}_k{k}_lam_{lam_name}"] = [
                     "kato", "--k", k, "--lam", lam, "--dir", direction]
+    for n, lmax, step in (("1e10", "260", "5"), ("1e8", "400", "5"), ("1e12", "400", "5"),
+                          ("1e80", "100", "50")):
+        commands[f"sweep_N{n}_L0_{lmax}_step{step}"] = [
+            "sweep", "--N", n, "--Lmin", "0", "--Lmax", lmax, "--step", step]
+    commands["sweep_Ninf"] = ["sweep", "--N", "inf"]
     return commands
 
 
