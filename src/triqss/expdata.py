@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import CountTableError, ParameterError
 from .finitekey import EC_EFFICIENCY, EpsilonBudget, KeyRateReport
 from .finitekey import _check_ec_efficiency, _key_length, _phase_error_bound, _phase_error_chain
-from .optics import ChannelModel, SourceParams, binary_entropy, coin_imbalance
+from .optics import ChannelModel, SourceParams, _coin_terms, binary_entropy, coin_imbalance
 from .optics import gain, transmittance
 from .report import read_utf8
 from .roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG, SetCounts, SetTag, set_shares
@@ -221,8 +221,9 @@ def experiment_skr(
         raise ParameterError("pulse intensity must be positive where clicks were counted")
 
     n_x, delta = summary.n_x, coin_imbalance(mu, q)
-    chain_bc = _phase_error_chain(n_x, summary.n_ybc, summary.m_ybc, delta, budget)
-    chain_ac = _phase_error_chain(n_x, summary.n_yac, summary.m_yac, delta, budget)
+    coin = _coin_terms(delta)   # once for both Y sets
+    chain_bc = _phase_error_chain(n_x, summary.n_ybc, summary.m_ybc, coin, budget)
+    chain_ac = _phase_error_chain(n_x, summary.n_yac, summary.m_yac, coin, budget)
     # the set with the larger bound is rated, YBC on a tie; ep_bar ends a chain
     if chain_bc[-1] >= chain_ac[-1]:
         worst = _phase_error_bound(n_x, summary.n_ybc, summary.m_ybc, delta, budget, chain_bc)

@@ -23,8 +23,11 @@ Each formula has one scalar core, floats in and floats out, unchecked:
 the Kato closed form ``_kato_core``, the zero-coefficient deviation
 ``_zero_coeff_deviation``, and in :mod:`triqss.optics` the three-term sum
 ``_phase_error_sum`` and the entropy ``_entropy``.  A public function
-checks its arguments and wraps a core.  The chain ``_phase_error_chain``
-calls the cores; :mod:`triqss.rates` and :mod:`triqss.expdata` run it,
+checks its arguments and wraps a core.  The terms of step 2 that depend on
+the imbalance alone, ``optics._coin_terms`` (its check, the peak ``e*``
+and the three factors of the sum), are staged once per imbalance: the
+chain ``_phase_error_chain`` takes them in place of ``delta`` and calls
+the cores; :mod:`triqss.rates` and :mod:`triqss.expdata` run it,
 ``_phase_error_bound`` builds its record, and :func:`phase_error_upper_bound`
 wraps the two.  The key length ``_key_length``
 holds the error-correction leak; :func:`key_length` is its one checked
@@ -54,7 +57,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import NumericalDegeneracyError, ParameterError
-from .optics import _entropy, _phase_error_sum, binary_entropy, coin_imbalance
+from .optics import _coin_terms, _entropy, _phase_error_sum, binary_entropy, coin_imbalance
 
 # error-correction efficiency f: the leak is f H(eb_x) per key-set bit; the
 # default of every rate function and of the command line's --fe
@@ -255,11 +258,12 @@ def _recurs(seen: set, *state: float) -> bool:
 def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
     """Golden-section maximization of a unimodal function on [lo, hi].
 
-    Returns ``(x, f(x))`` at the midpoint of the final bracket: the first
-    one no wider than ``tol``, or the one after ``GOLDEN_MAX_ITER`` steps.
-    The steps are deterministic, so once a state (bracket, inner points and
-    their values) recurs, bit for bit, the search cycles, and it stops
-    there.  Where ``hi - lo`` is finite the inner points lie in the
+    Raises :class:`ParameterError` unless ``hi > lo`` and ``hi - lo`` is
+    finite.  Returns ``(x, f(x))`` at the midpoint of the final bracket: the
+    first one no wider than ``tol``, or the one after ``GOLDEN_MAX_ITER``
+    steps.  The steps are deterministic, so once a state (bracket, inner
+    points and their values) recurs, bit for bit, the search cycles, and it
+    stops there.  As ``hi - lo`` is finite the inner points lie in the
     bracket, so ``lo`` never falls and ``hi`` never rises: every state of
     the cycle, the one the step cap would end on too, has this bracket, and
     every step of the cycle leaves the bracket as it is.  So only the
@@ -273,6 +277,9 @@ def golden_max(f, lo: float, hi: float, *, tol: float = 1e-5):
         raise ParameterError("line search tolerance must be nonnegative")
     if not hi > lo:
         raise ParameterError("need hi > lo for a line search")
+    # an infinite width puts the first inner points at -inf and +inf
+    if not hi - lo < math.inf:
+        raise ParameterError("line search bracket must have a finite width")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -411,7 +418,7 @@ def phase_error_upper_bound(
     """
     delta = coin_imbalance(mu, gain_value)
     return _phase_error_bound(n_x, n_y, m_y, delta, budget,
-                              _phase_error_chain(n_x, n_y, m_y, delta, budget))
+                              _phase_error_chain(n_x, n_y, m_y, _coin_terms(delta), budget))
 
 
 def _phase_error_bound(n_x: float, n_y: float, m_y: float, delta: float,
@@ -435,10 +442,11 @@ def _phase_error_chain(
     n_x: float,
     n_y: float,
     m_y: float,
-    delta: float,
+    coin: tuple,
     budget: EpsilonBudget,
 ) -> tuple:
-    """Float core of :func:`phase_error_upper_bound`, given the coin imbalance.
+    """Float core of :func:`phase_error_upper_bound`, given the
+    ``optics._coin_terms`` of the coin imbalance, which checked it.
 
     Returns ``(m_y_expected, eb_y_expected, ep_clamped, ep_expected,
     m_p_expected, m_p_observed, ep_bar)``.  Each step calls the core that
@@ -459,10 +467,8 @@ def _phase_error_chain(
 
     # step 2: expected Y error rate E -> expected phase error rate, the
     # maximum of the three-term sum over [0, E]: 1 from its peak e* on
-    if not 0 <= delta <= 0.5:
-        raise ParameterError("coin imbalance must be in [0, 1/2]")
-    past_peak = eb_y_expected >= (1.0 - 2.0 * delta) ** 2
-    ep_raw = 1.0 if past_peak else _phase_error_sum(eb_y_expected, delta)
+    past_peak = eb_y_expected >= coin[1]
+    ep_raw = 1.0 if past_peak else _phase_error_sum(eb_y_expected, coin)
     ep_clamped = past_peak or ep_raw > 1.0
     ep_expected = 1.0 if ep_clamped else ep_raw
 

@@ -6,6 +6,9 @@ splitter monitored by two single-photon detectors.  The functions here give
 the per-round detection gain, the X-basis bit error rate, and the quantities
 entering the phase-error estimate: the overlap between the two basis state
 families and the resulting imbalance of the virtual basis-choice coin.
+The terms of the phase error formula that depend on the imbalance alone,
+``_coin_terms``, are staged once per imbalance: the finite-key chain and
+the rate evaluator build them once and ``_phase_error_sum`` reads them.
 
 ``_port_clicks`` is the one click model, with dark counts as independent
 per-detector events: the gain here reads it with all the light on one
@@ -180,12 +183,25 @@ def coin_imbalance(mu: float, gain_value: float) -> float:
     return delta
 
 
-def _phase_error_sum(eb_y: float, delta: float) -> float:
-    """The unclamped sum of the three terms of :func:`phase_error_from_y`; unchecked."""
+def _coin_terms(delta: float) -> tuple[float, float, float, float, float]:
+    """``(delta, peak, 4 delta (1 - delta), 4 (1 - 2 delta), delta (1 - delta))``:
+    the terms of :func:`phase_error_from_y` that depend on the imbalance
+    alone, ``peak = (1 - 2 delta)^2`` being where the sum reaches 1.
+    Raises :class:`ParameterError` unless ``0 <= delta <= 1/2``."""
+    if not 0 <= delta <= 0.5:
+        raise ParameterError("coin imbalance must be in [0, 1/2]")
+    return (delta, (1.0 - 2.0 * delta) ** 2, 4.0 * delta * (1.0 - delta),
+            4.0 * (1.0 - 2.0 * delta), delta * (1.0 - delta))
+
+
+def _phase_error_sum(eb_y: float, terms: tuple) -> float:
+    """The unclamped sum of the three terms of :func:`phase_error_from_y`,
+    given the :func:`_coin_terms` of its imbalance; unchecked."""
+    _, _, var4, bias4, var = terms
     return math.fsum((
         eb_y,
-        4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * eb_y),
-        4.0 * (1.0 - 2.0 * delta) * math.sqrt(delta * (1.0 - delta) * eb_y * (1.0 - eb_y)),
+        var4 * (1.0 - 2.0 * eb_y),
+        bias4 * math.sqrt(var * eb_y * (1.0 - eb_y)),
     ))
 
 
@@ -203,9 +219,7 @@ def phase_error_from_y(eb_y: float, delta: float) -> float:
     """
     if not 0 <= eb_y <= 1:
         raise ParameterError("Y-basis error rate must be in [0, 1]")
-    if not 0 <= delta <= 0.5:
-        raise ParameterError("coin imbalance must be in [0, 1/2]")
-    return min(1.0, _phase_error_sum(eb_y, delta))
+    return min(1.0, _phase_error_sum(eb_y, _coin_terms(delta)))
 
 
 def _entropy(x: float) -> float:

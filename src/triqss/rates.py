@@ -14,16 +14,20 @@ One code path computes that rate, a per-distance evaluator of
   finite), the length (through ``ChannelModel``) and the error-correction
   efficiency, and the transmittance; the budget derived its own terms
   when it was built;
+- per basis probability ``px``: its check, and the set shares times the
+  pulse count;
 - per intensity ``mu``: the gain ``Q`` and ``EbX`` from one evaluation of
   the optics' gain terms, ``H(EbX)`` for the error-correction leak, and the
-  coin imbalance; an imbalance out of its domain is not raised here but
-  after the count check, where the public functions raise it;
-- per basis probability ``px``: the set shares, times the pulse count.
+  coin terms ``optics._coin_terms`` of the imbalance (its peak ``e*`` and
+  the three factors of step 2); an imbalance out of its domain is not
+  raised here but after the count check, where the public functions raise
+  it.
 
 Each of the last two stages is a term table local to the evaluator, a dict
-from ``mu`` to ``(Q, EbX, H(EbX), delta)`` and from ``px`` to the two set
-shares times the pulse count: a stage runs once per distinct argument, and
-a ``mu`` whose stage raises is not stored, so it raises again each time.
+from ``px`` to the two set shares times the pulse count and from ``mu`` to
+``(Q, EbX, H(EbX), coin terms)``: a stage runs once per distinct argument,
+and an argument whose stage raises is not stored, so it raises again each
+time.
 What is left per request is the pair's counts and the two bodies of
 :mod:`triqss.finitekey` that every other path runs too: the phase error
 chain ``_phase_error_chain``, then the floored key length ``_key_length``,
@@ -56,13 +60,14 @@ the basis probability by coordinate descent with golden-section line
 searches (the rate is smooth and single-peaked along each coordinate in the
 regimes of interest).  The search is fully deterministic: fixed restart
 points, no randomness.  It builds one evaluator per call, which scores each
-request and then gives the best point.  A line search is a pure function of
-its fixed coordinate, and the last sweep of a restart repeats the previous
-one, as do restarts that converge to the same point; such a repeat is
-replayed from the trace instead of run again.  Over 0..260 km in 5 km steps
-at ``N = 1e10`` the sweep builds 53 evaluators, runs 658 of the 1,028 line
-searches it asks for, and evaluates 15,828 of the 24,363 points requested,
-plus 47 best points.
+request; the best point is the first request with the highest rate, kept
+with its result as the search scores it.  A line search is a pure function
+of its fixed coordinate, and the last sweep of a restart repeats the
+previous one, as do restarts that converge to the same point; such a repeat
+is replayed from the trace instead of run again.  Over 0..260 km in 5 km
+steps at ``N = 1e10`` the sweep builds 53 evaluators, runs 658 of the 1,028
+line searches it asks for, and evaluates 15,828 of the 24,363 points
+requested, best points included.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ from .finitekey import EC_EFFICIENCY, EpsilonBudget, golden_max
 from .finitekey import _check_ec_efficiency, _key_length, _phase_error_chain
 from .optics import (
     ChannelModel,
+    _coin_terms,
     _gain_and_bit_error,
     binary_entropy,
     coin_imbalance,
@@ -156,28 +162,28 @@ def _rate_evaluator(
     _check_ec_efficiency(ec_efficiency)
     eta = transmittance(channel)
     dark, misalignment = channel.dark_count, channel.misalignment
-    # the per-distance term tables: mu -> (q, eb_x, H(eb_x), delta) and
-    # px -> (N share_x, N share_y); a mu whose stage raises is not stored
+    # the per-distance term tables: mu -> (q, eb_x, H(eb_x), coin terms) and
+    # px -> (N share_x, N share_y); a mu or px whose stage raises is not stored
     by_mu: dict[float, tuple] = {}
     by_px: dict[float, tuple[float, float]] = {}
 
     def evaluate(mu: float, px: float) -> tuple[float, int, float, float]:
-        if not 0 < px < 1:
-            raise ParameterError("px must be in (0, 1)")
+        counts = by_px.get(px)
+        if counts is None:
+            if not 0 < px < 1:
+                raise ParameterError("px must be in (0, 1)")
+            share_x, share_y = set_shares(px)
+            counts = by_px[px] = (n_pulses * share_x, n_pulses * share_y)
         terms = by_mu.get(mu)
         if terms is None:
             q, ebx = _gain_and_bit_error(mu, eta, dark, misalignment)
             h_ebx = binary_entropy(ebx)
             try:
-                delta = coin_imbalance(mu, q)
+                coin = _coin_terms(coin_imbalance(mu, q))
             except ParameterError:
-                delta = None   # raised below, after the checks that come first
-            terms = by_mu[mu] = (q, ebx, h_ebx, delta)
-        q, ebx, h_ebx, delta = terms
-        counts = by_px.get(px)
-        if counts is None:
-            share_x, share_y = set_shares(px)
-            counts = by_px[px] = (n_pulses * share_x, n_pulses * share_y)
+                coin = None   # raised below, after the checks that come first
+            terms = by_mu[mu] = (q, ebx, h_ebx, coin)
+        q, ebx, h_ebx, coin = terms
         n_share_x, n_share_y = counts
 
         n_x = n_share_x * q
@@ -186,21 +192,22 @@ def _rate_evaluator(
             raise ZeroCountError(
                 f"expected Y-set count {n_y:.3g} below one event; px too large for this n_pulses"
             )
-        if delta is None:
+        if coin is None:
             coin_imbalance(mu, q)   # raises the error caught above
         m_y = ebx * n_y
 
-        ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[6]
+        ep_bar = _phase_error_chain(n_x, n_y, m_y, coin, budget)[6]
         ell = _key_length(n_x, ep_bar, h_ebx, ec_efficiency, budget)[0]
         return ell / n_pulses, ell, ep_bar, ebx
 
     return evaluate
 
 
-def _rate_point(evaluate, length_km: float, mu: float, px: float,
-                n_pulses: float) -> RatePoint:
-    """The :class:`RatePoint` of ``evaluate(mu, px)``, for an evaluator at ``length_km``."""
-    rate, ell, ep_bar, ebx = evaluate(mu, px)
+def _rate_point(length_km: float, n_pulses: float, mu: float, px: float,
+                result: tuple) -> RatePoint:
+    """The :class:`RatePoint` of ``result = evaluate(mu, px)``, for an
+    evaluator at ``length_km``."""
+    rate, ell, ep_bar, ebx = result
     return RatePoint(length_km=length_km, mu=mu, px=px, rate_per_pulse=rate, ell=ell,
                      ep_bar=ep_bar, eb_x=ebx, n_pulses=n_pulses)
 
@@ -222,7 +229,7 @@ def finite_rate(
     (``px`` too close to one for the given ``n_pulses``).
     """
     evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
-    return _rate_point(evaluate, length_km, mu, px, n_pulses)
+    return _rate_point(length_km, n_pulses, mu, px, evaluate(mu, px))
 
 
 # errors that score a working point zero in the optimizer
@@ -252,24 +259,32 @@ def optimize_params(
     yields a key, raises :class:`NumericalDegeneracyError` if a point failed
     with one, else :class:`AllAbortError`.
 
-    One per-distance evaluator scores every request and gives ``best``.  A
-    line search repeated with the same fixed coordinate is not run again:
-    its requests are copied from the trace and its result is reused.
-    ``trace`` and ``n_evals`` record every request, replays included, in the
-    order a search without replay makes them.
+    One per-distance evaluator scores every request.  ``best`` is the first
+    request with the highest rate, kept with its result as it is scored, so
+    it is never evaluated again.  A line search repeated with the same fixed
+    coordinate is not run again: its requests are copied from the trace and
+    its result is reused.  ``trace`` and ``n_evals`` record every request,
+    replays included, in the order a search without replay makes them.
     """
     evaluate = _rate_evaluator(length_km, n_pulses, channel, ec_efficiency, budget)
     trace: list[tuple] = []
     overflow = None   # the first NumericalDegeneracyError a point raised
+    # the first request with the highest rate, if positive, as (mu, px,
+    # evaluate(mu, px)); a replay repeats a rate already seen, so never displaces it
+    best_rate, best = 0.0, None
 
     def rate_at(mu: float, px: float) -> float:
-        nonlocal overflow
+        nonlocal overflow, best_rate, best
         try:
-            r = evaluate(mu, px)[0]
+            result = evaluate(mu, px)
         except _SCORED_ZERO as exc:
             if overflow is None and isinstance(exc, NumericalDegeneracyError):
                 overflow = exc
             r = 0.0
+        else:
+            r = result[0]
+            if r > best_rate:
+                best_rate, best = r, (mu, px, result)
         trace.append((mu, px, r))
         return r
 
@@ -308,14 +323,13 @@ def optimize_params(
             if rate <= sweep_start * (1.0 + 1e-9):
                 break
 
-    best_mu, best_px, best_rate = max(trace, key=lambda rec: rec[2])
     if best_rate <= 0.0:
         message = f"no positive key rate found at L={length_km} km for n_pulses={n_pulses:g}"
         if overflow is not None:
             raise NumericalDegeneracyError(f"{message}: {overflow}") from overflow
         raise AllAbortError(message)
-    best = _rate_point(evaluate, length_km, best_mu, best_px, n_pulses)
-    return OptimizationResult(best=best, trace=trace, n_evals=len(trace))
+    return OptimizationResult(best=_rate_point(length_km, n_pulses, *best), trace=trace,
+                              n_evals=len(trace))
 
 
 def _abort_point(length_km: float, n_pulses: float) -> RatePoint:

@@ -44,8 +44,8 @@ MUTATIONS = (
      "return a, b, (dev if dev > 0.0 else 0.0)",
      "return a, b, 0.8 * (dev if dev > 0.0 else 0.0)"),
     ("step-2-square-root-dropped", "optics.py",
-     "4.0 * (1.0 - 2.0 * delta) * math.sqrt(",
-     "0.0 * (1.0 - 2.0 * delta) * math.sqrt("),
+     "4.0 * (1.0 - 2.0 * delta), delta * (1.0 - delta))",
+     "0.0 * (1.0 - 2.0 * delta), delta * (1.0 - delta))"),
     ("step-3-halved", "finitekey.py",
      "return math.sqrt(0.5 * k * log_inv_eps)",
      "return 0.5 * math.sqrt(0.5 * k * log_inv_eps)"),
@@ -59,11 +59,18 @@ MUTATIONS = (
      "if chain_bc[-1] >= chain_ac[-1]:",
      "if True:"),
     ("ybc-detections-less-errors-as-errors", "expdata.py",
-     "_phase_error_chain(n_x, summary.n_ybc, summary.m_ybc, delta, budget)",
-     "_phase_error_chain(n_x, summary.n_ybc, summary.n_ybc - summary.m_ybc, delta, budget)"),
+     "_phase_error_chain(n_x, summary.n_ybc, summary.m_ybc, coin, budget)",
+     "_phase_error_chain(n_x, summary.n_ybc, summary.n_ybc - summary.m_ybc, coin, budget)"),
     ("golden-cycle-exit-never-taken", "finitekey.py",
      "    if bits in seen:\n        return True\n",
      ""),
+    ("golden-bracket-width-unchecked", "finitekey.py",
+     "    if not hi - lo < math.inf:\n"
+     '        raise ParameterError("line search bracket must have a finite width")\n',
+     ""),
+    ("best-point-last-of-equal-rates", "rates.py",
+     "            if r > best_rate:\n",
+     "            if r >= best_rate:\n"),
     ("f-dropped-from-the-leak", "finitekey.py",
      "    lam_ec = n_x * ec_efficiency * h_eb_x",
      "    lam_ec = n_x * h_eb_x"),

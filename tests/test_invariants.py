@@ -24,7 +24,7 @@ from triqss import ChannelModel, EpsilonBudget
 from triqss.cli import _infer_from_name, main
 from triqss.expdata import _SLOT_OF_TRIPLE, experiment_skr, tally_table
 from triqss.finitekey import EC_EFFICIENCY, _phase_error_chain
-from triqss.optics import phase_error_from_y
+from triqss.optics import _coin_terms, phase_error_from_y
 from triqss.rates import _SCORED_ZERO, _asymptotic_point, finite_rate, sweep_distance
 from triqss.report import parse_kv
 from triqss.roundtable import SetTag
@@ -62,7 +62,7 @@ BUDGET = EpsilonBudget()
 
 
 def ep_bar(n_x, n_y, m_y, delta, budget=BUDGET):
-    return _phase_error_chain(n_x, n_y, m_y, delta, budget)[6]
+    return _phase_error_chain(n_x, n_y, m_y, _coin_terms(delta), budget)[6]
 
 
 def not_below(hi, lo):
@@ -90,7 +90,8 @@ EPS = st.sampled_from([1e-10, 1e-3, 0.5, 1e-300])
          eps_a=1e-10, eps_b=1e-10)
 def test_ep_bar_does_not_fall_as_y_errors_grow(n_x, n_y, shares, delta, eps_a, eps_b):
     budget = EpsilonBudget(eps_a=eps_a, eps_b=eps_b)
-    lo, hi = (_phase_error_chain(n_x, n_y, n_y * s, delta, budget) for s in sorted(shares))
+    lo, hi = (_phase_error_chain(n_x, n_y, n_y * s, _coin_terms(delta), budget)
+              for s in sorted(shares))
     assert hi[1] >= lo[1] - 4.0 * math.ulp(1.0)
     if hi[1] >= lo[1]:
         assert not_below(hi[6], lo[6])
@@ -116,7 +117,8 @@ def test_ep_bar_does_not_fall_as_the_coin_imbalance_grows(n_x, n_y, share, delta
 @settings(**SETTINGS)
 @given(n_y=COUNTS, share=SHARE, delta=DELTA)
 def test_step_2_bounds_the_formula_over_the_whole_interval(n_y, share, delta):
-    _, e_max, _, ep_expected, *_ = _phase_error_chain(1e10, n_y, n_y * share, delta, BUDGET)
+    _, e_max, _, ep_expected, *_ = _phase_error_chain(1e10, n_y, n_y * share,
+                                                      _coin_terms(delta), BUDGET)
     grid = max(phase_error_from_y(e_max * i / 256, delta) for i in range(257))
     assert grid <= ep_expected + 1e-15
 

@@ -31,6 +31,7 @@ from triqss.finitekey import (
     observed_to_expected,
 )
 from triqss.optics import (
+    _coin_terms,
     binary_entropy,
     bit_error_x,
     coin_imbalance,
@@ -193,7 +194,9 @@ def public_steps(n_x, n_y, m_y, delta, budget):
     """The phase error chain's intermediates through the public steps.
 
     Step 2 is the maximum of ``phase_error_from_y`` over ``[0, E]``: the
-    pointwise value up to its peak at ``(1 - 2 delta)^2``, 1 from there on."""
+    pointwise value up to its peak at ``(1 - 2 delta)^2``, 1 from there on.
+    The imbalance is checked first, as where the chain's coin terms are built."""
+    phase_error_from_y(0.0, delta)
     m_y_expected = observed_to_expected(m_y, n_y, budget.eps_a, "upper")
     eb_y_expected = min(m_y_expected / n_y, 1.0)
     ep_expected = phase_error_from_y(eb_y_expected, delta)
@@ -207,7 +210,7 @@ def public_steps(n_x, n_y, m_y, delta, budget):
 def chain_steps(n_x, n_y, m_y, delta, budget):
     """The same intermediates of ``_phase_error_chain``."""
     (m_y_expected, eb_y_expected, _, ep_expected,
-     _, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, delta, budget)
+     _, m_p_observed, ep_bar) = _phase_error_chain(n_x, n_y, m_y, _coin_terms(delta), budget)
     return m_y_expected, eb_y_expected, ep_expected, m_p_observed, ep_bar
 
 
@@ -216,8 +219,9 @@ EPS = st.sampled_from([1e-10, 1e-3, 0.5, 1e-30, 1e-300])
 
 
 # the counts are valid here: the chain checks them once, up front, with
-# its own text; the deltas out of [0, 1/2] and the overflow of the Kato
-# closed form past about 1e77 trials raise the same errors in both
+# its own text; a delta out of [0, 1/2] raises in both before step 1, where
+# its coin terms are built, and the overflow of the Kato closed form past
+# about 1e77 trials raises the same error in both
 @settings(**SETTINGS)
 @given(
     n_x=COUNTS,
@@ -253,13 +257,14 @@ def key_length_formula(n_x, ep_bar, h_eb_x, ec_efficiency, budget):
 
 def chain_then(key_length_of, n_x, n_y, m_y, delta, h_eb_x, ec_efficiency, budget):
     """``ep_bar`` of the phase error chain, then the key length of it."""
-    ep_bar = _phase_error_chain(n_x, n_y, m_y, delta, budget)[-1]
+    ep_bar = _phase_error_chain(n_x, n_y, m_y, _coin_terms(delta), budget)[-1]
     return (ep_bar, *key_length_of(n_x, ep_bar, h_eb_x, ec_efficiency, budget))
 
 
 # the key length of each ep_bar the chain reaches, above 1/2 included, with
-# and without a leak that overflows; bad counts and deltas raise in the
-# chain, before the key length, on both sides alike
+# and without a leak that overflows; bad deltas raise where their coin
+# terms are built and bad counts in the chain, before the key length, on
+# both sides alike
 @settings(**SETTINGS)
 @given(
     n_x=st.one_of(COUNTS, st.sampled_from([0.0, -1.0, math.nan, math.inf])),

@@ -77,6 +77,19 @@ class TestGoldenMax:
         with pytest.raises(ParameterError):
             golden_max(lambda x: x, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-1e308, 1e308, "finite width"),
+        (-math.inf, 1.0, "finite width"),
+        (0.0, math.inf, "finite width"),
+        (math.nan, 1.0, "hi > lo"),
+        (0.0, math.nan, "hi > lo"),
+    ])
+    def test_rejects_a_bracket_that_is_not_finite(self, lo, hi, message):
+        # each once returned (nan, nan) silently: a width that overflows puts
+        # the first inner points at -inf and +inf, and every later one at NaN
+        with pytest.raises(ParameterError, match=message):
+            golden_max(lambda x: -(x - 1.0) ** 2, lo, hi)
+
     @pytest.mark.parametrize("tol", [math.nan, -1e-300, -math.inf])
     def test_rejects_a_tolerance_that_is_nan_or_negative(self, tol):
         # a NaN tolerance once ran silently to the step cap
@@ -275,8 +288,9 @@ class TestOptimizeParams:
         calls = _spy_on_evaluators(monkeypatch)
         result = optimize_params(100.0, 1e10, ChannelModel())
         distinct = {(mu, px) for mu, px, _ in result.trace}
-        # 290 requests evaluated, the other 136 replayed, and then the best point
-        assert calls == [290 + 1]
+        # 290 requests evaluated and the other 136 replayed; the best point
+        # is kept from the search, not evaluated again
+        assert calls == [290]
         assert (result.n_evals, len(result.trace), len(distinct)) == (426, 426, 289)
         # a request reads the score a fresh evaluation gives
         assert all(r == _score(100.0, mu, px, 1e10, ChannelModel())
@@ -289,7 +303,7 @@ class TestOptimizeParams:
         first = optimize_params(100.0, 1e10, ChannelModel())
         second = optimize_params(100.0, 1e10, ChannelModel())
         # a replay table kept across calls would spare the second all its searches
-        assert calls == [291, 291]
+        assert calls == [290, 290]
         assert first.trace == second.trace
 
     def test_beats_a_coarse_grid(self):
@@ -417,8 +431,8 @@ class TestSweeps:
                      if not line.startswith("#")]
         assert _csv_lines(capsys.readouterr().out) == reference
         # one evaluator per distance; it evaluates 15,828 of the 24,363
-        # points requested, and the best point at each of the 47 with a key
-        assert (len(calls), sum(calls)) == (53, 15_828 + 47)
+        # points requested, best points included
+        assert (len(calls), sum(calls)) == (53, 15_828)
 
     def test_csv_rendering(self, capsys):
         assert main(["sweep", "--N", "1e10", "--Lmin", "0", "--Lmax", "50", "--step", "50"]) == 0
