@@ -233,6 +233,7 @@ EPS = st.sampled_from([1e-10, 1e-3, 0.5, 1e-30, 1e-300])
     eps_b=EPS,
 )
 @example(n_x=1e10, n_y=1e90, error_share=0.015, delta=0.02, eps_a=1e-10, eps_b=1e-10)
+@example(n_x=1e10, n_y=1e90, error_share=0.015, delta=0.6, eps_a=1e-10, eps_b=1e-10)
 @example(n_x=1e10, n_y=1e9, error_share=1.0, delta=0.5, eps_a=0.5, eps_b=1e-300)
 def test_phase_error_chain_matches_the_public_steps(n_x, n_y, error_share, delta,
                                                     eps_a, eps_b):

@@ -85,8 +85,8 @@ class TestGoldenMax:
         (0.0, math.nan, "hi > lo"),
     ])
     def test_rejects_a_bracket_that_is_not_finite(self, lo, hi, message):
-        # each once returned (nan, nan) silently: a width that overflows puts
-        # the first inner points at -inf and +inf, and every later one at NaN
+        # an infinite width once returned (nan, nan) silently: it puts the
+        # first inner points at -inf and +inf, and every later one at NaN
         with pytest.raises(ParameterError, match=message):
             golden_max(lambda x: -(x - 1.0) ** 2, lo, hi)
 
