@@ -208,14 +208,14 @@ def experiment_skr(
         raise ParameterError("the summary carries no mu and px; pass them to tally_sets")
     SourceParams(intensity=mu, px=px)   # raises on a value outside its domain
 
-    if channel is None:
-        # the sifted sets witness a share px^3 + 2 px (1-px)^2 of all rounds
-        share_x, share_y = set_shares(px)
-        q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
-        if q > 1.0:
-            raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "
-                                 f"n_pulses={n_pulses:g} is too small")
-    else:
+    # the sifted sets witness a share px^3 + 2 px (1-px)^2 of all rounds; no
+    # gain, observed or modelled, rates counts that n_pulses cannot give
+    share_x, share_y = set_shares(px)
+    q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
+    if q > 1.0:
+        raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "
+                             f"n_pulses={n_pulses:g} is too small")
+    if channel is not None:
         q = gain(mu, transmittance(channel), channel.dark_count)
     if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
         raise ParameterError("pulse intensity must be positive where clicks were counted")

@@ -171,10 +171,14 @@ def coin_imbalance(mu: float, gain_value: float) -> float:
 
     The imbalance ``delta = (1 - overlap) / (2 * gain)`` quantifies how far
     the detected rounds are from a fair basis coin.  The security argument
-    requires ``delta <= 1/2``.
+    requires ``delta <= 1/2``.  A gain of 0 or less raises
+    :class:`DegenerateGainError`, any other gain outside (0, 1], NaN
+    included, :class:`ParameterError`: no pulse clicks more than once.
     """
     if gain_value <= 0.0:
         raise DegenerateGainError("zero detection gain: coin imbalance undefined")
+    if not gain_value <= 1.0:
+        raise ParameterError("detection gain must be in (0, 1]")
     delta = (1.0 - basis_overlap(mu)) / (2.0 * gain_value)
     if delta > 0.5:
         raise ParameterError(

@@ -115,6 +115,19 @@ MUTATIONS = (
      "    if n_x <= 0:\n"
      '        raise ParameterError("key-set detection count must be positive")\n',
      ""),
+    ("gain-above-one-unchecked", "optics.py",
+     "    if not gain_value <= 1.0:\n"
+     '        raise ParameterError("detection gain must be in (0, 1]")\n',
+     ""),
+    ("pulse-count-checked-for-the-observed-gain-only", "expdata.py",
+     "    if q > 1.0:\n"
+     '        raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "\n'
+     '                             f"n_pulses={n_pulses:g} is too small")\n'
+     "    if channel is not None:\n",
+     "    if q > 1.0 and channel is None:\n"
+     '        raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "\n'
+     '                             f"n_pulses={n_pulses:g} is too small")\n'
+     "    if channel is not None:\n"),
 )
 
 

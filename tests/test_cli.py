@@ -2,7 +2,6 @@
 
 import argparse
 import errno
-import hashlib
 import io
 import math
 import os
@@ -39,6 +38,7 @@ from triqss.cli import (
 )
 from triqss.report import MAX_INPUT_BYTES, parse_kv
 
+import regenerate_golden as golden
 from conftest import FIXTURES
 
 TABLE_A9 = str(FIXTURES / "tableIIIa_mu9e-4.csv")
@@ -639,17 +639,13 @@ class TestSweep:
         assert err.startswith("numerical degeneracy: no positive key rate found")
         assert out == ""
 
-    # digests of the data rows, taken before overflows with no key raised
-    @pytest.mark.parametrize("n_pulses,digest", [
-        ("1e77", "8d59fed0d31257da1f082d3aeee46858c56a30102d3f4f40355a2ff8b2ace602"),
-        ("1e80", "fe26be2a9b0e4106e0450ec9870892182b4bdaaad9e1416f118e5350f29424c6"),
-    ])
-    def test_pulse_count_below_the_overflow_keeps_its_rows(self, capsys, n_pulses, digest):
+    # the output recorded in the corpus before overflows with no key raised
+    @pytest.mark.parametrize("n_pulses", ["1e77", "1e80"])
+    def test_pulse_count_below_the_overflow_keeps_its_rows(self, capsys, n_pulses):
         code, out, _ = run(capsys, ["sweep", "--N", n_pulses,
                                     "--Lmin", "0", "--Lmax", "100", "--step", "50"])
         assert code == EXIT_OK
-        rows = "".join(l + "\n" for l in out.splitlines() if not l.startswith("#"))
-        assert hashlib.sha256(rows.encode()).hexdigest() == digest
+        assert out == golden.stdout(f"sweep_N{n_pulses}_L0_100_step50")
 
     # the leak overflows to inf at every working point: no key anywhere
     def test_huge_ec_efficiency_gives_abort_rows(self, capsys):
@@ -1071,8 +1067,7 @@ class TestModuleEntryPoint:
     def test_kato_lower_tail_reference(self):
         proc = self.cli("kato", "--k", "1e6", "--lam", "2e5", "--eps", "1e-10", "--dir", "lower")
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == (
-            "9d09dafefb954182abdf5e41f459237036d2fbb977342e82652e796a4fa26b61")
+        assert proc.stdout.decode() == golden.stdout("kato_lower_k1e6_lam2e5_eps1e-10")
 
     def test_nine_table_analyze_reference(self):
         # relative paths: the header echoes them, and mu and px come from the names
@@ -1084,21 +1079,18 @@ class TestModuleEntryPoint:
     def test_asymptotic_sweep_reference(self):
         proc = self.cli("sweep", "--N", "inf")
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == (
-            "a6eaac9be09d8d22d02f516da31de7eac72fa9889ea2b085bd82d9f7320bceb2")
+        assert proc.stdout.decode() == golden.stdout("sweep_Ninf")
 
-    @pytest.mark.parametrize("argv, digest", [
-        ("analyze fixtures/tableIIIa_mu9e-4.csv",
-         "d01b3834466f94089afd5bffbd889a311c41832f059893645ab08f5dbf99325b"),
+    @pytest.mark.parametrize("argv, name", [
+        ("analyze fixtures/tableIIIa_mu9e-4.csv", "analyze_tableIIIa_mu9e-4"),
         ("analyze fixtures/tableIIIb_mu8e-4.csv --analytic-gain --length-km 10",
-         "c41fe9003c9cb7ca868ca40f9568fdfcc32ae09f1d8aa8dbb89ccd6d61b43584"),
-        ("simulate --seed 3 --rounds 1000000 --loss-db 30",
-         "99a8f42cffae528ad4c94957d93699a3c5581da104fcb018ca74431a637599d6"),
+         "analyze_tableIIIb_mu8e-4_analytic_gain_10km"),
+        ("simulate --seed 3 --rounds 1000000 --loss-db 30", "simulate_seed3_1e6_30dB"),
     ], ids=["analyze-a9", "analyze-b8-analytic", "simulate-30db"])
-    def test_pinned_report(self, argv, digest):
+    def test_pinned_report(self, argv, name):
         proc = self.cli(*argv.split())
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+        assert proc.stdout.decode() == golden.stdout(name)
 
     def test_top_level_help_lists_every_subcommand(self, monkeypatch):
         proc = self.cli("--help")

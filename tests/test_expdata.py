@@ -343,6 +343,13 @@ class TestObservedGain:
         with pytest.raises(ParameterError, match="sifted counts imply a gain"):
             experiment_skr(s, 10.0)
 
+    @pytest.mark.parametrize("n_pulses", [1e5, 5e-324])
+    def test_model_gain_rejects_counts_the_pulses_cannot_give(self, fixtures_dir, n_pulses):
+        # the channel's gain once rated them: 1e5 pulses gave 525,076 key bits,
+        # and 5e-324 a division by zero
+        with pytest.raises(ParameterError, match="sifted counts imply a gain of .* is too small"):
+            experiment_skr(self.load(fixtures_dir), n_pulses, channel=ChannelModel())
+
     @pytest.mark.parametrize("px", [0.0, 1.0, 2.0, -1.0, float("nan")])
     def test_rejects_px_outside_its_domain(self, fixtures_dir, px):
         with pytest.raises(ParameterError):

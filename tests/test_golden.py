@@ -1,14 +1,16 @@
 """The golden-output corpus: each command of ``tests/golden/`` prints what
-its entry holds, byte for byte, and exits with its code.
+its entry holds, byte for byte, writes the files it records, and exits with
+its code.
 
 An entry holds a command's argv, exit code, and full stdout and stderr as
-lists of lines; ``python tests/regenerate_golden.py`` writes them, and its
-``run`` runs each entry here too: in process through ``cli.main``, from the
-repository root, so that the table paths it echoes are the relative ones of
-its argv.
+lists of lines, and the sha256 and line count of each file it writes;
+``python tests/regenerate_golden.py`` writes them, and its ``run`` runs each
+entry here too: in process through ``cli.main``, in a fresh temporary
+directory that links ``fixtures/``, so that the table paths it echoes are
+the relative ones of its argv.  ``--check PREFIX`` runs the same entries
+through an installed executable.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -23,11 +25,9 @@ def test_corpus_holds_an_entry_per_command():
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=[path.stem for path in ENTRIES])
-def test_command_prints_its_entry(path: Path, monkeypatch):
-    entry = json.loads(path.read_text())
+def test_command_prints_its_entry(path: Path):
+    entry = regenerate_golden.entry(path.stem)
     assert entry["argv"] == regenerate_golden.COMMANDS[path.stem]
-    monkeypatch.chdir(regenerate_golden.ROOT)
-    code, out, err = regenerate_golden.run(entry["argv"])
-    assert out == "".join(entry["stdout"])
-    assert err == "".join(entry["stderr"])
-    assert code == entry["exit"]
+    got = regenerate_golden.run(entry["argv"])
+    assert not regenerate_golden.differences(entry, got), "".join(
+        regenerate_golden.differences(entry, got))

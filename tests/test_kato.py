@@ -270,6 +270,11 @@ class TestPhaseErrorPipeline:
         with pytest.raises(ParameterError, match="positive and finite"):
             phase_error_upper_bound(n_x, n_y, 0.0, self.MU, self.GAIN, budget)
 
+    def test_rejects_an_infinite_gain(self, budget):
+        # it once rated the set with a balanced coin, ep_bar 0.005195
+        with pytest.raises(ParameterError, match="detection gain"):
+            phase_error_upper_bound(1e10, 1e4, 10, 1e-3, math.inf, budget)
+
     def test_monotone_in_observed_errors(self, budget):
         bounds = [
             phase_error_upper_bound(self.N_X, self.N_Y, m, self.MU, self.GAIN, budget).ep_bar

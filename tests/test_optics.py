@@ -151,6 +151,16 @@ class TestCoinImbalance:
         with pytest.raises(DegenerateGainError):
             coin_imbalance(1e-3, 0.0)
 
+    # a gain is a click probability per pulse; NaN once gave nan, inf a
+    # balanced coin and 5.0 an imbalance of 1e-7
+    @pytest.mark.parametrize("gain_value", [math.nan, math.inf, 5.0, math.nextafter(1.0, 2.0)])
+    def test_gain_above_one_rejected(self, gain_value):
+        with pytest.raises(ParameterError, match=r"detection gain must be in \(0, 1\]"):
+            coin_imbalance(1e-3, gain_value)
+
+    def test_gain_of_one_accepted(self):
+        assert coin_imbalance(1e-3, 1.0) == (1.0 - basis_overlap(1e-3)) / 2.0
+
     def test_domain_violation_rejected(self):
         # intensity far too large for this gain pushes the imbalance past 1/2
         with pytest.raises(ParameterError):

@@ -33,12 +33,19 @@ from triqss import protocol
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
 from triqss.cli import main
 
+import regenerate_golden as golden
 from cumsum_stop import cumsum_stop
 from per_round_engine import block_tallies, outcome_thresholds, simulate_block
 from per_row_trace import PerRowTraceWriter
 
 LOCAL = ChannelModel(length_km=0.0)  # eta = 0.4, errors at defaults
 BRIGHT = SourceParams(intensity=0.01, px=0.8)
+
+
+def _pinned_trace(name):
+    """The sha256 of the trace that the corpus entry ``name`` writes."""
+    [trace] = golden.entry(name)["files"].values()
+    return trace["sha256"]
 
 
 def _cell(s_a, s_b, basis_a, basis_b, basis_c):
@@ -209,8 +216,7 @@ class TestRunProtocol:
                      "--loss-db", "30"]) == 0
         out = capsys.readouterr().out
         assert "rounds_used = 297190741" in out
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "fbe1b5ccc57b1a70d14264e0d02c2fe8f380cf0dec0e324588c58709561ef697")
+        assert out == golden.stdout("simulate_threshold_readme")
 
     def test_spawn_keys_are_the_spawned_children(self):
         # chunk k of branch b is the k-th child spawned one at a time from
@@ -834,21 +840,21 @@ class TestTraceBytes:
         path = tmp_path / "rounds.csv"
         assert main(["simulate", "--seed", "7", "--rounds", "20000", "--length-km", "0",
                      "--trace", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "def8fb64975b6d4b3157009306d12e84f8b2fc3fbcc9872aecbec773055253fa")
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == _pinned_trace("simulate_trace_readme"))
         assert len(starts) == 6 and starts[:5] == [0, 10, 100, 1000, 10_000]
 
-    @pytest.mark.parametrize("args, digest, chunks", [
+    @pytest.mark.parametrize("args, name, chunks", [
         (["--seed", "9", "--rounds", "30000", "--length-km", "0", "--mu", "0.3", "--px", "0.7"],
-         "8795da43fe0da8ef3374cf0f78cd6f2beae6280e0b413d89fe3810fcd0835e66", 17),
+         "simulate_trace_dense", 17),
         (["--seed", "7", "--rounds", "1000000", "--mu", "9e-4", "--px", "0.9", "--loss-db", "30"],
-         "f94a9e12eebc7c9df5065ddf4ba0063de2415a3f3c407e0017083a33834b1fb4", 104),
+         "simulate_trace_30dB", 104),
     ], ids=["dense", "30dB"])
-    def test_trace_is_pinned(self, tmp_path, monkeypatch, args, digest, chunks):
+    def test_trace_is_pinned(self, tmp_path, monkeypatch, args, name, chunks):
         starts = self._chunk_starts(monkeypatch)
         path = tmp_path / "rounds.csv"
         assert main(["simulate", *args, "--trace", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _pinned_trace(name)
         assert len(starts) == chunks
 
     def test_memory_is_bounded_by_the_chunk(self):
