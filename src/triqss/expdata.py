@@ -12,6 +12,12 @@ tabulated triple the interferometer output is deterministic up to noise:
 detector 1 is the expected port when the net phase difference
 ``phase_b + phase_c - phase_a`` vanishes mod 2 pi, detector 2 when it equals
 pi.  Clicks in the unexpected port count as errors.
+
+Reading: each data line's three phase fields are first looked up by their
+text, which finds every triple written as bare digits 0..3; a line spelled
+any other way converts them with ``int(field.strip())``, as the counts
+always are.  Both ways accept and reject the same lines with the same
+messages.
 """
 
 from __future__ import annotations
@@ -70,21 +76,37 @@ _SLOT_OF_TRIPLE = {
 }
 
 
-def _checked_lines(source):
-    """Yield ``(triple, slot, spd1, spd2)`` for each data line of a count
-    table, ``slot`` being the triple's entry of ``_SLOT_OF_TRIPLE``.
+# the text of the three phase fields, each a bare digit 0..3, -> (triple,
+# slot): a line whose phase fields are found here skips converting them;
+# any other spelling is converted as before
+_TRIPLE_OF_TEXT = {tuple(map(str, triple)): (triple, slot)
+                   for triple, slot in _SLOT_OF_TRIPLE.items()}
+
+
+def _checked_lines(source, rows=None) -> tuple[list, list]:
+    """Per-set sums ``(n, m)`` of detections and errors over the data lines
+    of a count table, each a list indexed by ``SetTag`` whose fourth slot
+    holds the discarded patterns; each line's row is appended to ``rows``
+    when a list is given.
 
     The one per-line body of the reader: every check, with its line number,
     runs here in this order: field count, integer fields, phase codes,
-    nonnegative counts, repeated triple.  A path is read as UTF-8.
+    nonnegative counts, repeated triple.  The three phase fields are first
+    looked up by their text, which finds them when each is a bare digit
+    0..3; any other spelling is converted with ``int(field.strip())``, as
+    the two counts always are, so a lookup changes nothing that is accepted
+    or rejected.  A repeated triple is found by its integers, whatever its
+    spelling.  A path is read as UTF-8.
     """
     if isinstance(source, (str, os.PathLike)):
         source = io.StringIO(read_utf8(source, CountTableError), newline="")
 
+    n = [0, 0, 0, 0]
+    m = [0, 0, 0, 0]
     reader = csv.reader(source)
     header = next(reader, None)
     if header is None:
-        return
+        return n, m
     if [h.strip() for h in header] != COUNT_HEADER:
         raise CountTableError(f"expected header {','.join(COUNT_HEADER)}", line=1)
     seen: dict[tuple, int] = {}
@@ -93,15 +115,21 @@ def _checked_lines(source):
             continue
         if len(rec) != 5:
             raise CountTableError(f"expected 5 fields, got {len(rec)}", line=lineno)
+        a, b, c, spd1, spd2 = rec
+        found = _TRIPLE_OF_TEXT.get((a, b, c))
         try:
-            a, b, c, spd1, spd2 = map(int, map(str.strip, rec))
+            if found is None:
+                a, b, c, spd1, spd2 = map(int, map(str.strip, rec))
+                triple = (a, b, c)
+                slot = _SLOT_OF_TRIPLE.get(triple)
+            else:
+                triple, slot = found
+                spd1, spd2 = int(spd1.strip()), int(spd2.strip())
         except ValueError:
             raise CountTableError(f"non-integer field in {rec!r}", line=lineno) from None
-        triple = (a, b, c)
-        slot = _SLOT_OF_TRIPLE.get(triple)
         if slot is None or spd1 < 0 or spd2 < 0:
             try:   # the row type owns these messages, so it raises them
-                CountRow(a, b, c, spd1, spd2)
+                CountRow(*triple, spd1, spd2)
             except CountTableError as exc:
                 raise CountTableError(str(exc), line=lineno) from None
         first = seen.setdefault(triple, lineno)
@@ -110,7 +138,12 @@ def _checked_lines(source):
                 f"duplicate phase triple {triple}, first seen on line {first}",
                 line=lineno,
             )
-        yield triple, slot, spd1, spd2
+        tag, lit = slot
+        n[tag] += spd1 + spd2
+        m[tag] += spd2 if lit == 1 else spd1
+        if rows is not None:
+            rows.append(CountRow(*triple, spd1, spd2))
+    return n, m
 
 
 def parse_counts(source) -> list[CountRow]:
@@ -121,7 +154,9 @@ def parse_counts(source) -> list[CountRow]:
     and malformed lines are rejected with their line number, and so is a
     path that is not valid UTF-8.
     """
-    return [CountRow(*triple, spd1, spd2) for triple, _, spd1, spd2 in _checked_lines(source)]
+    rows: list[CountRow] = []
+    _checked_lines(source, rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -136,18 +171,12 @@ class ExperimentSummary(SetCounts):
         return max(self.eb_ybc, self.eb_yac)
 
 
-def _tally(lines, mu: float | None, px: float | None) -> ExperimentSummary:
-    """Per-set sums over ``(triple, slot, spd1, spd2)`` lines; the triple is
-    not read.
+def _summary(n, m, mu: float | None, px: float | None) -> ExperimentSummary:
+    """The summary of per-set sums ``n``, ``m`` indexed by ``SetTag``.
 
-    Discarded patterns add to a fourth slot that is dropped.  All three sets
-    must end up nonempty, otherwise the table cannot support the analysis.
+    All three sets must be nonempty, otherwise the table cannot support the
+    analysis.
     """
-    n = [0, 0, 0, 0]   # indexed by SetTag
-    m = [0, 0, 0, 0]
-    for _, (tag, lit), spd1, spd2 in lines:
-        n[tag] += spd1 + spd2
-        m[tag] += spd2 if lit == 1 else spd1
     for tag in (SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET):
         if n[tag] == 0:
             raise CountTableError(f"no detections in required set {tag.name}")
@@ -165,8 +194,13 @@ def tally_sets(rows, *, mu: float | None = None, px: float | None = None) -> Exp
     Discarded patterns contribute nothing.  All three sets must end up
     nonempty, otherwise the table cannot support the analysis.
     """
-    return _tally(((None, _SLOT_OF_TRIPLE[row.triple], row.spd1, row.spd2) for row in rows),
-                  mu, px)
+    n = [0, 0, 0, 0]   # indexed by SetTag; the discarded patterns add to the fourth slot
+    m = [0, 0, 0, 0]
+    for row in rows:
+        tag, lit = _SLOT_OF_TRIPLE[row.triple]
+        n[tag] += row.spd1 + row.spd2
+        m[tag] += row.spd2 if lit == 1 else row.spd1
+    return _summary(n, m, mu, px)
 
 
 def tally_table(source, *, mu: float | None = None,
@@ -176,7 +210,7 @@ def tally_table(source, *, mu: float | None = None,
     Each line goes straight into its set's sums, with the same checks and
     errors as :func:`parse_counts` and :func:`tally_sets`.
     """
-    return _tally(_checked_lines(source), mu, px)
+    return _summary(*_checked_lines(source), mu, px)
 
 
 def experiment_skr(
@@ -209,9 +243,11 @@ def experiment_skr(
     SourceParams(intensity=mu, px=px)   # raises on a value outside its domain
 
     # the sifted sets witness a share px^3 + 2 px (1-px)^2 of all rounds; no
-    # gain, observed or modelled, rates counts that n_pulses cannot give
+    # gain, observed or modelled, rates counts that n_pulses cannot give; a
+    # denormal n_pulses can underflow that many rounds to 0, an infinite gain
     share_x, share_y = set_shares(px)
-    q = (summary.n_x + summary.n_y) / (n_pulses * (share_x + 2.0 * share_y))
+    rounds = n_pulses * (share_x + 2.0 * share_y)
+    q = (summary.n_x + summary.n_y) / rounds if rounds > 0.0 else math.inf
     if q > 1.0:
         raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "
                              f"n_pulses={n_pulses:g} is too small")

@@ -119,6 +119,9 @@ MUTATIONS = (
      "    if not gain_value <= 1.0:\n"
      '        raise ParameterError("detection gain must be in (0, 1]")\n',
      ""),
+    ("phase-text-read-out-of-order", "expdata.py",
+     "found = _TRIPLE_OF_TEXT.get((a, b, c))",
+     "found = _TRIPLE_OF_TEXT.get((b, a, c))"),
     ("pulse-count-checked-for-the-observed-gain-only", "expdata.py",
      "    if q > 1.0:\n"
      '        raise ParameterError(f"sifted counts imply a gain of {q:.6g} per pulse; "\n'

@@ -106,6 +106,10 @@ def _commands() -> dict:
         "exit3_analytic_gain_N1e5": [*analytic, "1e5"],
         "exit3_analytic_gain_N5e-324": [*analytic, "5e-324"],
         "exit3_analytic_gain_N5e-324_rep_rate": [*analytic, "5e-324", "--rep-rate", "1e-300"],
+        # 5e-324 pulses give 0 rounds once scaled by the sifted share at px 0.5
+        "exit3_analyze_N5e-324_px0.5": [
+            "analyze", "fixtures/tableIIIa_mu9e-4.csv", "--N", "5e-324", "--mu", "9e-4",
+            "--px", "0.5"],
     })
     return commands
 

@@ -26,7 +26,7 @@ from triqss import (
     tally_table,
 )
 from triqss.cli import main
-from triqss.expdata import _SLOT_OF_TRIPLE
+from triqss.expdata import _SLOT_OF_TRIPLE, _TRIPLE_OF_TEXT
 from triqss.optics import binary_entropy, coin_imbalance
 from triqss.report import parse_kv
 from triqss.roundtable import CELL_BIT, CELL_QUARTERS, CELL_TAG
@@ -147,6 +147,13 @@ class TestClassification:
         assert _SLOT_OF_TRIPLE[0, 1, 1] == (SetTag.YBC_SET, 2)
         assert _SLOT_OF_TRIPLE[1, 0, 1] == (SetTag.YAC_SET, 1)
         assert _SLOT_OF_TRIPLE[1, 1, 0][0] == SetTag.DISCARD
+
+    def test_text_of_each_triple_gives_its_slot(self):
+        # the reader's lookup by text: every triple in bare digits, nothing else
+        assert len(_TRIPLE_OF_TEXT) == 64
+        for text, (triple, slot) in _TRIPLE_OF_TEXT.items():
+            assert text == tuple(map(str, triple))
+            assert _SLOT_OF_TRIPLE[triple] == slot
 
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(CountTableError):
@@ -311,6 +318,13 @@ class TestOnePassReader:
     @example(lines=[HEADER, "0,0,0,1,2", "0,1,1,3,4", "1,0,1,5,6", "0,0,0,7,8"], newline="\n")
     @example(lines=[HEADER, "0,0,0,1,2", "0,1,1,3,4", "1,0,1,5,6", "1,0,\x1c1,7,8"],
              newline="\n")
+    # phase fields that the lookup by text misses, read as integers
+    @example(lines=[HEADER, " 1,0,1,5,6", "0,01,1,3,4", "+1,1,\t0,1,1", "0,0,0,1,2",
+                    "\u0663,0,1,2,2"], newline="\n")
+    @example(lines=[HEADER, "0,0,0,1,2", "0,1,1,3,4", "1,0,1_0,5,6"], newline="\n")
+    # one triple spelled two ways, found by the lookup on one line only
+    @example(lines=[HEADER, "0,0,0,1,2", "0,1,1,3,4", "1,0,1,5,6", " 0,0,0,7,8"], newline="\n")
+    @example(lines=[HEADER, "0,1,01,3,4", "0,0,0,1,2", "1,0,1,5,6", "0,1,1,7,8"], newline="\n")
     def test_same_tallies_and_errors(self, lines, newline):
         text = newline.join(lines) + newline
         expected = written_out_reader(text)
@@ -349,6 +363,13 @@ class TestObservedGain:
         # and 5e-324 a division by zero
         with pytest.raises(ParameterError, match="sifted counts imply a gain of .* is too small"):
             experiment_skr(self.load(fixtures_dir), n_pulses, channel=ChannelModel())
+
+    @pytest.mark.parametrize("px", [0.5, 0.01])
+    def test_pulses_that_round_to_no_rounds_imply_an_infinite_gain(self, fixtures_dir, px):
+        # 5e-324 pulses times a set share below 1/2 underflows to 0 rounds,
+        # once a division by zero; at px = 0.9 the share rounds up to 5e-324
+        with pytest.raises(ParameterError, match="sifted counts imply a gain of inf per "):
+            experiment_skr(self.load(fixtures_dir, px), 5e-324)
 
     @pytest.mark.parametrize("px", [0.0, 1.0, 2.0, -1.0, float("nan")])
     def test_rejects_px_outside_its_domain(self, fixtures_dir, px):
