@@ -77,8 +77,7 @@ _SLOT_OF_TRIPLE = {
 
 
 # the text of the three phase fields, each a bare digit 0..3, -> (triple,
-# slot): a line whose phase fields are found here skips converting them;
-# any other spelling is converted as before
+# slot), which lets the reader skip converting them (see _checked_lines)
 _TRIPLE_OF_TEXT = {tuple(map(str, triple)): (triple, slot)
                    for triple, slot in _SLOT_OF_TRIPLE.items()}
 
