@@ -179,12 +179,7 @@ def _summary(n, m, mu: float | None, px: float | None) -> ExperimentSummary:
     for tag in (SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET):
         if n[tag] == 0:
             raise CountTableError(f"no detections in required set {tag.name}")
-    return ExperimentSummary(
-        n_x=n[SetTag.X_SET], m_x=m[SetTag.X_SET],
-        n_ybc=n[SetTag.YBC_SET], m_ybc=m[SetTag.YBC_SET],
-        n_yac=n[SetTag.YAC_SET], m_yac=m[SetTag.YAC_SET],
-        mu=mu, px=px,
-    )
+    return ExperimentSummary._of_sums(n, m, mu=mu, px=px)
 
 
 def tally_sets(rows, *, mu: float | None = None, px: float | None = None) -> ExperimentSummary:
@@ -255,15 +250,14 @@ def experiment_skr(
     if mu == 0.0 and q > 0.0:   # no light sent; a zero gain fails as a degeneracy below
         raise ParameterError("pulse intensity must be positive where clicks were counted")
 
-    n_x, delta = summary.n_x, coin_imbalance(mu, q)
-    coin = _coin_terms(delta)   # once for both Y sets
+    n_x, coin = summary.n_x, _coin_terms(coin_imbalance(mu, q))   # once for both Y sets
     chain_bc = _phase_error_chain(n_x, summary.n_ybc, summary.m_ybc, coin, budget)
     chain_ac = _phase_error_chain(n_x, summary.n_yac, summary.m_yac, coin, budget)
     # the set with the larger bound is rated, YBC on a tie; ep_bar ends a chain
     if chain_bc[-1] >= chain_ac[-1]:
-        worst = _phase_error_bound(n_x, summary.n_ybc, summary.m_ybc, delta, budget, chain_bc)
+        worst = _phase_error_bound(n_x, summary.n_ybc, summary.m_ybc, coin, budget, chain_bc)
     else:
-        worst = _phase_error_bound(n_x, summary.n_yac, summary.m_yac, delta, budget, chain_ac)
+        worst = _phase_error_bound(n_x, summary.n_yac, summary.m_yac, coin, budget, chain_ac)
 
     # the leak that the key length subtracts is the one reported; the chain
     # has rejected n_x <= 0, and its ep_bar is never negative

@@ -28,10 +28,11 @@ the imbalance alone, ``optics._coin_terms`` (its check, the peak ``e*``
 and the three factors of the sum), are staged once per imbalance: the
 chain ``_phase_error_chain`` takes them in place of ``delta`` and calls
 the cores; :mod:`triqss.rates` and :mod:`triqss.expdata` run it,
-``_phase_error_bound`` builds its record, and :func:`phase_error_upper_bound`
-wraps the two.  The key length ``_key_length``
-holds the error-correction leak; :func:`key_length` is its one checked
-entry.
+``_phase_error_bound`` builds its record, reading ``delta`` from the same
+terms, and :func:`phase_error_upper_bound` wraps the two.  The key length
+``_key_length`` holds the error-correction leak; :func:`key_length` is its
+one checked entry.  One rule, ``_check_sum``, keeps a sum of ``k``
+indicators in ``[0, k]``, observed or expected.
 
 The coefficient-optimized bound states that for indicators ``xi_i`` with
 partial sums ``L_k``, and any ``b >= |a|``,
@@ -154,13 +155,19 @@ def _sign(direction: str) -> float:
     raise ParameterError("direction must be 'upper' or 'lower'")
 
 
+def _check_sum(lam: float, k: float, kind: str) -> None:
+    """The rule for a sum of ``k`` indicators, ``kind`` being "observed" or
+    "expected"; written so that a NaN fails it."""
+    if not 0 <= lam <= k:
+        raise ParameterError(f"{kind} sum must lie in [0, k]")
+
+
 def _validate_kato_args(lam: float, k: float, eps: float) -> None:
     # below one trial the closed form's terms in k fall under its rounding
     # in t = ln(eps), and b has no real value (k = 1e-20 at eps = 1e-10)
     if not 1 <= k < math.inf:
         raise ParameterError("number of trials k must be finite and at least 1")
-    if not 0 <= lam <= k:
-        raise ParameterError("observed sum must lie in [0, k]")
+    _check_sum(lam, k, "observed")
     _check_eps(eps)
 
 
@@ -349,11 +356,11 @@ def expected_to_observed(lam_star: float, k: float, eps: float, direction: str) 
 
     The observed sum is unknown here, so the coefficient optimization is
     unavailable; the zero-``a`` bound gives a deviation of
-    ``sqrt(k ln(1/eps) / 2)`` independent of the observation.
+    ``sqrt(k ln(1/eps) / 2)`` independent of the observation.  The
+    expectation ``lam_star`` must lie in ``[0, k]``.
     """
     _check_trials(k)
-    if not lam_star >= 0:
-        raise ParameterError("expected sum must be nonnegative")
+    _check_sum(lam_star, k, "expected")
     _check_eps(eps)
     delta = _zero_coeff_deviation(k, -math.log(eps))
     return lam_star + delta if _sign(direction) > 0.0 else max(lam_star - delta, 0.0)
@@ -416,20 +423,21 @@ def phase_error_upper_bound(
     budget:
         Failure probabilities; consumes ``eps_a`` and ``eps_b``.
     """
-    delta = coin_imbalance(mu, gain_value)
-    return _phase_error_bound(n_x, n_y, m_y, delta, budget,
-                              _phase_error_chain(n_x, n_y, m_y, _coin_terms(delta), budget))
+    coin = _coin_terms(coin_imbalance(mu, gain_value))
+    return _phase_error_bound(n_x, n_y, m_y, coin, budget,
+                              _phase_error_chain(n_x, n_y, m_y, coin, budget))
 
 
-def _phase_error_bound(n_x: float, n_y: float, m_y: float, delta: float,
+def _phase_error_bound(n_x: float, n_y: float, m_y: float, coin: tuple,
                        budget: EpsilonBudget, chain: tuple) -> PhaseErrorBound:
     """The :class:`PhaseErrorBound` of one Y set, given its ``chain``, the
-    return value of :func:`_phase_error_chain` at these arguments."""
+    return value of :func:`_phase_error_chain` at these arguments; its
+    ``delta`` is the imbalance that the coin terms ``coin`` were staged for."""
     (m_y_expected, eb_y_expected, ep_clamped, ep_expected,
      m_p_expected, m_p_observed, ep_bar) = chain
     return PhaseErrorBound(
         n_x=n_x, n_y=n_y, m_y=m_y,
-        m_y_expected=m_y_expected, eb_y_expected=eb_y_expected, delta=delta,
+        m_y_expected=m_y_expected, eb_y_expected=eb_y_expected, delta=coin[0],
         ep_expected=ep_expected, m_p_expected=m_p_expected,
         m_p_observed=m_p_observed, ep_bar=ep_bar,
         eps_a=budget.eps_a, eps_b=budget.eps_b,
@@ -522,9 +530,9 @@ def key_length(
     budget: EpsilonBudget,
 ) -> int:
     """Secure key length in bits: the raw length of :func:`_key_length`
-    floored, 0 where it is not positive."""
-    if n_x <= 0:
-        raise ParameterError("key-set detection count must be positive")
+    floored, 0 where it is not positive; ``n_x`` must be positive and finite."""
+    if not 0 < n_x < math.inf:
+        raise ParameterError("key-set detection count must be positive and finite")
     _check_ec_efficiency(ec_efficiency)
     h_eb_x = binary_entropy(eb_x)
     if not ep_bar >= 0.0:

@@ -168,14 +168,6 @@ def _cell_probabilities(source: SourceParams, channel: ChannelModel) -> tuple:
             (1.0 - misalignment) * lone2 + misalignment * lone1, none, double)
 
 
-def _tallies(n: np.ndarray, m: np.ndarray, rounds: int) -> SiftedTallies:
-    """Tallies from detection counts ``n`` and error counts ``m`` per set tag."""
-    # in set tag order: X_SET, YBC_SET, YAC_SET, DISCARD
-    (n_x, n_ybc, n_yac, _), (m_x, m_ybc, m_yac, _) = n.tolist(), m.tolist()
-    return SiftedTallies(n_x=n_x, m_x=m_x, n_ybc=n_ybc, m_ybc=m_ybc, n_yac=n_yac, m_yac=m_yac,
-                         rounds=rounds)
-
-
 # detected categories: cat = cell * 4 + k, where k = 0 is a lone click on
 # detector 1 (s_c = 0), k = 1 a lone click on detector 2 (s_c = 1), and
 # k = 2, 3 a double click resolved to s_c = k - 2
@@ -553,7 +545,7 @@ def run_protocol(
 
     key_a, key_b, key_c = np.concatenate(x_keys, 1) if x_keys else np.empty((3, 0), np.uint8)
     run = ProtocolRun(
-        tallies=_tallies(n, nm[4:], rounds),
+        tallies=SiftedTallies._of_sums(n.tolist(), nm[4:].tolist(), rounds=rounds),
         key_a=key_a,
         key_b=key_b,
         key_c=key_c,

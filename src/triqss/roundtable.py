@@ -8,8 +8,10 @@ turns between the arms, which split the light between the detectors
 (``CELL_TURNS``), the set the announced bases sift the round into
 (``CELL_TAG``), and the dealer's correct raw bit (``CELL_BIT``).  The
 simulator turns these columns into arrays; the count-table reader reads
-them as they are.  Both reduce their clicks to the same :class:`SetCounts`.
-Nothing here needs numpy, so the analysis commands start without it.
+them as they are.  Both reduce their clicks to per-set sums indexed by
+:class:`SetTag`, and :meth:`SetCounts._of_sums` is the one map from those
+slots to the tally fields.  Nothing here needs numpy, so the analysis
+commands start without it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ class SetCounts:
     m_ybc: int = 0
     n_yac: int = 0
     m_yac: int = 0
+
+    @classmethod
+    def _of_sums(cls, n, m, **extra):
+        """The tallies of detection sums ``n`` and error sums ``m``, each
+        indexed by :class:`SetTag`, whose ``DISCARD`` slot is not read;
+        ``extra`` gives a subclass's own fields."""
+        return cls(n_x=n[SetTag.X_SET], m_x=m[SetTag.X_SET],
+                   n_ybc=n[SetTag.YBC_SET], m_ybc=m[SetTag.YBC_SET],
+                   n_yac=n[SetTag.YAC_SET], m_yac=m[SetTag.YAC_SET], **extra)
 
     @property
     def n_y(self) -> int:

@@ -53,8 +53,8 @@ MUTATIONS = (
      "if chain_bc[-1] >= chain_ac[-1]:",
      "if chain_bc[-1] <= chain_ac[-1]:"),
     ("ybc-rated-with-the-yac-chain", "expdata.py",
-     "summary.m_ybc, delta, budget, chain_bc)",
-     "summary.m_ybc, delta, budget, chain_ac)"),
+     "summary.m_ybc, coin, budget, chain_bc)",
+     "summary.m_ybc, coin, budget, chain_ac)"),
     ("ybc-set-rated-only", "expdata.py",
      "if chain_bc[-1] >= chain_ac[-1]:",
      "if True:"),
@@ -112,13 +112,21 @@ MUTATIONS = (
      "    return _gain_and_bit_error(",
      "    return _gain_and_bit_error("),
     ("empty-key-set-unchecked", "finitekey.py",
-     "    if n_x <= 0:\n"
-     '        raise ParameterError("key-set detection count must be positive")\n',
+     "    if not 0 < n_x < math.inf:\n"
+     '        raise ParameterError("key-set detection count must be positive and finite")\n',
      ""),
     ("gain-above-one-unchecked", "optics.py",
      "    if not gain_value <= 1.0:\n"
      '        raise ParameterError("detection gain must be in (0, 1]")\n',
      ""),
+    ("y-set-slots-swapped", "roundtable.py",
+     "n_ybc=n[SetTag.YBC_SET], m_ybc=m[SetTag.YBC_SET],\n"
+     "                   n_yac=n[SetTag.YAC_SET], m_yac=m[SetTag.YAC_SET],",
+     "n_ybc=n[SetTag.YAC_SET], m_ybc=m[SetTag.YAC_SET],\n"
+     "                   n_yac=n[SetTag.YBC_SET], m_yac=m[SetTag.YBC_SET],"),
+    ("sum-above-k-unchecked", "finitekey.py",
+     "    if not 0 <= lam <= k:\n",
+     "    if not 0 <= lam:\n"),
     ("phase-text-read-out-of-order", "expdata.py",
      "found = _TRIPLE_OF_TEXT.get((a, b, c))",
      "found = _TRIPLE_OF_TEXT.get((b, a, c))"),

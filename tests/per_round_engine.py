@@ -64,4 +64,4 @@ def block_tallies(block: Block, rounds: int):
     """Set and error counts of one block, as ``run_protocol`` reports them."""
     n = np.bincount(block.tag, minlength=4)
     m = np.bincount(block.tag[block.err], minlength=4)
-    return protocol._tallies(n, m, rounds)
+    return protocol.SiftedTallies._of_sums(n.tolist(), m.tolist(), rounds=rounds)

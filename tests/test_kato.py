@@ -248,8 +248,22 @@ class TestArgumentChecks:
         assert kato_failure_probability(a, abs(a), 1e6, direction) == 1.0
 
     def test_expected_to_observed_rejects_a_nan_expectation(self):
-        with pytest.raises(ParameterError, match="expected sum must be nonnegative"):
+        with pytest.raises(ParameterError, match=r"expected sum must lie in \[0, k\]"):
             expected_to_observed(math.nan, 1e6, 1e-10, "upper")
+
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    @pytest.mark.parametrize("lam_star", [2e6, 1e6 + 1.0, math.inf, math.nan, -1.0])
+    def test_expected_to_observed_keeps_the_expectation_in_0_k(self, lam_star, direction):
+        # a sum of k indicators cannot expect more than k
+        with pytest.raises(ParameterError, match=r"^expected sum must lie in \[0, k\]$"):
+            expected_to_observed(lam_star, 1e6, 1e-10, direction)
+
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    @pytest.mark.parametrize("lam_star", [0.0, 1e6])
+    def test_expected_to_observed_accepts_the_ends_of_0_k(self, lam_star, direction):
+        dev = math.sqrt(0.5 * 1e6 * math.log(1e10))
+        bound = lam_star + dev if direction == "upper" else max(lam_star - dev, 0.0)
+        assert expected_to_observed(lam_star, 1e6, 1e-10, direction) == pytest.approx(bound)
 
 
 class TestPhaseErrorPipeline:
@@ -379,9 +393,10 @@ class TestKeyLength:
         assert key_length(1e300, 0.1, 0.0, 1e308, budget) == \
             key_length(1e300, 0.1, 0.0, 1.0, budget) > 5e299
 
-    @pytest.mark.parametrize("n_x", [0, -1.0])
+    @pytest.mark.parametrize("n_x", [0, -1.0, math.nan, math.inf])
     def test_rejects_a_key_set_without_detections(self, budget, n_x):
-        with pytest.raises(ParameterError, match=r"^key-set detection count must be positive$"):
+        with pytest.raises(ParameterError,
+                           match=r"^key-set detection count must be positive and finite$"):
             key_length(n_x, 0.1, 0.01, 1.16, budget)
 
     def test_rejects_inefficient_correction(self, budget):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from triqss import (
     Basis,
     ChannelModel,
+    ExperimentSummary,
     ParameterError,
     ProtocolAbortError,
     SetTag,
@@ -201,6 +202,22 @@ class TestRoundTable:
             p0, p1 = t0[cell], t1[cell] - t0[cell]
             assert (p0 > 0.0, p1 > 0.0) == ((True, False) if bit == 0 else (False, True))
         assert sifted == 12
+
+    @pytest.mark.parametrize("tallies, extra", [
+        (SiftedTallies, {"rounds": 23}),
+        (ExperimentSummary, {"mu": 9e-4, "px": 0.9}),
+    ], ids=["simulated", "measured"])
+    def test_each_set_slot_fills_its_own_fields(self, tallies, extra):
+        class Slots(list):   # records the slots read
+            def __getitem__(self, tag):
+                read.add(tag)
+                return super().__getitem__(tag)
+
+        read = set()
+        # a distinct value in every slot, DISCARD's included
+        built = tallies._of_sums(Slots([11, 13, 17, 19]), Slots([2, 3, 5, 7]), **extra)
+        assert read == {SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET}
+        assert built == tallies(n_x=11, m_x=2, n_ybc=13, m_ybc=3, n_yac=17, m_yac=5, **extra)
 
 
 class TestRunProtocol:
