@@ -83,9 +83,9 @@ class SetCounts:
         """The tallies of detection sums ``n`` and error sums ``m``, each
         indexed by :class:`SetTag`, whose ``DISCARD`` slot is not read;
         ``extra`` gives a subclass's own fields."""
-        return cls(n_x=n[SetTag.X_SET], m_x=m[SetTag.X_SET],
-                   n_ybc=n[SetTag.YBC_SET], m_ybc=m[SetTag.YBC_SET],
-                   n_yac=n[SetTag.YAC_SET], m_yac=m[SetTag.YAC_SET], **extra)
+        x, ybc, yac = SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET
+        return cls(n_x=n[x], m_x=m[x], n_ybc=n[ybc], m_ybc=m[ybc], n_yac=n[yac], m_yac=m[yac],
+                   **extra)
 
     @property
     def n_y(self) -> int:

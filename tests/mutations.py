@@ -120,10 +120,8 @@ MUTATIONS = (
      '        raise ParameterError("detection gain must be in (0, 1]")\n',
      ""),
     ("y-set-slots-swapped", "roundtable.py",
-     "n_ybc=n[SetTag.YBC_SET], m_ybc=m[SetTag.YBC_SET],\n"
-     "                   n_yac=n[SetTag.YAC_SET], m_yac=m[SetTag.YAC_SET],",
-     "n_ybc=n[SetTag.YAC_SET], m_ybc=m[SetTag.YAC_SET],\n"
-     "                   n_yac=n[SetTag.YBC_SET], m_yac=m[SetTag.YBC_SET],"),
+     "x, ybc, yac = SetTag.X_SET, SetTag.YBC_SET, SetTag.YAC_SET",
+     "x, ybc, yac = SetTag.X_SET, SetTag.YAC_SET, SetTag.YBC_SET"),
     ("sum-above-k-unchecked", "finitekey.py",
      "    if not 0 <= lam <= k:\n",
      "    if not 0 <= lam:\n"),
